@@ -34,86 +34,99 @@ def maxmin_matrix(sim):
     return out
 
 
+def zeroed_square_counts(A, j):
+    """Raw counts of (d_j A)^2 computed the obvious way: zero row/column j, square."""
+    Az = np.asarray(A, dtype=np.int64).copy()
+    Az[j, :] = 0
+    Az[:, j] = 0
+    return Az @ Az
+
+
 def zeroed_square_over_n(A, j):
-    """(d_j A)^2 / n computed the obvious way: zero row/column j, square, divide."""
-    Az = np.asarray(A, dtype=float).copy()
-    Az[j, :] = 0.0
-    Az[:, j] = 0.0
-    return (Az @ Az) / A.shape[0]
+    """(d_j A)^2 / n: the zeroed counts with one division by n."""
+    return zeroed_square_counts(A, j) / A.shape[0]
+
+
+def pair_gap(A, i, i2, j):
+    """Integer gap behind d_j(i, i2): max |c[i, k] - c[i2, k]| over k not in {i, i2, j}."""
+    c = zeroed_square_counts(A, j).tolist()
+    best = 0
+    for k in range(len(c)):
+        if k in (i, i2, j):
+            continue
+        best = max(best, abs(c[i][k] - c[i2][k]))
+    return best
 
 
 def pair_distance(A, i, i2, j):
-    """d_j(i, i2) via the zeroed matrix and an explicit loop over k."""
-    sq = zeroed_square_over_n(A, j)
-    best = 0.0
-    for k in range(A.shape[0]):
-        if k in (i, i2, j):
-            continue
-        best = max(best, abs(sq[i, k] - sq[i2, k]))
-    return best
+    """d_j(i, i2) = pair_gap / n; the division happens only on the reported value."""
+    return pair_gap(A, i, i2, j) / A.shape[0]
 
 
 def _quantile_rank(h, m):
     return max(1, math.ceil(h * m))
 
 
+def _gap_neighborhood(c, i, cands, excluded, r):
+    """Candidates whose integer gap to row i is within the r-th smallest, ties included."""
+    n = len(c)
+    gaps = []
+    for i2 in cands:
+        best = 0
+        for k in range(n):
+            if k == i or k == i2 or k in excluded:
+                continue
+            best = max(best, abs(c[i][k] - c[i2][k]))
+        gaps.append(best)
+    q = sorted(gaps)[r - 1]
+    return [i2 for i2, g in zip(cands, gaps) if g <= q]
+
+
+def pair_neighborhood(A, i, j, h):
+    """N(i, j): candidates i2 not in {i, j} ranked by integer gaps with j deleted."""
+    n = A.shape[0]
+    c = zeroed_square_counts(A, j).tolist()
+    cands = [i2 for i2 in range(n) if i2 not in (i, j)]
+    return _gap_neighborhood(c, i, cands, (j,), _quantile_rank(h, n - 2))
+
+
 def modified_estimate(A, h):
     """Per ordered pair neighborhoods with the target's row/column deleted.
 
-    For each ordered (i, j): d_j distances to every candidate i' not in
+    For each ordered (i, j): integer count gaps to every candidate i' not in
     {i, j}, full sort, threshold at the ceil(h*(n-2))th smallest with ties
     included, then average adjacency into j over the neighborhood. The final
     estimate symmetrizes the two directions.
     """
-    A = np.asarray(A, dtype=float)
+    A = np.asarray(A, dtype=np.int64)
     n = A.shape[0]
     r = _quantile_rank(h, n - 2)
     F = np.zeros((n, n))
     for j in range(n):
-        sq = zeroed_square_over_n(A, j)
+        c = zeroed_square_counts(A, j).tolist()
         for i in range(n):
             if i == j:
                 continue
             cands = [i2 for i2 in range(n) if i2 not in (i, j)]
-            dists = []
-            for i2 in cands:
-                best = 0.0
-                for k in range(n):
-                    if k in (i, i2, j):
-                        continue
-                    best = max(best, abs(sq[i, k] - sq[i2, k]))
-                dists.append(best)
-            q = sorted(dists)[r - 1]
-            nbhd = [i2 for i2, d in zip(cands, dists) if d <= q]
-            F[i, j] = sum(A[i2, j] for i2 in nbhd) / len(nbhd)
+            nbhd = _gap_neighborhood(c, i, cands, (j,), r)
+            F[i, j] = sum(int(A[i2, j]) for i2 in nbhd) / len(nbhd)
     phat = 0.5 * (F + F.T)
     np.fill_diagonal(phat, 0.0)
     return phat
 
 
 def original_estimate(A, h):
-    """Per node neighborhoods from plain A^2/n distances, same quantile rule."""
-    A = np.asarray(A, dtype=float)
+    """Per node neighborhoods from integer A^2 count gaps, same quantile rule."""
+    A = np.asarray(A, dtype=np.int64)
     n = A.shape[0]
-    sq = (A @ A) / n
+    c = (A @ A).tolist()
     r = _quantile_rank(h, n - 1)
-    nbhds = []
-    for i in range(n):
-        cands = [i2 for i2 in range(n) if i2 != i]
-        dists = []
-        for i2 in cands:
-            best = 0.0
-            for k in range(n):
-                if k in (i, i2):
-                    continue
-                best = max(best, abs(sq[i, k] - sq[i2, k]))
-            dists.append(best)
-        q = sorted(dists)[r - 1]
-        nbhds.append([i2 for i2, d in zip(cands, dists) if d <= q])
+    nbhds = [_gap_neighborhood(c, i, [i2 for i2 in range(n) if i2 != i], (), r)
+             for i in range(n)]
     G = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
-            G[i, j] = sum(A[i2, j] for i2 in nbhds[i]) / len(nbhds[i])
+            G[i, j] = sum(int(A[i2, j]) for i2 in nbhds[i]) / len(nbhds[i])
     phat = 0.5 * (G + G.T)
     np.fill_diagonal(phat, 0.0)
     return phat
