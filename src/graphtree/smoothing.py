@@ -5,11 +5,15 @@ The modified variant builds one neighborhood per ordered pair (i, j), with
 row and column j of A deleted before squaring, so the entries averaged for
 P_hat[i][j] are independent of everything involving node j.
 
-Deleting row/column j never materializes a zeroed copy: with sq = A @ A held
-as raw counts, entry (i, k) of (d_j A)^2 / n equals (sq[i,k] - A[i,j] *
-A[j,k]) / n. Keeping the subtraction in integer arithmetic with one final
-division makes the fast path bitwise equal to the obvious zeroed-matrix
-computation.
+Both variants rank candidates with one exact integer Chebyshev kernel. With
+S = A @ A held as raw common-neighbour counts, the distance between rows i
+and i' is the largest |S[i,k] - S[i',k]| over k not in {i, i'}. Deleting
+row/column j never materializes a zeroed copy: entry (i, k) of (d_j A)^2 is
+S[i,k] - A[i,j] * A[j,k], and column j drops out of the maximum. Ranking and
+ties are decided on these integer count gaps, so "ties included" is exact at
+every n; the 1/n of the paper's A^2/n scale is applied only where a value is
+reported (deleted_square_entry, pair_distance_dj). Neighborhoods are thus the
+exact distance quantiles of Zhang, Levina & Zhu (Biometrika 2017).
 """
 
 from __future__ import annotations
@@ -38,8 +42,9 @@ __all__ = [
     "estimation_errors",
 ]
 
-# chunk budget for the O(n^3) pairwise distance passes, in float64 elements
-_CHUNK_ELEMS = 1 << 22
+# chunk budget for the pairwise distance kernel, in count elements; a block
+# of 1 << 18 int16 values (512 KiB) stays in cache across its three passes
+_CHUNK_ELEMS = 1 << 18
 
 
 def bandwidth(c: float, n: int) -> float:
@@ -81,7 +86,8 @@ def quantile_rank(h: float, m: int) -> int:
     """Order statistic index for the h-quantile of m values: max(1, ceil(h*m)).
 
     Every value tied with the threshold is included by the callers; this is a
-    documented convention, chosen so neighborhoods are never empty.
+    documented convention, chosen so neighborhoods are never empty. Ties are
+    on integer count gaps, so they are exact for every n.
     """
     if not 0.0 < h < 1.0:
         raise ValueError("h must lie in (0, 1)")
@@ -91,8 +97,24 @@ def quantile_rank(h: float, m: int) -> int:
 
 
 def _square_counts(a: np.ndarray) -> np.ndarray:
-    # raw common-neighbor counts A @ A; float64 holds them exactly
+    # raw common-neighbor counts A @ A; the float64 BLAS product is exact
     return a.astype(np.float64) @ a.astype(np.float64)
+
+
+def _count_dtype(n: int) -> np.dtype:
+    """Smallest signed dtype, int16 at least, that holds +-n.
+
+    Counts lie in [0, n - 1], so every count gap fits too.
+    """
+    for dt in (np.int16, np.int32, np.int64):
+        if n <= np.iinfo(dt).max:
+            return np.dtype(dt)
+    raise ValueError(f"n={n} is too large")
+
+
+def _counts(a: np.ndarray) -> np.ndarray:
+    """A @ A as raw counts in the kernel's integer dtype."""
+    return _square_counts(a).astype(_count_dtype(a.shape[0]))
 
 
 def deleted_square_entry(sq: np.ndarray, a: np.ndarray, j: int, i: int, k: int) -> float:
@@ -110,61 +132,95 @@ def deleted_square_entry(sq: np.ndarray, a: np.ndarray, j: int, i: int, k: int) 
     return (float(sq[i, k]) - float(a[i, j]) * float(a[j, k])) / n
 
 
-def _deleted_square_over_n(sq: np.ndarray, af: np.ndarray, j: int) -> np.ndarray:
-    """(d_j A)^2 / n for all (i, k) with i, k != j; column j is forced to 0.
+def _deleted_square_counts(s: np.ndarray, a: np.ndarray, j: int) -> np.ndarray:
+    """Raw counts of (d_j A)^2 for all (i, k) with i, k != j; column j is forced to 0.
 
-    Row j is never meaningful and callers must not read it.
+    s and a share one dtype. Row j is never meaningful and callers must not
+    read it.
     """
-    col = af[:, j]
-    r = (sq - np.outer(col, col)) / af.shape[0]
-    r[:, j] = 0.0
+    r = s - np.outer(a[:, j], a[j])
+    r[:, j] = 0
     return r
 
 
-def _pairwise_chebyshev(x: np.ndarray) -> np.ndarray:
-    """out[i, i2] = max over k not in {i, i2} of |x[i, k] - x[i2, k]|.
+def _chebyshev_buffer(n: int, dtype) -> np.ndarray:
+    """Work space for _pairwise_chebyshev: whole rows, at most n of them."""
+    rows = min(n, max(1, _CHUNK_ELEMS // (n * n)))
+    return np.empty(rows * n * n, dtype=dtype)
+
+
+def _pairwise_chebyshev(x: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """out[i, i2] = max over k not in {i, i2} of |x[i, k] - x[i2, k]|; zero diagonal.
 
     The excluded columns are neutralized by zeroing their differences, which
-    is safe because every candidate difference is nonnegative. Chunked over
-    rows to bound memory.
+    is safe because every candidate difference is nonnegative. Blocks of rows
+    i are compared only with rows i2 from the block start on, and the rest of
+    the result is mirrored, so about half the pairs are computed. x is an
+    integer matrix; buf comes from _chebyshev_buffer and is reused across calls.
     """
     n = x.shape[0]
-    out = np.empty((n, n))
+    out = np.empty((n, n), dtype=x.dtype)
     idx = np.arange(n)
-    rows = max(1, _CHUNK_ELEMS // (n * n))
-    buf = np.empty((rows, n, n))
+    rows = buf.size // (n * n)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        t = buf[: hi - lo]
-        np.subtract(x[lo:hi, None, :], x[None, :, :], out=t)
+        b, m = hi - lo, n - lo
+        t = buf[: b * m * n].reshape(b, m, n)
+        np.subtract(x[lo:hi, None, :], x[None, lo:, :], out=t)
         np.abs(t, out=t)
-        t[idx[lo:hi] - lo, :, idx[lo:hi]] = 0.0  # k == i
-        t[:, idx, idx] = 0.0  # k == i2
-        t.max(axis=2, out=out[lo:hi])
+        t[idx[:b], :, idx[lo:hi]] = 0  # k == i
+        t[:, idx[:m], idx[lo:]] = 0  # k == i2
+        t.max(axis=2, out=out[lo:hi, lo:])
+        out[hi:, lo:hi] = out[lo:hi, hi:].T
     return out
 
 
+def _within_rank(d: np.ndarray, rank: int, col: int | None = None) -> np.ndarray:
+    """Flags d[i, i2] within the rank-th smallest of row i, ties included.
+
+    The diagonal, and column col when given, are never candidates. d is
+    overwritten there.
+    """
+    big = np.iinfo(d.dtype).max
+    np.fill_diagonal(d, big)
+    if col is not None:
+        d[:, col] = big
+    q = np.partition(d, rank - 1, axis=1)[:, rank - 1]
+    return d <= q[:, None]
+
+
+def _pair_gaps(a: np.ndarray, j: int, i: int, sq: np.ndarray | None) -> np.ndarray:
+    """Integer gaps d_j(i, i2) * n for every i2, one at a time; entries i and j are 0."""
+    n = a.shape[0]
+    s = (_square_counts(a) if sq is None else sq).astype(np.int64)
+    r = _deleted_square_counts(s, a.astype(np.int64), j)
+    gaps = np.zeros(n, dtype=np.int64)
+    for i2 in range(n):
+        if i2 not in (i, j):
+            diff = np.abs(r[i] - r[i2])
+            diff[[i, i2, j]] = 0
+            gaps[i2] = diff.max()
+    return gaps
+
+
 def pair_distance_dj(a: np.ndarray, i: int, i2: int, j: int, sq: np.ndarray | None = None) -> float:
-    """d_j(i, i2) = max over k not in {i, i2, j} of the (d_j A)^2 / n row difference."""
+    """d_j(i, i2) = max over k not in {i, i2, j} of the (d_j A)^2 / n row difference.
+
+    The maximum is taken over integer counts and divided by n once.
+    """
     n = a.shape[0]
     if n < 4:
         raise ValueError("need n >= 4 so that a candidate k remains")
     if len({i, i2, j}) != 3:
         raise ValueError("i, i2, j must be pairwise distinct")
-    if sq is None:
-        sq = _square_counts(a)
-    af = a.astype(np.float64)
-    r = _deleted_square_over_n(sq, af, j)
-    diff = np.abs(r[i] - r[i2])
-    diff[[i, i2, j]] = 0.0
-    return float(diff.max())
+    return int(_pair_gaps(a, j, i, sq)[i2]) / n
 
 
 def neighborhood_of_pair(a: np.ndarray, i: int, j: int, h: float, sq: np.ndarray | None = None) -> np.ndarray:
     """Candidates i' (never i or j) whose d_j(i, i') is within the h-quantile.
 
-    The threshold is the ceil(h*(n-2))th smallest distance, ties included,
-    so the result is never empty.
+    The threshold is the ceil(h*(n-2))th smallest integer count gap, ties
+    included, so the result is never empty.
     """
     n = a.shape[0]
     if n < 4:
@@ -173,131 +229,115 @@ def neighborhood_of_pair(a: np.ndarray, i: int, j: int, h: float, sq: np.ndarray
         raise ValueError("need i != j")
     if not 0.0 < h < 1.0:
         raise ValueError("h must lie in (0, 1)")
-    if sq is None:
-        sq = _square_counts(a)
     cands = np.array([v for v in range(n) if v not in (i, j)])
-    dists = np.array([pair_distance_dj(a, i, int(v), j, sq) for v in cands])
-    q = np.sort(dists)[quantile_rank(h, n - 2) - 1]
-    return cands[dists <= q]
+    gaps = _pair_gaps(a, j, i, sq)[cands]
+    q = np.sort(gaps)[quantile_rank(h, n - 2) - 1]
+    return cands[gaps <= q]
 
 
-def estimate_modified(a: np.ndarray, config: SmoothingConfig) -> np.ndarray:
+def estimate_modified(a: np.ndarray, config: SmoothingConfig, *, return_sizes: bool = False):
     """Edge probability estimate with one neighborhood per ordered pair.
 
     P_hat[i][j] averages A[i', j] over i' in the neighborhood of (i, j) and
     A[i, j'] over j' in the neighborhood of (j, i), then halves the sum.
-    Symmetric with zero diagonal by construction; deterministic.
+    Symmetric with zero diagonal by construction; deterministic. With
+    return_sizes, also returns |N(i, j)| for every ordered pair (diagonal 0),
+    counted during the same pass.
     """
     check_adjacency(a)
     if config.variant != "modified":
         raise ValueError(f"config variant is {config.variant!r}, not 'modified'")
-    return _estimate_modified_h(a, config.bandwidth(a.shape[0]))
+    phat, sizes = _estimate_modified_h(a, config.bandwidth(a.shape[0]))
+    return (phat, sizes) if return_sizes else phat
 
 
-def _estimate_modified_h(a: np.ndarray, h: float) -> np.ndarray:
+def _estimate_modified_h(a: np.ndarray, h: float):
     n = a.shape[0]
     if n < 4:
         raise ValueError("modified estimator needs n >= 4")
     if not 0.0 < h < 1.0:
         raise ValueError("h must lie in (0, 1)")
     af = a.astype(np.float64)
-    sq = af @ af
+    s = _counts(a)
+    ai = a.astype(s.dtype)
+    buf = _chebyshev_buffer(n, s.dtype)
     r = quantile_rank(h, n - 2)
     f = np.empty((n, n))
+    sizes = np.empty((n, n), dtype=int)
     for j in range(n):
-        nbrs, counts = _pair_neighborhoods(sq, af, j, r)
-        f[:, j] = (nbrs @ af[:, j]) / counts
+        nbrs = _pair_neighborhoods(s, ai, j, r, buf)
+        sizes[:, j] = nbrs.sum(axis=1)
+        f[:, j] = (nbrs @ af[:, j]) / sizes[:, j]
     phat = 0.5 * (f + f.T)
     np.fill_diagonal(phat, 0.0)
-    return phat
+    np.fill_diagonal(sizes, 0)
+    return phat, sizes
 
 
-def _pair_neighborhoods(sq: np.ndarray, af: np.ndarray, j: int, rank: int):
+def _pair_neighborhoods(s: np.ndarray, ai: np.ndarray, j: int, rank: int, buf: np.ndarray):
     """Boolean neighborhood rows for every ordered pair (i, j) at fixed j.
 
     Row i flags the candidates i' with d_j(i, i') within the rank-th smallest.
     Rows i == j are meaningless; the diagonal and column j are never flagged.
     """
-    n = af.shape[0]
-    d = _pairwise_chebyshev(_deleted_square_over_n(sq, af, j))
-    idx = np.arange(n)
-    d[idx, idx] = np.inf
-    d[:, j] = np.inf
-    q = np.partition(d, rank - 1, axis=1)[:, rank - 1]
-    nbrs = d <= q[:, None]
-    return nbrs, nbrs.sum(axis=1)
+    d = _pairwise_chebyshev(_deleted_square_counts(s, ai, j), buf)
+    return _within_rank(d, rank, col=j)
 
 
-def estimate_original(a: np.ndarray, config: SmoothingConfig) -> np.ndarray:
+def estimate_original(a: np.ndarray, config: SmoothingConfig, *, return_sizes: bool = False):
     """Edge probability estimate with one neighborhood per node.
 
-    Distances compare rows of A^2 / n with the largest absolute difference
-    over k not in {i, i'}; the quantile rule matches the modified variant
+    Distances compare rows of A^2 with the largest absolute count gap over k
+    not in {i, i'}; the quantile rule matches the modified variant
     (ceil(h*(n-1))th smallest, ties included) and the output is symmetrized
-    the same way.
+    the same way. With return_sizes, also returns |N_i| per node.
     """
     check_adjacency(a)
     if config.variant != "original":
         raise ValueError(f"config variant is {config.variant!r}, not 'original'")
-    return _estimate_original_h(a, config.bandwidth(a.shape[0]))
+    phat, sizes = _estimate_original_h(a, config.bandwidth(a.shape[0]))
+    return (phat, sizes) if return_sizes else phat
 
 
-def _estimate_original_h(a: np.ndarray, h: float) -> np.ndarray:
+def _estimate_original_h(a: np.ndarray, h: float):
     n = a.shape[0]
     if n < 3:
         raise ValueError("original estimator needs n >= 3")
     if not 0.0 < h < 1.0:
         raise ValueError("h must lie in (0, 1)")
-    af = a.astype(np.float64)
-    nbrs, counts = _node_neighborhoods(af, h)
-    g = (nbrs @ af) / counts[:, None]
+    nbrs = _node_neighborhoods(a, h)
+    sizes = nbrs.sum(axis=1)
+    g = (nbrs @ a.astype(np.float64)) / sizes[:, None]
     phat = 0.5 * (g + g.T)
     np.fill_diagonal(phat, 0.0)
-    return phat
+    return phat, sizes
 
 
-def _node_neighborhoods(af: np.ndarray, h: float):
-    n = af.shape[0]
-    d = _pairwise_chebyshev((af @ af) / n)
-    idx = np.arange(n)
-    d[idx, idx] = np.inf
-    rank = quantile_rank(h, n - 1)
-    q = np.partition(d, rank - 1, axis=1)[:, rank - 1]
-    nbrs = d <= q[:, None]
-    return nbrs, nbrs.sum(axis=1)
+def _node_neighborhoods(a: np.ndarray, h: float) -> np.ndarray:
+    n = a.shape[0]
+    s = _counts(a)
+    d = _pairwise_chebyshev(s, _chebyshev_buffer(n, s.dtype))
+    return _within_rank(d, quantile_rank(h, n - 1))
 
 
-def estimate_edge_probabilities(a: np.ndarray, config: SmoothingConfig) -> np.ndarray:
-    """Dispatch on config.variant."""
+def estimate_edge_probabilities(a: np.ndarray, config: SmoothingConfig, *,
+                                return_sizes: bool = False):
+    """Dispatch on config.variant; return_sizes is passed through."""
     if config.variant == "modified":
-        return estimate_modified(a, config)
-    return estimate_original(a, config)
+        return estimate_modified(a, config, return_sizes=return_sizes)
+    return estimate_original(a, config, return_sizes=return_sizes)
 
 
 def modified_neighborhood_sizes(a: np.ndarray, h: float) -> np.ndarray:
     """|N(i, j)| for every ordered pair, diagonal 0; for diagnostics and logs."""
     check_adjacency(a)
-    n = a.shape[0]
-    if n < 4:
-        raise ValueError("modified estimator needs n >= 4")
-    af = a.astype(np.float64)
-    sq = af @ af
-    r = quantile_rank(h, n - 2)
-    sizes = np.zeros((n, n), dtype=int)
-    for j in range(n):
-        _, counts = _pair_neighborhoods(sq, af, j, r)
-        sizes[:, j] = counts
-        sizes[j, j] = 0
-    return sizes
+    return _estimate_modified_h(a, h)[1]
 
 
 def original_neighborhood_sizes(a: np.ndarray, h: float) -> np.ndarray:
     """|N_i| per node for the per-node variant."""
     check_adjacency(a)
-    if a.shape[0] < 3:
-        raise ValueError("original estimator needs n >= 3")
-    _, counts = _node_neighborhoods(a.astype(np.float64), h)
-    return counts
+    return _estimate_original_h(a, h)[1]
 
 
 def column_distance_matrix(a: np.ndarray) -> np.ndarray:

@@ -22,7 +22,10 @@ from graphtree import (
     estimation_errors,
 )
 from graphtree.smoothing import (
-    _deleted_square_over_n,
+    _chebyshev_buffer,
+    _count_dtype,
+    _counts,
+    _deleted_square_counts,
     _pair_neighborhoods,
     _pairwise_chebyshev,
     _square_counts,
@@ -124,15 +127,19 @@ class TestDeletedSquare:
     def test_matrix_form_matches_entry_form(self):
         rng = np.random.default_rng(1)
         a = random_adjacency(rng, 9)
-        af = a.astype(np.float64)
+        s = _counts(a)
         sq = _square_counts(a)
         for j in range(9):
-            r = _deleted_square_over_n(sq, af, j)
-            assert np.all(r[:, j] == 0.0)
+            r = _deleted_square_counts(s, a.astype(s.dtype), j)
+            assert r.dtype == np.int16
+            assert np.all(r[:, j] == 0)
+            keep = np.arange(9) != j
+            want = reference.zeroed_square_counts(a, j)
+            assert np.array_equal(r[np.ix_(keep, keep)], want[np.ix_(keep, keep)])
             for i in range(9):
                 for k in range(9):
                     if i != j and k != j:
-                        assert r[i, k] == deleted_square_entry(sq, a, j, i, k)
+                        assert r[i, k] / 9 == deleted_square_entry(sq, a, j, i, k)
 
     def test_bracket(self):
         # the deleted entry sits between (A^2)/n - 1/n and (A^2)/n
@@ -233,18 +240,40 @@ class TestNeighborhoods:
     def test_matches_batch_rows(self):
         rng = np.random.default_rng(7)
         a = random_adjacency(rng, 9)
-        af = a.astype(np.float64)
-        sq = _square_counts(a)
+        s = _counts(a)
+        buf = _chebyshev_buffer(9, s.dtype)
         h = 0.3
         rank = quantile_rank(h, 9 - 2)
         for j in range(9):
-            nbrs, counts = _pair_neighborhoods(sq, af, j, rank)
+            nbrs = _pair_neighborhoods(s, a.astype(s.dtype), j, rank, buf)
             for i in range(9):
                 if i == j:
                     continue
                 want = set(neighborhood_of_pair(a, i, j, h))
+                assert want == set(reference.pair_neighborhood(a, i, j, h))
                 assert set(np.flatnonzero(nbrs[i])) == want
-                assert counts[i] == len(want)
+
+    def test_odd_n_batch_matches_per_pair_and_oracle(self):
+        # n = 115 (the football network's size) is not a power of two, so
+        # ties must be decided on integer count gaps, not on A^2/n floats
+        rng = np.random.default_rng(15)
+        n = 115
+        groups = rng.integers(0, 3, size=n)
+        p = np.where(groups[:, None] == groups[None, :], 0.7, 0.1)
+        a = np.triu(rng.random((n, n)) < p, 1).astype(np.int8)
+        a = a | a.T
+        h = bandwidth(0.1, n)
+        sizes = modified_neighborhood_sizes(a, h)
+        s = _counts(a)
+        buf = _chebyshev_buffer(n, s.dtype)
+        rank = quantile_rank(h, n - 2)
+        for _ in range(12):
+            i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
+            nbrs = _pair_neighborhoods(s, a.astype(s.dtype), j, rank, buf)
+            want = reference.pair_neighborhood(a, i, j, h)
+            assert list(neighborhood_of_pair(a, i, j, h)) == want
+            assert list(np.flatnonzero(nbrs[i])) == want
+            assert sizes[i, j] == len(want)
 
     def test_invariant_to_row_column_j(self):
         rng = np.random.default_rng(8)
@@ -262,17 +291,41 @@ class TestNeighborhoods:
                 neighborhood_of_pair(a, i, j, 0.4), neighborhood_of_pair(b, i, j, 0.4)
             )
 
-    def test_chebyshev_matches_loops(self):
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
+    def test_chebyshev_matches_loops(self, rows):
+        # rows < n splits the upper triangle into blocks and mirrors the rest
         rng = np.random.default_rng(9)
-        x = rng.random((7, 7))
-        got = _pairwise_chebyshev(x)
-        for i in range(7):
-            for i2 in range(7):
+        n = 7
+        x = rng.integers(0, n, size=(n, n)).astype(np.int16)
+        got = _pairwise_chebyshev(x, np.empty(rows * n * n, dtype=np.int16))
+        assert got.dtype == np.int16
+        for i in range(n):
+            for i2 in range(n):
                 want = max(
-                    (abs(x[i, k] - x[i2, k]) for k in range(7) if k not in (i, i2)),
-                    default=0.0,
+                    (abs(int(x[i, k]) - int(x[i2, k])) for k in range(n) if k not in (i, i2)),
+                    default=0,
                 )
                 assert got[i, i2] == want
+
+    def test_chebyshev_buffer_reused_across_calls(self):
+        rng = np.random.default_rng(10)
+        buf = np.empty(2 * 6 * 6, dtype=np.int16)
+        xs = [rng.integers(0, 6, size=(6, 6)).astype(np.int16) for _ in range(3)]
+        fresh = [_pairwise_chebyshev(x, _chebyshev_buffer(6, np.int16)) for x in xs]
+        for x, want in zip(xs, fresh):
+            assert np.array_equal(_pairwise_chebyshev(x, buf), want)
+
+    def test_buffer_rows_capped_at_n(self):
+        assert _chebyshev_buffer(5, np.int16).shape == (5 * 5 * 5,)
+        assert _chebyshev_buffer(1000, np.int16).shape == (1000 * 1000,)
+
+    def test_count_dtype(self):
+        # every count and count gap lies in [-(n - 1), n - 1]
+        assert _count_dtype(4) == np.int16
+        assert _count_dtype(32767) == np.int16
+        assert _count_dtype(32768) == np.int32
+        assert _count_dtype(2**31 - 1) == np.int32
+        assert _count_dtype(2**31) == np.int64
 
 
 class TestModifiedEstimator:
@@ -303,6 +356,21 @@ class TestModifiedEstimator:
         h = bandwidth(c, n)
         got = estimate_modified(a, SmoothingConfig(C=c))
         assert np.array_equal(got, reference.modified_estimate(a, h))
+
+    @pytest.mark.parametrize("n", [7, 9, 15])
+    def test_odd_n_matches_reference_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            a = random_adjacency(rng, n, p=float(rng.uniform(0.2, 0.8)))
+            c = float(rng.uniform(0.2, 1.0))
+            got = estimate_modified(a, SmoothingConfig(C=c))
+            assert np.array_equal(got, reference.modified_estimate(a, bandwidth(c, n)))
+
+    def test_sizes_by_product(self):
+        cfg = SmoothingConfig(C=0.5)
+        phat, sizes = estimate_modified(FIX8, cfg, return_sizes=True)
+        assert np.array_equal(phat, estimate_modified(FIX8, cfg))
+        assert np.array_equal(sizes, modified_neighborhood_sizes(FIX8, cfg.bandwidth(8)))
 
     def test_output_invariants(self):
         rng = np.random.default_rng(10)
@@ -367,6 +435,21 @@ class TestOriginalEstimator:
         c = float(rng.uniform(0.1, 1.0))
         got = estimate_original(a, SmoothingConfig(C=c, variant="original"))
         assert np.array_equal(got, reference.original_estimate(a, bandwidth(c, n)))
+
+    @pytest.mark.parametrize("n", [7, 9, 15])
+    def test_odd_n_matches_reference_bitwise(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(3):
+            a = random_adjacency(rng, n, p=float(rng.uniform(0.2, 0.8)))
+            c = float(rng.uniform(0.2, 1.0))
+            got = estimate_original(a, SmoothingConfig(C=c, variant="original"))
+            assert np.array_equal(got, reference.original_estimate(a, bandwidth(c, n)))
+
+    def test_sizes_by_product(self):
+        cfg = SmoothingConfig(C=0.5, variant="original")
+        phat, sizes = estimate_edge_probabilities(FIX8, cfg, return_sizes=True)
+        assert np.array_equal(phat, estimate_original(FIX8, cfg))
+        assert np.array_equal(sizes, original_neighborhood_sizes(FIX8, cfg.bandwidth(8)))
 
     def test_size_guard(self):
         with pytest.raises(ValueError):
