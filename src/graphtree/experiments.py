@@ -29,8 +29,6 @@ from .smoothing import (
     column_distance_matrix,
     estimate_edge_probabilities,
     estimation_errors,
-    modified_neighborhood_sizes,
-    original_neighborhood_sizes,
 )
 
 __all__ = [
@@ -280,17 +278,14 @@ def run_dataset_clustering(
     if n < minimum:
         raise ValidationError(f"dataset has {n} nodes; {variant} estimator needs >= {minimum}")
     config = SmoothingConfig(C=c, variant=variant)
-    h = config.bandwidth(n)
+    phat, sizes = estimate_edge_probabilities(a, config, return_sizes=True)
     if variant == "modified":
-        sizes = modified_neighborhood_sizes(a, h)
         sizes = sizes[~np.eye(n, dtype=bool)]
-    else:
-        sizes = original_neighborhood_sizes(a, h)
     log.info(
         "dataset %s: n=%d, h=%.6g, neighborhood sizes min/median/max = %d/%g/%d",
-        path, n, h, int(sizes.min()), float(np.median(sizes)), int(sizes.max()),
+        path, n, config.bandwidth(n), int(sizes.min()), float(np.median(sizes)),
+        int(sizes.max()),
     )
-    phat = estimate_edge_probabilities(a, config)
     dendro = build_dendrogram(merge_estimate(phat))
 
     os.makedirs(out_dir, exist_ok=True)

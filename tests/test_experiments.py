@@ -245,3 +245,31 @@ class TestDatasetClustering:
             p, c=0.3, variant="original", out_dir=str(tmp_path / "out")
         )
         assert d.n == 3
+
+    @pytest.mark.parametrize("variant", ["modified", "original"])
+    def test_one_pass_logs_neighborhood_sizes(self, tmp_path, monkeypatch, caplog, variant):
+        import graphtree.smoothing as smoothing
+
+        rng = np.random.default_rng(3)
+        a = np.triu(rng.random((11, 11)) < 0.4, 1).astype(np.int8)
+        a = a | a.T
+        p = tmp_path / "g.edges"
+        save_edge_list(p, a)
+        calls = []
+        for name in ("_pair_neighborhoods", "_node_neighborhoods"):
+            inner = getattr(smoothing, name)
+            monkeypatch.setattr(
+                smoothing, name, lambda *args, _f=inner, _n=name: calls.append(_n) or _f(*args)
+            )
+        with caplog.at_level("INFO", logger="graphtree"):
+            run_dataset_clustering(p, c=0.5, variant=variant, out_dir=str(tmp_path / "out"))
+        h = smoothing.bandwidth(0.5, 11)
+        if variant == "modified":
+            assert calls == ["_pair_neighborhoods"] * 11  # one pass, one call per j
+            sizes = smoothing.modified_neighborhood_sizes(a, h)[~np.eye(11, dtype=bool)]
+        else:
+            assert calls == ["_node_neighborhoods"]
+            sizes = smoothing.original_neighborhood_sizes(a, h)
+        want = "neighborhood sizes min/median/max = %d/%g/%d" % (
+            sizes.min(), np.median(sizes), sizes.max())
+        assert want in caplog.text
