@@ -9,6 +9,9 @@ tree path between two nodes realizes the max-min value. Diagonal fixed at 1.
 from __future__ import annotations
 
 import json
+import math
+import re
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +91,11 @@ class Merge:
 
 @dataclass(frozen=True)
 class Dendrogram:
-    """Binary merge tree; levels never increase from leaves toward the root."""
+    """Binary merge tree; levels never increase from leaves toward the root.
+
+    Every traversal keeps an explicit stack, so trees of any depth (a chain
+    of n leaves is n - 1 levels deep) can be cut, written and read.
+    """
 
     root: object
     n: int
@@ -96,90 +103,198 @@ class Dendrogram:
     @property
     def leaf_order(self):
         """Leaves in display order (left subtree first)."""
-        order = []
-
-        def walk(node):
-            if isinstance(node, Leaf):
-                order.append(node.index)
-            else:
-                walk(node.left)
-                walk(node.right)
-
-        walk(self.root)
-        return order
+        return _leaves(self.root)
 
     def cut(self, lam: float):
         """Clusters after removing merges below lam; equals clusters_at_level."""
         parts = []
-
-        def leaves(node):
-            if isinstance(node, Leaf):
-                return [node.index]
-            return leaves(node.left) + leaves(node.right)
-
-        def walk(node):
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
             if isinstance(node, Leaf):
                 parts.append([node.index])
             elif node.level >= lam:
-                parts.append(sorted(leaves(node)))
+                parts.append(sorted(_leaves(node)))
             else:
-                walk(node.left)
-                walk(node.right)
-
-        walk(self.root)
+                stack += [node.right, node.left]
         return sorted(parts)
 
     def to_json_dict(self):
         def enc(node):
             if isinstance(node, Leaf):
                 return node.index
-            return {"left": enc(node.left), "right": enc(node.right), "level": node.level}
+            return {"left": None, "right": None, "level": node.level}
 
-        return enc(self.root)
+        top = enc(self.root)
+        stack = [(self.root, top)]
+        while stack:
+            node, doc = stack.pop()
+            if isinstance(node, Merge):
+                doc["left"], doc["right"] = enc(node.left), enc(node.right)
+                stack += [(node.left, doc["left"]), (node.right, doc["right"])]
+        return top
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        """The bytes of json.dumps(self.to_json_dict(), sort_keys=True), at any depth."""
+        parts = []
+        stack = [self.root]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+            elif isinstance(item, Leaf):
+                parts.append(json.dumps(item.index))
+            else:
+                parts.append('{"left": ')
+                stack += ["}", item.right, f', "level": {json.dumps(item.level)}, "right": ',
+                          item.left]
+        return "".join(parts)
 
     @classmethod
     def from_json_dict(cls, doc) -> "Dendrogram":
-        def dec(node):
+        merges = []
+        n = 0
+        stack = [doc]
+        while stack:
+            node = stack.pop()
             if isinstance(node, int):
-                return Leaf(node), 1
+                n += 1
+                continue
             if not isinstance(node, dict) or set(node) != {"left", "right", "level"}:
-                raise ValidationError(f"bad dendrogram node: {node!r}")
-            left, nl = dec(node["left"])
-            right, nr = dec(node["right"])
-            return Merge(left, right, float(node["level"])), nl + nr
+                raise ValidationError(f"bad dendrogram node: {reprlib.repr(node)}")
+            merges.append(node)
+            stack += [node["right"], node["left"]]
 
-        root, n = dec(doc)
-        return cls(root=root, n=n)
+        built = {}
+
+        def get(node):
+            return Leaf(node) if isinstance(node, int) else built[id(node)]
+
+        for node in reversed(merges):  # children before parents
+            built[id(node)] = Merge(get(node["left"]), get(node["right"]), float(node["level"]))
+        return cls(root=get(doc), n=n)
 
     @classmethod
     def from_json(cls, text: str) -> "Dendrogram":
         try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
+            doc = _json_loads(text)
+        except ValueError as e:
             raise ValidationError(f"invalid dendrogram JSON: {e}") from e
         return cls.from_json_dict(doc)
 
     def to_newick(self, labels=None, fmt: str = "%.12g") -> str:
         """Newick text; every child edge is annotated with its parent's merge level."""
-
-        def name(i):
-            if labels is None:
-                return str(i)
-            return _newick_safe(labels[i])
-
-        def enc(node, parent_level):
-            if isinstance(node, Leaf):
-                s = name(node.index)
+        parts = []
+        stack = [self.root]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+            elif isinstance(item, Leaf):
+                parts.append(str(item.index) if labels is None else _newick_safe(labels[item.index]))
             else:
-                s = "(" + enc(node.left, node.level) + "," + enc(node.right, node.level) + ")"
-            if parent_level is None:
-                return s
-            return s + ":" + (fmt % parent_level)
+                edge = ":" + (fmt % item.level)
+                parts.append("(")
+                stack += [edge + ")", item.right, edge + ",", item.left]
+        return "".join(parts) + ";"
 
-        return enc(self.root, None) + ";"
+
+def _leaves(node):
+    """Leaf indices under node, left subtree first."""
+    order = []
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            order.append(node.index)
+        else:
+            stack += [node.right, node.left]
+    return order
+
+
+def _merges_bottom_up(root):
+    """The Merge nodes under root, every child before its parent."""
+    merges = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Merge):
+            merges.append(node)
+            stack += [node.left, node.right]
+    return merges[::-1]
+
+
+_NUMBER = re.compile(r"(-?(?:0|[1-9]\d*))(\.\d+)?([eE][-+]?\d+)?")
+_SPACE = re.compile(r"[ \t\n\r]*")
+_CONSTANTS = {"null": None, "true": True, "false": False, "NaN": math.nan,
+              "Infinity": math.inf, "-Infinity": -math.inf}
+
+
+def _json_loads(s: str):
+    """json.loads with an explicit stack instead of recursion, so depth is unbounded.
+
+    Accepts what json.loads accepts (NaN and Infinity included) and returns
+    equal values; raises ValueError on anything else.
+    """
+    open_ = []  # [container, key or None] for each unclosed object or array
+
+    def ws(i):
+        return _SPACE.match(s, i).end()
+
+    def key(i):
+        if s[i:i + 1] != '"':
+            raise ValueError(f"expecting property name at char {i}")
+        k, i = json.decoder.scanstring(s, i + 1)
+        i = ws(i)
+        if s[i:i + 1] != ":":
+            raise ValueError(f"expecting ':' at char {i}")
+        return k, ws(i + 1)
+
+    i = ws(0)
+    while True:
+        c = s[i:i + 1]
+        if c in ("{", "["):
+            i = ws(i + 1)
+            if s[i:i + 1] == ("}" if c == "{" else "]"):
+                value, i = ({} if c == "{" else []), i + 1
+            else:
+                k = None
+                if c == "{":
+                    k, i = key(i)
+                open_.append([{} if c == "{" else [], k])
+                continue
+        elif c == '"':
+            value, i = json.decoder.scanstring(s, i + 1)
+        elif m := _NUMBER.match(s, i):
+            whole, frac, exp = m.groups()
+            value = float(whole + (frac or "") + (exp or "")) if frac or exp else int(whole)
+            i = m.end()
+        else:
+            word = next((w for w in _CONSTANTS if s.startswith(w, i)), None)
+            if word is None:
+                raise ValueError(f"expecting value at char {i}")
+            value, i = _CONSTANTS[word], i + len(word)
+        # a value is complete: store it, then close containers until one continues
+        while True:
+            i = ws(i)
+            if not open_:
+                if i != len(s):
+                    raise ValueError(f"extra data at char {i}")
+                return value
+            container, k = open_[-1]
+            if k is None:
+                container.append(value)
+            else:
+                container[k] = value
+            c = s[i:i + 1]
+            if c == ",":
+                i = ws(i + 1)
+                if k is not None:
+                    open_[-1][1], i = key(i)
+                break
+            if c != ("}" if k is not None else "]"):
+                raise ValueError(f"expecting ',' or a closing bracket at char {i}")
+            value, i = open_.pop()[0], i + 1
 
 
 def _newick_safe(label: str) -> str:
@@ -259,16 +374,14 @@ def clusters_at_level(m: np.ndarray, lam: float):
 def dendrogram_merge_matrix(d: Dendrogram) -> np.ndarray:
     """Pairwise merge levels encoded by a dendrogram (lowest common merge)."""
     out = np.ones((d.n, d.n))
+    leaves = {}
 
-    def walk(node):
-        if isinstance(node, Leaf):
-            return [node.index]
-        left = walk(node.left)
-        right = walk(node.right)
-        for u in left:
-            for v in right:
-                out[u, v] = out[v, u] = node.level
-        return left + right
+    def take(node):
+        return [node.index] if isinstance(node, Leaf) else leaves.pop(id(node))
 
-    walk(d.root)
+    for node in _merges_bottom_up(d.root):
+        left, right = take(node.left), take(node.right)
+        out[np.ix_(left, right)] = node.level
+        out[np.ix_(right, left)] = node.level
+        leaves[id(node)] = left + right
     return out

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from graphtree import Dendrogram
 from graphtree.cli import main
 
 
@@ -259,3 +260,24 @@ class TestEntryPoints:
     def test_unknown_command(self, runner):
         res = runner.invoke(main, ["frobnicate"])
         assert res.exit_code == 2
+
+
+class TestDeepCluster:
+    def test_chain_1500_leaves(self, runner, tmp_path):
+        # similarity -max(i, k) makes single linkage add one leaf per level,
+        # so the dendrogram is a 1499-level chain
+        n = 1500
+        k = np.arange(n)
+        p = tmp_path / "chain.csv"
+        np.savetxt(p, -np.maximum.outer(k, k), fmt="%d", delimiter=",")
+        tree = tmp_path / "t.json"
+        nwk = tmp_path / "t.nwk"
+        res = runner.invoke(main, ["cluster", "--phat", str(p), "--tree", str(tree),
+                                   "--newick", str(nwk)])
+        assert res.exit_code == 0, res.stderr
+        text = tree.read_text()
+        assert text.startswith('{"left": ' * (n - 1) + "0, ")
+        d = Dendrogram.from_json(text)
+        assert d.n == n and d.leaf_order == list(range(n))
+        assert d.to_json() + "\n" == text
+        assert d.to_newick() + "\n" == nwk.read_text()

@@ -1,5 +1,7 @@
 """Single-linkage merge matrices, dendrograms, and level cuts."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from graphtree import (
     dendrogram_merge_matrix,
     merge_estimate,
 )
+from graphtree.linkage import _json_loads
 from conftest import random_symmetric
 import reference
 
@@ -242,3 +245,76 @@ class TestSerialization:
     def test_newick_format_control(self):
         d = build_dendrogram(np.array([[1.0, 1 / 3], [1 / 3, 1.0]]))
         assert d.to_newick(fmt="%.3f") == "(0:0.333,1:0.333);"
+
+
+def chain_dendrogram(n):
+    """Leaf k joins the cluster {0..k-1} at level 1/(k+1): n - 1 levels deep."""
+    node = Leaf(0)
+    for k in range(1, n):
+        node = Merge(node, Leaf(k), 1.0 / (k + 1))
+    return Dendrogram(root=node, n=n)
+
+
+class TestDeepTrees:
+    # deeper than the interpreter's recursion limit: every traversal must be iterative
+    N = 3000
+
+    def test_json_round_trip(self):
+        d = chain_dendrogram(self.N)
+        text = d.to_json()
+        back = Dendrogram.from_json(text)
+        assert back.n == self.N
+        assert back.to_json() == text
+        assert Dendrogram.from_json_dict(d.to_json_dict()).to_json() == text
+        assert text.startswith('{"left": ' * (self.N - 1) + "0, ")
+
+    def test_leaf_order_cut_newick_and_merge_matrix(self):
+        d = chain_dendrogram(self.N)
+        assert d.leaf_order == list(range(self.N))
+        assert d.cut(1.0 / 3) == [[0, 1, 2]] + [[k] for k in range(3, self.N)]
+        nwk = d.to_newick()
+        assert nwk.startswith("(" * (self.N - 1) + "0:0.5,1:0.5):")
+        assert nwk.endswith(f",{self.N - 1}:{1.0 / self.N:.12g});")
+        m = dendrogram_merge_matrix(d)
+        k = np.maximum.outer(np.arange(self.N), np.arange(self.N))
+        want = 1.0 / (k + 1)
+        np.fill_diagonal(want, 1.0)
+        assert np.array_equal(m, want)
+
+
+class TestJsonBytes:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_to_json_equals_json_dumps(self, seed):
+        d = build_dendrogram(small_sims(seed, n_hi=12))
+        assert d.to_json() == json.dumps(d.to_json_dict(), sort_keys=True)
+
+    def test_special_levels_and_moderate_depth(self):
+        d = Dendrogram(Merge(Merge(chain_dendrogram(300).root, Leaf(300), float("inf")),
+                             Merge(Leaf(301), Leaf(302), float("-inf")), 7.5), n=303)
+        text = d.to_json()
+        assert text == json.dumps(d.to_json_dict(), sort_keys=True)
+        assert Dendrogram.from_json(text).to_json() == text
+        assert Dendrogram.from_json(text) == Dendrogram.from_json_dict(json.loads(text))
+
+    @pytest.mark.parametrize("text", [
+        '{"a": [1, -2.5e3, 0.25, true, false, null], "b": {}, "c": []}',
+        ' \n[ "x\\"y\\u00e9", {"k" : {"k": 2}} , NaN, Infinity, -Infinity, -0, 1E2 ]\t',
+        '{"dup": 1, "dup": 2}',
+        '"text"',
+        "12",
+    ])
+    def test_parser_matches_json_loads(self, text):
+        got = _json_loads(text)
+        want = json.loads(text)
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+        assert type(got) is type(want)
+
+    @pytest.mark.parametrize("text", [
+        "", "{", "[1,]", '{"a" 1}', '{"a": 1,}', "[1] 2", "{1: 2}", "[01]", "nul",
+        '["a\nb"]', "[1, 2}", '{"a": 1]',
+    ])
+    def test_parser_rejects_what_json_loads_rejects(self, text):
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(text)
+        with pytest.raises(ValueError):
+            _json_loads(text)
