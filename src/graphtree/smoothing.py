@@ -98,7 +98,8 @@ def quantile_rank(h: float, m: int) -> int:
 
 def _square_counts(a: np.ndarray) -> np.ndarray:
     # raw common-neighbor counts A @ A; the float64 BLAS product is exact
-    return a.astype(np.float64) @ a.astype(np.float64)
+    af = a.astype(np.float64)
+    return af @ af
 
 
 def _count_dtype(n: int) -> np.dtype:

@@ -256,11 +256,15 @@ class TestDatasetClustering:
         p = tmp_path / "g.edges"
         save_edge_list(p, a)
         calls = []
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return wrapper
+
         for name in ("_pair_neighborhoods", "_node_neighborhoods"):
-            inner = getattr(smoothing, name)
-            monkeypatch.setattr(
-                smoothing, name, lambda *args, _f=inner, _n=name: calls.append(_n) or _f(*args)
-            )
+            monkeypatch.setattr(smoothing, name, counted(getattr(smoothing, name)))
         with caplog.at_level("INFO", logger="graphtree"):
             run_dataset_clustering(p, c=0.5, variant=variant, out_dir=str(tmp_path / "out"))
         h = smoothing.bandwidth(0.5, 11)
