@@ -107,10 +107,10 @@ def _count_dtype(n: int) -> np.dtype:
 
     Counts lie in [0, n - 1], so every count gap fits too.
     """
-    for dt in (np.int16, np.int32, np.int64):
+    for dt in (np.int16, np.int32):
         if n <= np.iinfo(dt).max:
             return np.dtype(dt)
-    raise ValueError(f"n={n} is too large")
+    return np.dtype(np.int64)
 
 
 def _counts(a: np.ndarray) -> np.ndarray:
@@ -190,7 +190,7 @@ def _within_rank(d: np.ndarray, rank: int, col: int | None = None) -> np.ndarray
     return d <= q[:, None]
 
 
-def _pair_gaps(a: np.ndarray, j: int, i: int, sq: np.ndarray | None) -> np.ndarray:
+def _pair_gaps(a: np.ndarray, i: int, j: int, sq: np.ndarray | None) -> np.ndarray:
     """Integer gaps d_j(i, i2) * n for every i2, one at a time; entries i and j are 0."""
     n = a.shape[0]
     s = (_square_counts(a) if sq is None else sq).astype(np.int64)
@@ -214,7 +214,7 @@ def pair_distance_dj(a: np.ndarray, i: int, i2: int, j: int, sq: np.ndarray | No
         raise ValueError("need n >= 4 so that a candidate k remains")
     if len({i, i2, j}) != 3:
         raise ValueError("i, i2, j must be pairwise distinct")
-    return int(_pair_gaps(a, j, i, sq)[i2]) / n
+    return int(_pair_gaps(a, i, j, sq)[i2]) / n
 
 
 def neighborhood_of_pair(a: np.ndarray, i: int, j: int, h: float, sq: np.ndarray | None = None) -> np.ndarray:
@@ -231,7 +231,7 @@ def neighborhood_of_pair(a: np.ndarray, i: int, j: int, h: float, sq: np.ndarray
     if not 0.0 < h < 1.0:
         raise ValueError("h must lie in (0, 1)")
     cands = np.array([v for v in range(n) if v not in (i, j)])
-    gaps = _pair_gaps(a, j, i, sq)[cands]
+    gaps = _pair_gaps(a, i, j, sq)[cands]
     q = np.sort(gaps)[quantile_rank(h, n - 2) - 1]
     return cands[gaps <= q]
 

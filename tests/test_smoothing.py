@@ -291,21 +291,21 @@ class TestNeighborhoods:
                 neighborhood_of_pair(a, i, j, 0.4), neighborhood_of_pair(b, i, j, 0.4)
             )
 
-    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
-    def test_chebyshev_matches_loops(self, rows):
-        # rows < n splits the upper triangle into blocks and mirrors the rest
+    def test_chebyshev_matches_loops(self):
         rng = np.random.default_rng(9)
         n = 7
         x = rng.integers(0, n, size=(n, n)).astype(np.int16)
-        got = _pairwise_chebyshev(x, np.empty(rows * n * n, dtype=np.int16))
-        assert got.dtype == np.int16
-        for i in range(n):
-            for i2 in range(n):
-                want = max(
-                    (abs(int(x[i, k]) - int(x[i2, k])) for k in range(n) if k not in (i, i2)),
-                    default=0,
-                )
-                assert got[i, i2] == want
+        # rows < n splits the upper triangle into blocks and mirrors the rest
+        for rows in (1, 2, 3, 7):
+            got = _pairwise_chebyshev(x, np.empty(rows * n * n, dtype=np.int16))
+            assert got.dtype == np.int16
+            for i in range(n):
+                for i2 in range(n):
+                    want = max(
+                        (abs(int(x[i, k]) - int(x[i2, k])) for k in range(n) if k not in (i, i2)),
+                        default=0,
+                    )
+                    assert got[i, i2] == want
 
     def test_chebyshev_buffer_reused_across_calls(self):
         rng = np.random.default_rng(10)
