@@ -9,11 +9,12 @@ Both variants rank candidates with one exact integer Chebyshev kernel. With
 S = A @ A held as raw common-neighbour counts, the distance between rows i
 and i' is the largest |S[i,k] - S[i',k]| over k not in {i, i'}. Deleting
 row/column j never materializes a zeroed copy: entry (i, k) of (d_j A)^2 is
-S[i,k] - A[i,j] * A[j,k], and column j drops out of the maximum. Ranking and
-ties are decided on these integer count gaps, so "ties included" is exact at
-every n; the 1/n of the paper's A^2/n scale is applied only where a value is
-reported (deleted_square_entry, pair_distance_dj). Neighborhoods are thus the
-exact distance quantiles of Zhang, Levina & Zhu (Biometrika 2017).
+S[i,k] - A[i,j] * A[j,k], and column j drops out of the maximum. The tie
+rule is "ties on integer count gaps": ranking and the "ties included"
+threshold use these exact integers, at every n. The 1/n of the paper's A^2/n
+scale is applied only where a value is reported (deleted_square_entry,
+pair_distance_dj). Neighborhoods are thus the exact distance quantiles of
+Zhang, Levina & Zhu (Biometrika 2017).
 """
 
 from __future__ import annotations
