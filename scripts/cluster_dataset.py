@@ -13,7 +13,19 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from graphtree import load_graph_file, run_dataset_clustering
+from graphtree import Merge, load_graph_file, run_dataset_clustering
+
+
+def largest_levels(dendro, count=3):
+    """The count largest distinct merge levels, walking the tree with an explicit stack."""
+    seen = set()
+    stack = [dendro.root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Merge):
+            seen.add(node.level)
+            stack += [node.left, node.right]
+    return sorted(seen, reverse=True)[:count]
 
 
 def main():
@@ -37,20 +49,7 @@ def main():
     )
     _, labels = load_graph_file(args.input)
 
-    if args.level:
-        levels = args.level
-    else:
-        seen = []
-
-        def walk(node):
-            if hasattr(node, "level"):
-                seen.append(node.level)
-                walk(node.left)
-                walk(node.right)
-
-        walk(dendro.root)
-        levels = sorted(set(seen), reverse=True)[:3]
-
+    levels = args.level or largest_levels(dendro)
     for lam in levels:
         parts = dendro.cut(lam)
         print(f"\nlevel {lam:g}: {len(parts)} clusters")

@@ -27,7 +27,7 @@ from .experiments import (
 )
 from .graph_io import load_matrix_csv, save_adjacency_csv, save_matrix_csv
 from .graphon import load_step_graphon
-from .linkage import build_dendrogram, merge_estimate
+from .linkage import single_linkage
 from .mergeon import cluster_tree_of, merge_distortion, step_mergeon
 from .sampling import derive_seed, edge_probabilities, sample_graph, sample_latents
 from .smoothing import SmoothingConfig, estimate_edge_probabilities
@@ -150,7 +150,7 @@ def cluster(path, tree, newick):
     m = _load_square_csv(path)
     if m.shape[0] < 2:
         raise ValidationError("need at least two nodes to cluster")
-    dendro = build_dendrogram(merge_estimate(m))
+    _, dendro = single_linkage(m)
     _write_text(dendro.to_json() + "\n", tree)
     if newick is not None:
         _write_text(dendro.to_newick() + "\n", newick)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ValidationError
 from .graph_io import load_adjacency_csv, load_edge_list, load_gml_subset
 from .graphon import StepGraphon, step_graphon_from_dict, step_graphon_to_dict
-from .linkage import Dendrogram, build_dendrogram, merge_estimate
+from .linkage import Dendrogram, single_linkage
 from .mergeon import merge_distortion, mergeon_eval_matrix, step_mergeon
 from .sampling import derive_seed, edge_probabilities, sample_graph, sample_latents
 from .smoothing import (
@@ -167,8 +167,7 @@ def _single_run(graphon_doc: dict, n: int, seed: int, c: float, variant: str):
     p = edge_probabilities(w, latents)
     a = sample_graph(p, derive_seed(seed, n, 1))
     phat = estimate_edge_probabilities(a, SmoothingConfig(C=c, variant=variant))
-    mhat = merge_estimate(phat)
-    dendro = build_dendrogram(mhat)
+    mhat, dendro = single_linkage(phat)
     mvals = mergeon_eval_matrix(step_mergeon(w), latents.points)
     errs = estimation_errors(phat, p)
     record = RunRecord(
@@ -286,7 +285,7 @@ def run_dataset_clustering(
         path, n, config.bandwidth(n), int(sizes.min()), float(np.median(sizes)),
         int(sizes.max()),
     )
-    dendro = build_dendrogram(merge_estimate(phat))
+    _, dendro = single_linkage(phat)
 
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "dendrogram.json"), "w") as fh:
@@ -300,7 +299,7 @@ def run_dataset_clustering(
             writer.writerow([i, lab])
 
     if baseline:
-        base = build_dendrogram(merge_estimate(-column_distance_matrix(a)))
+        _, base = single_linkage(-column_distance_matrix(a))
         with open(os.path.join(out_dir, "baseline_dendrogram.json"), "w") as fh:
             fh.write(base.to_json() + "\n")
         with open(os.path.join(out_dir, "baseline_dendrogram.newick"), "w") as fh:

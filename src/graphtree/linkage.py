@@ -2,8 +2,10 @@
 
 The merge matrix entry (i, j) is the best bottleneck over simple paths, i.e.
 the level at which i and j fall into a common cluster when edges below the
-level are discarded. It is computed from a maximum spanning tree: the unique
-tree path between two nodes realizes the max-min value. Diagonal fixed at 1.
+level are discarded. One pass computes it together with the dendrogram: a
+maximum spanning tree (whose unique tree paths realize the max-min values),
+then its edges in descending weight order through one union-find. The pass
+is O(n^2). Diagonal fixed at 1.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ __all__ = [
     "Leaf",
     "Merge",
     "Dendrogram",
+    "single_linkage",
     "merge_estimate",
     "build_dendrogram",
     "clusters_at_level",
@@ -29,52 +32,109 @@ __all__ = [
 ]
 
 
-def merge_estimate(sim: np.ndarray) -> np.ndarray:
-    """Max-min path similarity for every pair, via a maximum spanning tree.
+class UnionFind:
+    """Disjoint sets over 0..n-1; the root of every set is its smallest member."""
 
-    Prim in O(n^2) builds the tree; a traversal from every node reads off the
-    bottleneck of each unique tree path. Equals brute-force enumeration over
-    all simple paths; ties in tree construction cannot change the values.
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]  # path halving
+            x = parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra > rb:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+
+
+def _max_spanning_tree(sim: np.ndarray):
+    """Edges (u, v, w) of a maximum spanning tree, in the order dense Prim adds them.
+
+    Prim starts at node 0; ties go to the lowest index via argmax. The
+    diagonal is never read.
     """
     sim = np.asarray(sim, dtype=float)
-    if sim.ndim != 2 or sim.shape[0] != sim.shape[1]:
-        raise ValueError("similarity matrix must be square")
-    n = sim.shape[0]
-    if n < 2:
-        raise ValueError("need at least two nodes")
+    if sim.ndim != 2 or sim.shape[0] != sim.shape[1] or sim.size == 0:
+        raise ValueError("similarity matrix must be square and non-empty")
     if not np.array_equal(sim, sim.T):
         raise ValueError("similarity matrix must be symmetric")
-
-    # dense Prim, maximizing; ties go to the lowest index via argmax
+    n = sim.shape[0]
     in_tree = np.zeros(n, dtype=bool)
     best = sim[0].copy()
     parent = np.zeros(n, dtype=int)
     in_tree[0] = True
-    adj = [[] for _ in range(n)]
+    us, vs, ws = [], [], []
     for _ in range(n - 1):
         cand = np.where(in_tree, -np.inf, best)
         v = int(np.argmax(cand))
         in_tree[v] = True
-        w = float(best[v])
-        adj[parent[v]].append((v, w))
-        adj[v].append((parent[v], w))
-        improved = ~in_tree & (sim[v] > best)
-        best[improved] = sim[v][improved]
+        us.append(int(parent[v]))
+        vs.append(v)
+        ws.append(float(best[v]))
+        row = sim[v]
+        improved = ~in_tree & (row > best)
+        best[improved] = row[improved]
         parent[improved] = v
+    return us, vs, ws
 
+
+def single_linkage(sim: np.ndarray):
+    """Merge matrix and dendrogram of a symmetric similarity matrix, in one O(n^2) pass.
+
+    The maximum spanning tree's edges are stable-sorted by descending weight
+    and merged with one union-find. Tie rule: the edges of one weight join
+    each component they form as a left-deep chain of that component's
+    clusters from above the weight, taken in order of their leader (smallest
+    member); the lower leader is always the left child. Each join writes its
+    merge-matrix block once. Cutting the tree at any level gives
+    clusters_at_level, and the tree of a similarity equals the tree of its
+    merge matrix.
+    """
+    us, vs, ws = _max_spanning_tree(sim)
+    n = len(ws) + 1
     out = np.ones((n, n))
-    for s in range(n):
-        stack = [(s, np.inf)]
-        seen = np.zeros(n, dtype=bool)
-        seen[s] = True
-        while stack:
-            u, bottleneck = stack.pop()
-            out[s, u] = bottleneck if u != s else 1.0
-            for v, w in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append((v, min(bottleneck, w)))
-    return out
+    uf = UnionFind(n)
+    node = [Leaf(i) for i in range(n)]  # indexed by set root
+    members = [np.array([i]) for i in range(n)]
+    order = sorted(range(n - 1), key=lambda e: -ws[e])  # stable
+    start = 0
+    while start < n - 1:
+        level = ws[order[start]]
+        stop = start + 1
+        while stop < n - 1 and ws[order[stop]] == level:
+            stop += 1
+        # roots before this level; then group them by the components it forms
+        pairs = [(uf.find(us[e]), uf.find(vs[e])) for e in order[start:stop]]
+        for a, b in pairs:
+            uf.union(a, b)
+        parts = {}
+        for a, b in pairs:
+            parts.setdefault(uf.find(a), set()).update((a, b))
+        for lead, *rest in map(sorted, parts.values()):
+            for r in rest:
+                out[np.ix_(members[lead], members[r])] = level
+                out[np.ix_(members[r], members[lead])] = level
+                members[lead] = np.concatenate((members[lead], members[r]))
+                node[lead] = Merge(node[lead], node[r], level)
+        start = stop
+    return out, Dendrogram(root=node[0], n=n)
+
+
+def merge_estimate(sim: np.ndarray) -> np.ndarray:
+    """Max-min path similarity for every pair: the merge matrix of single_linkage.
+
+    Equals brute-force enumeration over all simple paths; ties in tree
+    construction cannot change the values.
+    """
+    m, _ = single_linkage(sim)
+    if m.shape[0] < 2:
+        raise ValueError("need at least two nodes")
+    return m
 
 
 @dataclass(frozen=True)
@@ -82,11 +142,23 @@ class Leaf:
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Merge:
     left: object
     right: object
     level: float
+
+    # the generated methods would recurse once per level; these do not
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _json_text(self) == _json_text(other)
+
+    def __hash__(self):
+        return hash(_json_text(self))
+
+    def __repr__(self):
+        return _tree_repr(self)
 
 
 @dataclass(frozen=True)
@@ -94,7 +166,9 @@ class Dendrogram:
     """Binary merge tree; levels never increase from leaves toward the root.
 
     Every traversal keeps an explicit stack, so trees of any depth (a chain
-    of n leaves is n - 1 levels deep) can be cut, written and read.
+    of n leaves is n - 1 levels deep) can be cut, written, read, compared and
+    hashed. Two subtrees are equal when their JSON texts are; repr shows the
+    top levels only.
     """
 
     root: object
@@ -120,35 +194,11 @@ class Dendrogram:
         return sorted(parts)
 
     def to_json_dict(self):
-        def enc(node):
-            if isinstance(node, Leaf):
-                return node.index
-            return {"left": None, "right": None, "level": node.level}
-
-        top = enc(self.root)
-        stack = [(self.root, top)]
-        while stack:
-            node, doc = stack.pop()
-            if isinstance(node, Merge):
-                doc["left"], doc["right"] = enc(node.left), enc(node.right)
-                stack += [(node.left, doc["left"]), (node.right, doc["right"])]
-        return top
+        return _json_loads(self.to_json())
 
     def to_json(self) -> str:
         """The bytes of json.dumps(self.to_json_dict(), sort_keys=True), at any depth."""
-        parts = []
-        stack = [self.root]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                parts.append(item)
-            elif isinstance(item, Leaf):
-                parts.append(json.dumps(item.index))
-            else:
-                parts.append('{"left": ')
-                stack += ["}", item.right, f', "level": {json.dumps(item.level)}, "right": ',
-                          item.left]
-        return "".join(parts)
+        return _json_text(self.root)
 
     @classmethod
     def from_json_dict(cls, doc) -> "Dendrogram":
@@ -212,16 +262,31 @@ def _leaves(node):
     return order
 
 
-def _merges_bottom_up(root):
-    """The Merge nodes under root, every child before its parent."""
-    merges = []
+def _json_text(root) -> str:
+    """Sorted-key JSON text of the subtree under root, written with an explicit stack."""
+    parts = []
     stack = [root]
     while stack:
-        node = stack.pop()
-        if isinstance(node, Merge):
-            merges.append(node)
-            stack += [node.left, node.right]
-    return merges[::-1]
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, Leaf):
+            parts.append(json.dumps(item.index))
+        else:
+            parts.append('{"left": ')
+            stack += ["}", item.right, f', "level": {json.dumps(item.level)}, "right": ',
+                      item.left]
+    return "".join(parts)
+
+
+def _tree_repr(node, depth=4):
+    """The dataclass repr of the top depth levels, with Merge(...) below them."""
+    if not isinstance(node, Merge):
+        return repr(node)
+    if depth == 0:
+        return "Merge(...)"
+    return (f"Merge(left={_tree_repr(node.left, depth - 1)}, "
+            f"right={_tree_repr(node.right, depth - 1)}, level={node.level!r})")
 
 
 _NUMBER = re.compile(r"(-?(?:0|[1-9]\d*))(\.\d+)?([eE][-+]?\d+)?")
@@ -305,81 +370,50 @@ def _newick_safe(label: str) -> str:
 
 
 def build_dendrogram(m: np.ndarray) -> Dendrogram:
-    """Agglomerate a merge matrix in descending level order.
+    """Dendrogram of a merge matrix: the tree of single_linkage, with its tie rule.
 
-    Tie rule: among pairs at the maximal level, the pair whose cluster
-    leaders (smallest member indices) are lexicographically first merges
-    first, and the lower leader becomes the left child. Cutting the result
-    at any level reproduces clusters_at_level.
+    Given a raw similarity instead, it returns the tree of merge_estimate(sim).
+    That tree cuts into clusters_at_level(sim, lam) at every level, but where
+    the similarity has ties its shape may differ from agglomerating the raw
+    similarity by argmax.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("merge matrix must be square")
-    n = m.shape[0]
-    if not np.array_equal(m, m.T):
-        raise ValueError("merge matrix must be symmetric")
-    if n == 1:
-        return Dendrogram(root=Leaf(0), n=1)
-
-    lvl = m.copy()
-    np.fill_diagonal(lvl, -np.inf)
-    nodes: dict = {i: Leaf(i) for i in range(n)}
-    for _ in range(n - 1):
-        flat = int(np.argmax(lvl))
-        a, b = divmod(flat, n)
-        if a > b:
-            a, b = b, a
-        level = float(lvl[a, b])
-        nodes[a] = Merge(left=nodes[a], right=nodes[b], level=level)
-        del nodes[b]
-        row = np.maximum(lvl[a], lvl[b])
-        row[a] = -np.inf
-        row[b] = -np.inf
-        lvl[a, :] = row
-        lvl[:, a] = row
-        lvl[b, :] = -np.inf
-        lvl[:, b] = -np.inf
-    (root,) = nodes.values()
-    return Dendrogram(root=root, n=n)
+    return single_linkage(m)[1]
 
 
 def clusters_at_level(m: np.ndarray, lam: float):
     """Partition into connected components of the graph with edges m >= lam.
 
-    Every node appears exactly once; clusters and the partition itself are
-    sorted by smallest member.
+    Read off the maximum spanning tree: its edges at or above lam have the
+    same components. Every node appears exactly once; clusters and the
+    partition itself are sorted by smallest member.
     """
-    m = np.asarray(m, dtype=float)
-    n = m.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    parts = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            nxt = np.flatnonzero(~seen & (m[u] >= lam))
-            for v in nxt:
-                if v != u:
-                    seen[v] = True
-                    comp.append(int(v))
-                    stack.append(int(v))
-        parts.append(sorted(comp))
-    return sorted(parts)
+    us, vs, ws = _max_spanning_tree(m)
+    uf = UnionFind(len(ws) + 1)
+    for u, v, w in zip(us, vs, ws):
+        if w >= lam:
+            uf.union(u, v)
+    parts = {}
+    for i in range(len(ws) + 1):
+        parts.setdefault(uf.find(i), []).append(i)
+    return sorted(parts.values())
 
 
 def dendrogram_merge_matrix(d: Dendrogram) -> np.ndarray:
     """Pairwise merge levels encoded by a dendrogram (lowest common merge)."""
+    merges = []  # every child before its parent once reversed
+    stack = [d.root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Merge):
+            merges.append(node)
+            stack += [node.left, node.right]
     out = np.ones((d.n, d.n))
     leaves = {}
 
     def take(node):
         return [node.index] if isinstance(node, Leaf) else leaves.pop(id(node))
 
-    for node in _merges_bottom_up(d.root):
+    for node in reversed(merges):
         left, right = take(node.left), take(node.right)
         out[np.ix_(left, right)] = node.level
         out[np.ix_(right, left)] = node.level

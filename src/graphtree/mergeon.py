@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graphon import BlockPartition, StepGraphon
+from .linkage import UnionFind, single_linkage
 
 __all__ = [
     "BlockMergeMatrix",
@@ -115,32 +116,13 @@ def step_mergeon(w: StepGraphon) -> BlockMergeMatrix:
     return BlockMergeMatrix(w.partition, levels)
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def discretization_oracle(w: StepGraphon, m: int) -> BlockMergeMatrix:
     """Merge levels recovered from a finite single-linkage construction.
 
     Splits every block into m equal atoms, builds the complete weighted graph
-    on atoms with weights evaluated at atom midpoints, runs single linkage by
-    processing edges in descending weight order with union-find, and collapses
-    the atom-level merge heights back to block level. The result must not
-    depend on m; step_mergeon must reproduce it exactly.
+    on atoms with weights evaluated at atom midpoints, single-links it, and
+    collapses the atom-level merge heights back to block level. The result
+    must not depend on m; step_mergeon must reproduce it exactly.
     """
     if m < 2:
         raise ValueError("need at least two atoms per block")
@@ -156,23 +138,7 @@ def discretization_oracle(w: StepGraphon, m: int) -> BlockMergeMatrix:
     n = k * m
     weights = w.eval_many(np.repeat(reps, n), np.tile(reps, n)).reshape(n, n)
 
-    edges = [(float(weights[u, vtx]), u, vtx) for u in range(n) for vtx in range(u + 1, n)]
-    edges.sort(key=lambda e: -e[0])
-    uf = _UnionFind(n)
-    members = {u: [u] for u in range(n)}
-    heights = np.full((n, n), np.nan)
-    for wt, u, vtx in edges:
-        ru, rv = uf.find(u), uf.find(vtx)
-        if ru == rv:
-            continue
-        for x in members[ru]:
-            for y in members[rv]:
-                heights[x, y] = heights[y, x] = wt
-        uf.union(ru, rv)
-        root = uf.find(ru)
-        other = rv if root == ru else ru
-        members[root] = members[ru] + members[rv]
-        members.pop(other, None)
+    heights, _ = single_linkage(weights)
 
     levels = np.empty((k, k))
     for a in range(k):
@@ -192,27 +158,20 @@ def cluster_tree_of(merge: BlockMergeMatrix) -> ClusterTree:
     """
     lv = merge.levels
     k = lv.shape[0]
+    # both the blocks present and the edges among them only grow as lam falls,
+    # so one union-find serves every level
+    uf = UnionFind(k)
     entries = []
     for lam in sorted({float(x) for x in lv.flat}, reverse=True):
         alive = [a for a in range(k) if lv[a, a] >= lam]
-        seen = set()
-        clusters = []
-        for s in alive:
-            if s in seen:
-                continue
-            comp = []
-            stack = [s]
-            seen.add(s)
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for vtx in alive:
-                    if vtx not in seen and vtx != u and lv[u, vtx] >= lam:
-                        seen.add(vtx)
-                        stack.append(vtx)
-            clusters.append(sorted(comp))
-        clusters.sort()
-        entries.append(TreeLevel(lam, clusters))
+        for i, a in enumerate(alive):
+            for b in alive[i + 1:]:
+                if lv[a, b] >= lam:
+                    uf.union(a, b)
+        clusters = {}
+        for a in alive:
+            clusters.setdefault(uf.find(a), []).append(a)
+        entries.append(TreeLevel(lam, sorted(clusters.values())))
     return ClusterTree(tuple(entries))
 
 

@@ -12,9 +12,9 @@ row/column j never materializes a zeroed copy: entry (i, k) of (d_j A)^2 is
 S[i,k] - A[i,j] * A[j,k], and column j drops out of the maximum. The tie
 rule is "ties on integer count gaps": ranking and the "ties included"
 threshold use these exact integers, at every n. The 1/n of the paper's A^2/n
-scale is applied only where a value is reported (deleted_square_entry,
-pair_distance_dj). Neighborhoods are thus the exact distance quantiles of
-Zhang, Levina & Zhu (Biometrika 2017).
+scale is applied only where a value is reported (deleted_square_entry).
+Neighborhoods are thus the exact distance quantiles of Zhang, Levina & Zhu
+(Biometrika 2017).
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ __all__ = [
     "bandwidth",
     "quantile_rank",
     "deleted_square_entry",
-    "pair_distance_dj",
-    "neighborhood_of_pair",
     "estimate_modified",
     "estimate_original",
     "estimate_edge_probabilities",
@@ -189,52 +187,6 @@ def _within_rank(d: np.ndarray, rank: int, col: int | None = None) -> np.ndarray
         d[:, col] = big
     q = np.partition(d, rank - 1, axis=1)[:, rank - 1]
     return d <= q[:, None]
-
-
-def _pair_gaps(a: np.ndarray, i: int, j: int, sq: np.ndarray | None) -> np.ndarray:
-    """Integer gaps d_j(i, i2) * n for every i2, one at a time; entries i and j are 0."""
-    n = a.shape[0]
-    s = (_square_counts(a) if sq is None else sq).astype(np.int64)
-    r = _deleted_square_counts(s, a.astype(np.int64), j)
-    gaps = np.zeros(n, dtype=np.int64)
-    for i2 in range(n):
-        if i2 not in (i, j):
-            diff = np.abs(r[i] - r[i2])
-            diff[[i, i2, j]] = 0
-            gaps[i2] = diff.max()
-    return gaps
-
-
-def pair_distance_dj(a: np.ndarray, i: int, i2: int, j: int, sq: np.ndarray | None = None) -> float:
-    """d_j(i, i2) = max over k not in {i, i2, j} of the (d_j A)^2 / n row difference.
-
-    The maximum is taken over integer counts and divided by n once.
-    """
-    n = a.shape[0]
-    if n < 4:
-        raise ValueError("need n >= 4 so that a candidate k remains")
-    if len({i, i2, j}) != 3:
-        raise ValueError("i, i2, j must be pairwise distinct")
-    return int(_pair_gaps(a, i, j, sq)[i2]) / n
-
-
-def neighborhood_of_pair(a: np.ndarray, i: int, j: int, h: float, sq: np.ndarray | None = None) -> np.ndarray:
-    """Candidates i' (never i or j) whose d_j(i, i') is within the h-quantile.
-
-    The threshold is the ceil(h*(n-2))th smallest integer count gap, ties
-    included, so the result is never empty.
-    """
-    n = a.shape[0]
-    if n < 4:
-        raise ValueError("need n >= 4")
-    if i == j:
-        raise ValueError("need i != j")
-    if not 0.0 < h < 1.0:
-        raise ValueError("h must lie in (0, 1)")
-    cands = np.array([v for v in range(n) if v not in (i, j)])
-    gaps = _pair_gaps(a, i, j, sq)[cands]
-    q = np.sort(gaps)[quantile_rank(h, n - 2) - 1]
-    return cands[gaps <= q]
 
 
 def estimate_modified(a: np.ndarray, config: SmoothingConfig, *, return_sizes: bool = False):

@@ -2,13 +2,16 @@
 
 Everything here favors obviousness over speed: explicit loops, explicit
 row/column zeroing, full sorts, exhaustive path enumeration. The fast package
-code is gated against these; nothing here imports the modules it checks.
+code is gated against these; apart from the per-entry views at the end of
+the file, nothing here imports the modules it checks.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from graphtree.smoothing import _deleted_square_counts, _square_counts, quantile_rank
 
 
 def maxmin_simple_paths(sim, i, j):
@@ -32,6 +35,46 @@ def maxmin_matrix(sim):
         for j in range(i + 1, n):
             out[i, j] = out[j, i] = maxmin_simple_paths(sim, i, j)
     return out
+
+
+def maxmin_closure(sim):
+    """All-pairs max-min path values by Floyd-Warshall over (max, min); diagonal 1.
+
+    Paths through each node in turn are tried as detours. Every value is a
+    copy of an entry of sim, never a computed number, so results compare
+    bitwise; polynomial where maxmin_matrix is exponential.
+    """
+    c = np.array(sim, dtype=float)
+    np.fill_diagonal(c, -np.inf)
+    for k in range(c.shape[0]):
+        c = np.maximum(c, np.minimum(c[:, k:k + 1], c[k:k + 1, :]))
+    np.fill_diagonal(c, 1.0)
+    return c
+
+
+def argmax_agglomerate(m):
+    """Single-linkage tree of a merge matrix by repeated full-matrix argmax, O(n^3).
+
+    The tie rule by definition: among cluster pairs at the largest level, the
+    pair whose leaders (smallest members) come first lexicographically merges,
+    and the lower leader's cluster becomes the left child. Leaves are ints and
+    merges {"left", "right", "level"} dicts: the dendrogram's JSON document.
+    """
+    n = m.shape[0]
+    lvl = np.array(m, dtype=float)
+    np.fill_diagonal(lvl, -np.inf)
+    nodes = {i: i for i in range(n)}  # cluster leader -> subtree
+    for _ in range(n - 1):
+        a, b = divmod(int(np.argmax(lvl)), n)
+        a, b = min(a, b), max(a, b)
+        nodes[a] = {"left": nodes[a], "right": nodes.pop(b), "level": float(lvl[a, b])}
+        row = np.maximum(lvl[a], lvl[b])
+        row[[a, b]] = -np.inf
+        lvl[a, :] = row
+        lvl[:, a] = row
+        lvl[b, :] = -np.inf
+        lvl[:, b] = -np.inf
+    return nodes[0]
 
 
 def zeroed_square_counts(A, j):
@@ -178,3 +221,54 @@ def components_at_level(sim, lam):
                     stack.append(v)
         clusters.append(sorted(comp))
     return sorted(clusters)
+
+
+# Per-entry views of the package's count kernels (_square_counts and
+# _deleted_square_counts), one pair at a time: tests check them against
+# pair_distance and pair_neighborhood above.
+
+
+def _pair_gaps(a, i, j, sq):
+    """Integer gaps d_j(i, i2) * n for every i2, one at a time; entries i and j are 0."""
+    n = a.shape[0]
+    s = (_square_counts(a) if sq is None else sq).astype(np.int64)
+    r = _deleted_square_counts(s, a.astype(np.int64), j)
+    gaps = np.zeros(n, dtype=np.int64)
+    for i2 in range(n):
+        if i2 not in (i, j):
+            diff = np.abs(r[i] - r[i2])
+            diff[[i, i2, j]] = 0
+            gaps[i2] = diff.max()
+    return gaps
+
+
+def pair_distance_dj(a, i, i2, j, sq=None):
+    """d_j(i, i2) = max over k not in {i, i2, j} of the (d_j A)^2 / n row difference.
+
+    The maximum is taken over integer counts and divided by n once.
+    """
+    n = a.shape[0]
+    if n < 4:
+        raise ValueError("need n >= 4 so that a candidate k remains")
+    if len({i, i2, j}) != 3:
+        raise ValueError("i, i2, j must be pairwise distinct")
+    return int(_pair_gaps(a, i, j, sq)[i2]) / n
+
+
+def neighborhood_of_pair(a, i, j, h, sq=None):
+    """Candidates i' (never i or j) whose d_j(i, i') is within the h-quantile.
+
+    The threshold is the ceil(h*(n-2))th smallest integer count gap, ties
+    included, so the result is never empty.
+    """
+    n = a.shape[0]
+    if n < 4:
+        raise ValueError("need n >= 4")
+    if i == j:
+        raise ValueError("need i != j")
+    if not 0.0 < h < 1.0:
+        raise ValueError("h must lie in (0, 1)")
+    cands = np.array([v for v in range(n) if v not in (i, j)])
+    gaps = _pair_gaps(a, i, j, sq)[cands]
+    q = np.sort(gaps)[quantile_rank(h, n - 2) - 1]
+    return cands[gaps <= q]

@@ -16,8 +16,9 @@ from graphtree import (
     clusters_at_level,
     dendrogram_merge_matrix,
     merge_estimate,
+    single_linkage,
 )
-from graphtree.linkage import _json_loads
+from graphtree.linkage import UnionFind, _json_loads
 from conftest import random_symmetric
 import reference
 
@@ -40,6 +41,110 @@ def small_sims(seed, n_lo=2, n_hi=7, levels=9):
     sim = sim + sim.T
     np.fill_diagonal(sim, 1.0)
     return sim
+
+
+def nested_ultrametric(seed, n=300, depth=4):
+    """Merge matrix of random nested groups, with levels tied across branches.
+
+    Each point draws a label per depth; two points share a group at depth d
+    when their first d labels agree, and their level grows with that depth.
+    Labels come in random order, so cluster leaders are not sorted blocks.
+    """
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 3, size=(n, depth))
+    agree = np.cumprod(labels[:, None, :] == labels[None, :, :], axis=2).sum(axis=2)
+    m = (agree + 1) / (depth + 2)
+    np.fill_diagonal(m, 1.0)
+    return m
+
+
+def chain_sim(n):
+    """Similarity -max(i, k): single linkage adds one leaf per level."""
+    k = np.arange(n)
+    return -np.maximum.outer(k, k).astype(float)
+
+
+def assert_matches_reference(sim):
+    m, d = single_linkage(sim)
+    want = reference.maxmin_closure(sim)
+    assert np.array_equal(m, want)
+    assert d.to_json() == json.dumps(reference.argmax_agglomerate(want), sort_keys=True)
+
+
+class TestSingleLinkage:
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 9))
+    @settings(max_examples=60)
+    def test_tied_grids_match_reference(self, seed, levels):
+        assert_matches_reference(small_sims(seed, n_lo=1, n_hi=40, levels=levels))
+
+    def test_chain_matches_reference(self):
+        assert_matches_reference(chain_sim(400))
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=3)
+    def test_nested_ultrametric_matches_reference(self, seed):
+        sim = nested_ultrametric(seed)
+        assert_matches_reference(sim)
+        assert np.array_equal(single_linkage(sim)[0], sim)
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=40)
+    def test_closure_oracle_matches_path_enumeration(self, seed):
+        sim = small_sims(seed)
+        assert np.array_equal(reference.maxmin_closure(sim), reference.maxmin_matrix(sim))
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=30)
+    def test_wrappers_share_the_pass(self, seed):
+        sim = small_sims(seed, n_hi=15)
+        m, d = single_linkage(sim)
+        assert np.array_equal(merge_estimate(sim), m)
+        assert build_dendrogram(sim) == d == build_dendrogram(m)
+        for lam in sorted(set(sim.flat)):
+            assert clusters_at_level(sim, lam) == d.cut(lam) == clusters_at_level(m, lam)
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=30)
+    def test_matches_scipy(self, seed):
+        hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+        sim = small_sims(seed, n_hi=30)
+        m, d = single_linkage(sim)
+        upper = np.triu_indices(sim.shape[0], 1)
+        # scipy wants non-negative distances: rank the negated similarities,
+        # a monotone map that single linkage does not see, and map back
+        values, ranks = np.unique(-sim[upper], return_inverse=True)
+        z = hierarchy.linkage(ranks.astype(float), method="single")
+        assert np.array_equal(-values[hierarchy.cophenet(z).astype(int)], m[upper])
+        # scipy breaks ties its own way, so shapes are compared by merge levels
+        levels, stack = [], [d.root]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Merge):
+                levels.append(node.level)
+                stack += [node.left, node.right]
+        assert sorted(levels) == sorted(-values[z[:, 2].astype(int)])
+
+    def test_single_node(self):
+        m, d = single_linkage(np.ones((1, 1)))
+        assert np.array_equal(m, np.ones((1, 1)))
+        assert d == Dendrogram(root=Leaf(0), n=1)
+
+    def test_errors(self):
+        for bad in (np.zeros((2, 3)), np.zeros((0, 0)), np.array([[1.0, 0.2], [0.3, 1.0]])):
+            with pytest.raises(ValueError):
+                single_linkage(bad)
+
+
+class TestUnionFind:
+    def test_root_is_smallest_member(self):
+        uf = UnionFind(6)
+        uf.union(4, 5)
+        uf.union(5, 2)
+        uf.union(3, 1)
+        assert [uf.find(x) for x in range(6)] == [0, 1, 2, 1, 2, 2]
+        uf.union(5, 3)
+        assert {uf.find(x) for x in (1, 2, 3, 4, 5)} == {1}
+        assert uf.find(0) == 0
 
 
 class TestMergeEstimate:
@@ -280,6 +385,31 @@ class TestDeepTrees:
         want = 1.0 / (k + 1)
         np.fill_diagonal(want, 1.0)
         assert np.array_equal(m, want)
+
+
+class TestDeepTreeComparison:
+    # the generated dataclass __eq__, __hash__ and __repr__ recursed once per level
+    N = 3000
+
+    def test_equality_and_hash(self):
+        d1, d2 = chain_dendrogram(self.N), chain_dendrogram(self.N)
+        assert d1 == d2 and d1.root == d2.root
+        assert hash(d1) == hash(d2) and hash(d1.root) == hash(d2.root)
+        other = Dendrogram(Merge(d1.root.left, Leaf(self.N - 1), 0.5), n=self.N)
+        assert d1 != other and d1.root != other.root
+        assert d1 != Dendrogram(d1.root, n=self.N + 1)
+        assert len({d1, d2, other}) == 2
+
+    def test_repr_is_bounded(self):
+        text = repr(chain_dendrogram(self.N))
+        assert text.startswith("Dendrogram(root=Merge(left=Merge(left=Merge(left=Merge(")
+        assert text.endswith(f"right=Leaf(index={self.N - 1}), level={1.0 / self.N!r}), n={self.N})")
+        assert "Merge(...)" in text and len(text) < 500
+
+    def test_small_repr_unchanged(self):
+        d = build_dendrogram(CHAIN_SIM)
+        assert repr(d) == ("Dendrogram(root=Merge(left=Merge(left=Leaf(index=0), "
+                           "right=Leaf(index=1), level=0.9), right=Leaf(index=2), level=0.8), n=3)")
 
 
 class TestJsonBytes:

