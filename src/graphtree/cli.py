@@ -94,7 +94,7 @@ def graphon_validate(path):
 @click.option("--graphon", "source", required=True,
               help="Step graphon JSON file, or a builtin name "
                    f"({', '.join(sorted(BUILTIN_GRAPHONS))}).")
-@click.option("--n", type=int, required=True, help="Number of nodes.")
+@click.option("--n", type=click.IntRange(min=1), required=True, help="Number of nodes.")
 @click.option("--seed", type=int, required=True, help="Master seed for this run.")
 @click.option("--out", default="-", show_default=True, help="Output path, - for stdout.")
 @click.option("--format", "fmt", type=click.Choice(["edges", "csv"]), default="edges",
@@ -128,9 +128,6 @@ def estimate(path, c, variant, out):
     """Estimate edge probabilities by neighborhood smoothing."""
     a, _ = load_graph_file(path)
     config = SmoothingConfig(C=c, variant=variant)
-    minimum = 4 if variant == "modified" else 3
-    if a.shape[0] < minimum:
-        raise ValidationError(f"{variant} estimator needs >= {minimum} nodes, got {a.shape[0]}")
     logging.getLogger("graphtree").info("n=%d, h=%.6g", a.shape[0], config.bandwidth(a.shape[0]))
     phat = estimate_edge_probabilities(a, config)
     if out == "-":
@@ -211,6 +208,15 @@ def experiment_synthetic(config_path, out_dir, workers):
         cfg = dataclasses.replace(cfg, workers=workers)
     records = run_synthetic_experiment(cfg)
     click.echo(f"wrote {len(records)} records to {cfg.out_dir}/records.csv")
+    click.echo(f"\n{'n':>6} {'med max-norm':>14} {'med distortion':>15} {'med mse':>12}")
+    for n in sorted({r.n for r in records}):
+        rows = [r for r in records if r.n == n]
+        click.echo("%6d %14.4g %15.4g %12.4g" % (
+            n,
+            np.median([r.max_norm_error for r in rows]),
+            np.median([r.merge_distortion for r in rows]),
+            np.median([r.mse for r in rows]),
+        ))
 
 
 @main.group()

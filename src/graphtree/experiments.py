@@ -266,6 +266,8 @@ def run_dataset_clustering(
 ) -> Dendrogram:
     """Estimate + single linkage on a graph file; writes dendrogram artifacts.
 
+    Logs the neighborhood sizes and, at each of the three largest merge
+    levels, the clusters by node label (at most 12 per level, 8 names each).
     Emits dendrogram.json, dendrogram.newick, and labels.csv into out_dir
     (plus baseline_dendrogram.* when baseline is set, built from negated
     column distances instead of the smoothing estimate). Artifacts are byte
@@ -273,19 +275,24 @@ def run_dataset_clustering(
     """
     a, labels = load_graph_file(path)
     n = a.shape[0]
-    minimum = 4 if variant == "modified" else 3
-    if n < minimum:
-        raise ValidationError(f"dataset has {n} nodes; {variant} estimator needs >= {minimum}")
     config = SmoothingConfig(C=c, variant=variant)
+    h = config.bandwidth(n)
     phat, sizes = estimate_edge_probabilities(a, config, return_sizes=True)
     if variant == "modified":
         sizes = sizes[~np.eye(n, dtype=bool)]
     log.info(
         "dataset %s: n=%d, h=%.6g, neighborhood sizes min/median/max = %d/%g/%d",
-        path, n, config.bandwidth(n), int(sizes.min()), float(np.median(sizes)),
-        int(sizes.max()),
+        path, n, h, int(sizes.min()), float(np.median(sizes)), int(sizes.max()),
     )
     _, dendro = single_linkage(phat)
+    for lam in sorted(set(dendro.level), reverse=True)[:3]:
+        parts = dendro.cut(lam)
+        log.info("level %g: %d clusters", lam, len(parts))
+        for part in parts[:12]:
+            names = ", ".join(labels[i] for i in part[:8]) + (", ..." if len(part) > 8 else "")
+            log.info("  [%3d] %s", len(part), names)
+        if len(parts) > 12:
+            log.info("  ... and %d more", len(parts) - 12)
 
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "dendrogram.json"), "w") as fh:

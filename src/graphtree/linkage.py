@@ -6,14 +6,17 @@ level are discarded. One pass computes it together with the dendrogram: a
 maximum spanning tree (whose unique tree paths realize the max-min values),
 then its edges in descending weight order through one union-find. The pass
 is O(n^2). Diagonal fixed at 1.
+
+A dendrogram is a merge table in the stepwise form of Muellner (2011) and of
+scipy's linkage matrix: leaves are nodes 0..n-1 and row k joins two earlier
+nodes into node n + k.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import operator
 import re
-import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +24,6 @@ import numpy as np
 from .errors import ValidationError
 
 __all__ = [
-    "Leaf",
-    "Merge",
     "Dendrogram",
     "single_linkage",
     "merge_estimate",
@@ -99,8 +100,9 @@ def single_linkage(sim: np.ndarray):
     n = len(ws) + 1
     out = np.ones((n, n))
     uf = UnionFind(n)
-    node = [Leaf(i) for i in range(n)]  # indexed by set root
+    node = list(range(n))  # dendrogram node of each set, indexed by set root
     members = [np.array([i]) for i in range(n)]
+    left, right, levels = [], [], []
     order = sorted(range(n - 1), key=lambda e: -ws[e])  # stable
     start = 0
     while start < n - 1:
@@ -120,9 +122,12 @@ def single_linkage(sim: np.ndarray):
                 out[np.ix_(members[lead], members[r])] = level
                 out[np.ix_(members[r], members[lead])] = level
                 members[lead] = np.concatenate((members[lead], members[r]))
-                node[lead] = Merge(node[lead], node[r], level)
+                left.append(node[lead])
+                right.append(node[r])
+                levels.append(level)
+                node[lead] = n + len(levels) - 1
         start = stop
-    return out, Dendrogram(root=node[0], n=n)
+    return out, Dendrogram(left, right, levels)
 
 
 def merge_estimate(sim: np.ndarray) -> np.ndarray:
@@ -137,229 +142,175 @@ def merge_estimate(sim: np.ndarray) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class Leaf:
-    index: int
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Merge:
-    left: object
-    right: object
-    level: float
-
-    # the generated methods would recurse once per level; these do not
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return _json_text(self) == _json_text(other)
-
-    def __hash__(self):
-        return hash(_json_text(self))
-
-    def __repr__(self):
-        return _tree_repr(self)
+# one token of the dendrogram's JSON grammar, after optional whitespace:
+# punctuation, a key with its colon, or a number (NaN and +-Infinity included)
+_TOKEN = re.compile(r'[ \t\n\r]*(?:([{},])|"(left|level|right)"[ \t\n\r]*:|'
+                    r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|NaN|-?Infinity))")
 
 
 @dataclass(frozen=True)
 class Dendrogram:
-    """Binary merge tree; levels never increase from leaves toward the root.
+    """Binary merge tree as a table: row k joins left[k] and right[k] at level[k].
 
-    Every traversal keeps an explicit stack, so trees of any depth (a chain
-    of n leaves is n - 1 levels deep) can be cut, written, read, compared and
-    hashed. Two subtrees are equal when their JSON texts are; repr shows the
-    top levels only.
+    Leaves are nodes 0..n-1 and row k makes node n + k; the last row is the
+    root. A table is accepted when every node but the root is a child exactly
+    once and every child is an earlier node; it is then stored in one
+    canonical row order, post-order with the left subtree first, so two
+    tables are equal (and hash alike) exactly when their trees are. Levels
+    are floats and, from single_linkage, never increase toward the root.
+    Every walk is a loop, so trees of any depth work.
     """
 
-    root: object
-    n: int
+    left: tuple
+    right: tuple
+    level: tuple
+
+    def __post_init__(self):
+        rows = len(self.level)
+        if not len(self.left) == len(self.right) == rows:
+            raise ValidationError("left, right and level must have one entry per row")
+        n = rows + 1
+        seen = set()
+        try:
+            left = [operator.index(c) for c in self.left]
+            right = [operator.index(c) for c in self.right]
+        except TypeError:
+            raise ValidationError("children must be integer node ids") from None
+        for k, pair in enumerate(zip(left, right)):
+            for c in pair:
+                if not 0 <= c < n + k or c in seen:
+                    raise ValidationError(
+                        f"row {k}: child {c} is not an earlier node that no other row joins"
+                        f" ({n} leaves)")
+                seen.add(c)
+        # a right-first pre-order from the root, reversed, is the canonical post-order
+        order, stack = [], [2 * n - 2] if rows else []
+        while stack:
+            k = stack.pop() - n
+            order.append(k)
+            stack += [c for c in (left[k], right[k]) if c >= n]
+        order.reverse()
+        new = list(range(n)) + [0] * rows
+        for j, k in enumerate(order):
+            new[n + k] = n + j
+        object.__setattr__(self, "left", tuple(new[left[k]] for k in order))
+        object.__setattr__(self, "right", tuple(new[right[k]] for k in order))
+        object.__setattr__(self, "level", tuple(float(self.level[k]) for k in order))
+
+    @property
+    def n(self) -> int:
+        return len(self.level) + 1
+
+    def _walk(self):
+        """Depth-first from the root, left subtree first, with an explicit stack.
+
+        Yields (i, None) at leaf i, and (k, 0), (k, 1), (k, 2) before, between
+        and after the two subtrees of row k.
+        """
+        n = self.n
+        stack = [(2 * n - 2, None)]
+        while stack:
+            node, step = stack.pop()
+            if node < n:
+                yield node, None
+            elif step is not None:
+                yield node - n, step
+            else:
+                k = node - n
+                yield k, 0
+                stack += [(node, 2), (self.right[k], None), (node, 1), (self.left[k], None)]
 
     @property
     def leaf_order(self):
         """Leaves in display order (left subtree first)."""
-        return _leaves(self.root)
+        return [i for i, step in self._walk() if step is None]
 
     def cut(self, lam: float):
-        """Clusters after removing merges below lam; equals clusters_at_level."""
-        parts = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Leaf):
-                parts.append([node.index])
-            elif node.level >= lam:
-                parts.append(sorted(_leaves(node)))
+        """Clusters after removing merges below lam, each and all sorted by smallest member."""
+        members = [[i] for i in range(self.n)]  # cluster headed by each node
+        for a, b, level in zip(self.left, self.right, self.level):
+            if level >= lam:
+                members.append(members[a] + members[b])
+                members[a] = members[b] = []
             else:
-                stack += [node.right, node.left]
-        return sorted(parts)
-
-    def to_json_dict(self):
-        return _json_loads(self.to_json())
+                members.append([])
+        return sorted(sorted(m) for m in members if m)
 
     def to_json(self) -> str:
-        """The bytes of json.dumps(self.to_json_dict(), sort_keys=True), at any depth."""
-        return _json_text(self.root)
-
-    @classmethod
-    def from_json_dict(cls, doc) -> "Dendrogram":
-        merges = []
-        n = 0
-        stack = [doc]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, int):
-                n += 1
-                continue
-            if not isinstance(node, dict) or set(node) != {"left", "right", "level"}:
-                raise ValidationError(f"bad dendrogram node: {reprlib.repr(node)}")
-            merges.append(node)
-            stack += [node["right"], node["left"]]
-
-        built = {}
-
-        def get(node):
-            return Leaf(node) if isinstance(node, int) else built[id(node)]
-
-        for node in reversed(merges):  # children before parents
-            built[id(node)] = Merge(get(node["left"]), get(node["right"]), float(node["level"]))
-        return cls(root=get(doc), n=n)
+        """Nested {"left", "level", "right"} objects with int leaves, keys sorted."""
+        parts = []
+        for k, step in self._walk():
+            if step is None:
+                parts.append(str(k))
+            elif step == 0:
+                parts.append('{"left": ')
+            elif step == 1:
+                parts.append(f', "level": {json.dumps(self.level[k])}, "right": ')
+            else:
+                parts.append("}")
+        return "".join(parts)
 
     @classmethod
     def from_json(cls, text: str) -> "Dendrogram":
-        try:
-            doc = _json_loads(text)
-        except ValueError as e:
-            raise ValidationError(f"invalid dendrogram JSON: {e}") from e
-        return cls.from_json_dict(doc)
+        """Read the to_json grammar with an explicit stack.
+
+        Objects have exactly the keys left, level and right, in any order and
+        with any JSON whitespace. Leaves are non-negative ints and levels are
+        JSON numbers, NaN and +-Infinity included. Anything else, and any
+        tree whose leaves are not 0..n-1 once each, raises ValidationError.
+        """
+        rows = []  # (left, right, level) as objects close; an inner child c is ~row
+        frames = []  # [fields read, key being read] per open object
+        pos, want, top = 0, "value", None
+        while m := _TOKEN.match(text, pos):
+            punct, key, number = m.groups()
+            where = frames[-1][1] if frames else "left"
+            value = None
+            if want == "value" and punct == "{" and where != "level":
+                frames.append([{}, None])
+                want = "key"
+            elif want == "value" and number is not None and where == "level":
+                value = float(number)
+            elif want == "value" and number is not None and number.isdigit():
+                value = int(number)
+            elif want == "key" and key is not None and key not in frames[-1][0]:
+                frames[-1][1] = key
+                want = "value"
+            elif want == "next" and frames and punct == ",":
+                want = "key"
+            elif want == "next" and frames and punct == "}" and len(frames[-1][0]) == 3:
+                fields = frames.pop()[0]
+                rows.append((fields["left"], fields["right"], fields["level"]))
+                value = ~(len(rows) - 1)
+            else:
+                break
+            pos = m.end()
+            if value is not None:
+                if frames:
+                    frames[-1][0][frames[-1][1]] = value
+                else:
+                    top = value
+                want = "next"
+        if want != "next" or frames or text[pos:].strip(" \t\n\r"):
+            raise ValidationError(f"invalid dendrogram JSON at char {pos}")
+        if not rows and top != 0:
+            raise ValidationError(f"a one-leaf dendrogram is leaf 0, not {top}")
+        n = len(rows) + 1
+        left, right, level = zip(*rows) if rows else ((), (), ())
+        return cls([c if c >= 0 else n + ~c for c in left],
+                   [c if c >= 0 else n + ~c for c in right], level)
 
     def to_newick(self, labels=None, fmt: str = "%.12g") -> str:
         """Newick text; every child edge is annotated with its parent's merge level."""
         parts = []
-        stack = [self.root]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                parts.append(item)
-            elif isinstance(item, Leaf):
-                parts.append(str(item.index) if labels is None else _newick_safe(labels[item.index]))
-            else:
-                edge = ":" + (fmt % item.level)
+        for k, step in self._walk():
+            if step is None:
+                parts.append(str(k) if labels is None else _newick_safe(labels[k]))
+            elif step == 0:
                 parts.append("(")
-                stack += [edge + ")", item.right, edge + ",", item.left]
+            else:
+                parts.append(":" + (fmt % self.level[k]) + ("," if step == 1 else ")"))
         return "".join(parts) + ";"
-
-
-def _leaves(node):
-    """Leaf indices under node, left subtree first."""
-    order = []
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            order.append(node.index)
-        else:
-            stack += [node.right, node.left]
-    return order
-
-
-def _json_text(root) -> str:
-    """Sorted-key JSON text of the subtree under root, written with an explicit stack."""
-    parts = []
-    stack = [root]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
-        elif isinstance(item, Leaf):
-            parts.append(json.dumps(item.index))
-        else:
-            parts.append('{"left": ')
-            stack += ["}", item.right, f', "level": {json.dumps(item.level)}, "right": ',
-                      item.left]
-    return "".join(parts)
-
-
-def _tree_repr(node, depth=4):
-    """The dataclass repr of the top depth levels, with Merge(...) below them."""
-    if not isinstance(node, Merge):
-        return repr(node)
-    if depth == 0:
-        return "Merge(...)"
-    return (f"Merge(left={_tree_repr(node.left, depth - 1)}, "
-            f"right={_tree_repr(node.right, depth - 1)}, level={node.level!r})")
-
-
-_NUMBER = re.compile(r"(-?(?:0|[1-9]\d*))(\.\d+)?([eE][-+]?\d+)?")
-_SPACE = re.compile(r"[ \t\n\r]*")
-_CONSTANTS = {"null": None, "true": True, "false": False, "NaN": math.nan,
-              "Infinity": math.inf, "-Infinity": -math.inf}
-
-
-def _json_loads(s: str):
-    """json.loads with an explicit stack instead of recursion, so depth is unbounded.
-
-    Accepts what json.loads accepts (NaN and Infinity included) and returns
-    equal values; raises ValueError on anything else.
-    """
-    open_ = []  # [container, key or None] for each unclosed object or array
-
-    def ws(i):
-        return _SPACE.match(s, i).end()
-
-    def key(i):
-        if s[i:i + 1] != '"':
-            raise ValueError(f"expecting property name at char {i}")
-        k, i = json.decoder.scanstring(s, i + 1)
-        i = ws(i)
-        if s[i:i + 1] != ":":
-            raise ValueError(f"expecting ':' at char {i}")
-        return k, ws(i + 1)
-
-    i = ws(0)
-    while True:
-        c = s[i:i + 1]
-        if c in ("{", "["):
-            i = ws(i + 1)
-            if s[i:i + 1] == ("}" if c == "{" else "]"):
-                value, i = ({} if c == "{" else []), i + 1
-            else:
-                k = None
-                if c == "{":
-                    k, i = key(i)
-                open_.append([{} if c == "{" else [], k])
-                continue
-        elif c == '"':
-            value, i = json.decoder.scanstring(s, i + 1)
-        elif m := _NUMBER.match(s, i):
-            whole, frac, exp = m.groups()
-            value = float(whole + (frac or "") + (exp or "")) if frac or exp else int(whole)
-            i = m.end()
-        else:
-            word = next((w for w in _CONSTANTS if s.startswith(w, i)), None)
-            if word is None:
-                raise ValueError(f"expecting value at char {i}")
-            value, i = _CONSTANTS[word], i + len(word)
-        # a value is complete: store it, then close containers until one continues
-        while True:
-            i = ws(i)
-            if not open_:
-                if i != len(s):
-                    raise ValueError(f"extra data at char {i}")
-                return value
-            container, k = open_[-1]
-            if k is None:
-                container.append(value)
-            else:
-                container[k] = value
-            c = s[i:i + 1]
-            if c == ",":
-                i = ws(i + 1)
-                if k is not None:
-                    open_[-1][1], i = key(i)
-                break
-            if c != ("}" if k is not None else "]"):
-                raise ValueError(f"expecting ',' or a closing bracket at char {i}")
-            value, i = open_.pop()[0], i + 1
 
 
 def _newick_safe(label: str) -> str:
@@ -383,39 +334,19 @@ def build_dendrogram(m: np.ndarray) -> Dendrogram:
 def clusters_at_level(m: np.ndarray, lam: float):
     """Partition into connected components of the graph with edges m >= lam.
 
-    Read off the maximum spanning tree: its edges at or above lam have the
-    same components. Every node appears exactly once; clusters and the
-    partition itself are sorted by smallest member.
+    The single-linkage tree cut at lam. Every node appears exactly once;
+    clusters and the partition itself are sorted by smallest member.
     """
-    us, vs, ws = _max_spanning_tree(m)
-    uf = UnionFind(len(ws) + 1)
-    for u, v, w in zip(us, vs, ws):
-        if w >= lam:
-            uf.union(u, v)
-    parts = {}
-    for i in range(len(ws) + 1):
-        parts.setdefault(uf.find(i), []).append(i)
-    return sorted(parts.values())
+    return single_linkage(m)[1].cut(lam)
 
 
 def dendrogram_merge_matrix(d: Dendrogram) -> np.ndarray:
     """Pairwise merge levels encoded by a dendrogram (lowest common merge)."""
-    merges = []  # every child before its parent once reversed
-    stack = [d.root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Merge):
-            merges.append(node)
-            stack += [node.left, node.right]
     out = np.ones((d.n, d.n))
-    leaves = {}
-
-    def take(node):
-        return [node.index] if isinstance(node, Leaf) else leaves.pop(id(node))
-
-    for node in reversed(merges):
-        left, right = take(node.left), take(node.right)
-        out[np.ix_(left, right)] = node.level
-        out[np.ix_(right, left)] = node.level
-        leaves[id(node)] = left + right
+    members = [[i] for i in range(d.n)]  # leaves under each node
+    for a, b, level in zip(d.left, d.right, d.level):
+        out[np.ix_(members[a], members[b])] = level
+        out[np.ix_(members[b], members[a])] = level
+        members.append(members[a] + members[b])
+        members[a] = members[b] = None
     return out

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .sampling import check_adjacency
 
 __all__ = [
@@ -35,8 +36,6 @@ __all__ = [
     "estimate_modified",
     "estimate_original",
     "estimate_edge_probabilities",
-    "modified_neighborhood_sizes",
-    "original_neighborhood_sizes",
     "column_distance_matrix",
     "estimation_errors",
 ]
@@ -46,32 +45,44 @@ __all__ = [
 _CHUNK_ELEMS = 1 << 18
 
 
+# fewest nodes each variant can rank: n - 2 candidates per pair, n - 1 per node
+MINIMUM_N = {"modified": 4, "original": 3}
+
+
 def bandwidth(c: float, n: int) -> float:
     """h = C * sqrt(ln n / n); natural log. Must land in (0, 1) for the given n."""
-    if c <= 0:
-        raise ValueError("C must be positive")
+    if not c > 0:
+        raise ValidationError(f"C must be positive, got {c}")
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise ValidationError("need n >= 2")
     h = c * math.sqrt(math.log(n) / n)
     if not 0.0 < h < 1.0:
-        raise ValueError(f"bandwidth h={h} outside (0, 1) for C={c}, n={n}")
+        raise ValidationError(f"bandwidth h={h} outside (0, 1) for C={c}, n={n}")
     return h
 
 
 @dataclass(frozen=True)
 class SmoothingConfig:
-    """Neighborhood size constant and estimator variant."""
+    """Neighborhood size constant and estimator variant.
+
+    Every check on user input lives here and raises ValidationError: the
+    variant and C on construction, the variant's minimum n and the range of h
+    in bandwidth(n), which both estimators call first.
+    """
 
     C: float = 0.1
     variant: str = "modified"
 
     def __post_init__(self):
-        if self.C <= 0:
-            raise ValueError("C must be positive")
-        if self.variant not in ("modified", "original"):
-            raise ValueError(f"unknown variant {self.variant!r}")
+        if not self.C > 0:
+            raise ValidationError(f"C must be positive, got {self.C}")
+        if self.variant not in MINIMUM_N:
+            raise ValidationError(f"unknown variant {self.variant!r}")
 
     def bandwidth(self, n: int) -> float:
+        minimum = MINIMUM_N[self.variant]
+        if n < minimum:
+            raise ValidationError(f"{self.variant} estimator needs >= {minimum} nodes, got {n}")
         return bandwidth(self.C, n)
 
 
@@ -201,16 +212,8 @@ def estimate_modified(a: np.ndarray, config: SmoothingConfig, *, return_sizes: b
     check_adjacency(a)
     if config.variant != "modified":
         raise ValueError(f"config variant is {config.variant!r}, not 'modified'")
-    phat, sizes = _estimate_modified_h(a, config.bandwidth(a.shape[0]))
-    return (phat, sizes) if return_sizes else phat
-
-
-def _estimate_modified_h(a: np.ndarray, h: float):
     n = a.shape[0]
-    if n < 4:
-        raise ValueError("modified estimator needs n >= 4")
-    if not 0.0 < h < 1.0:
-        raise ValueError("h must lie in (0, 1)")
+    h = config.bandwidth(n)
     af = a.astype(np.float64)
     s = _counts(a)
     ai = a.astype(s.dtype)
@@ -225,7 +228,7 @@ def _estimate_modified_h(a: np.ndarray, h: float):
     phat = 0.5 * (f + f.T)
     np.fill_diagonal(phat, 0.0)
     np.fill_diagonal(sizes, 0)
-    return phat, sizes
+    return (phat, sizes) if return_sizes else phat
 
 
 def _pair_neighborhoods(s: np.ndarray, ai: np.ndarray, j: int, rank: int, buf: np.ndarray):
@@ -249,22 +252,12 @@ def estimate_original(a: np.ndarray, config: SmoothingConfig, *, return_sizes: b
     check_adjacency(a)
     if config.variant != "original":
         raise ValueError(f"config variant is {config.variant!r}, not 'original'")
-    phat, sizes = _estimate_original_h(a, config.bandwidth(a.shape[0]))
-    return (phat, sizes) if return_sizes else phat
-
-
-def _estimate_original_h(a: np.ndarray, h: float):
-    n = a.shape[0]
-    if n < 3:
-        raise ValueError("original estimator needs n >= 3")
-    if not 0.0 < h < 1.0:
-        raise ValueError("h must lie in (0, 1)")
-    nbrs = _node_neighborhoods(a, h)
+    nbrs = _node_neighborhoods(a, config.bandwidth(a.shape[0]))
     sizes = nbrs.sum(axis=1)
     g = (nbrs @ a.astype(np.float64)) / sizes[:, None]
     phat = 0.5 * (g + g.T)
     np.fill_diagonal(phat, 0.0)
-    return phat, sizes
+    return (phat, sizes) if return_sizes else phat
 
 
 def _node_neighborhoods(a: np.ndarray, h: float) -> np.ndarray:
@@ -280,18 +273,6 @@ def estimate_edge_probabilities(a: np.ndarray, config: SmoothingConfig, *,
     if config.variant == "modified":
         return estimate_modified(a, config, return_sizes=return_sizes)
     return estimate_original(a, config, return_sizes=return_sizes)
-
-
-def modified_neighborhood_sizes(a: np.ndarray, h: float) -> np.ndarray:
-    """|N(i, j)| for every ordered pair, diagonal 0; for diagnostics and logs."""
-    check_adjacency(a)
-    return _estimate_modified_h(a, h)[1]
-
-
-def original_neighborhood_sizes(a: np.ndarray, h: float) -> np.ndarray:
-    """|N_i| per node for the per-node variant."""
-    check_adjacency(a)
-    return _estimate_original_h(a, h)[1]
 
 
 def column_distance_matrix(a: np.ndarray) -> np.ndarray:

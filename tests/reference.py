@@ -133,6 +133,14 @@ def pair_neighborhood(A, i, j, h):
     return _gap_neighborhood(c, i, cands, (j,), _quantile_rank(h, n - 2))
 
 
+def node_neighborhood(A, i, h):
+    """N_i: candidates i2 != i ranked by integer gaps between rows of A^2."""
+    n = A.shape[0]
+    c = (np.asarray(A, dtype=np.int64) @ np.asarray(A, dtype=np.int64)).tolist()
+    cands = [i2 for i2 in range(n) if i2 != i]
+    return _gap_neighborhood(c, i, cands, (), _quantile_rank(h, n - 1))
+
+
 def modified_estimate(A, h):
     """Per ordered pair neighborhoods with the target's row/column deleted.
 
@@ -162,10 +170,7 @@ def original_estimate(A, h):
     """Per node neighborhoods from integer A^2 count gaps, same quantile rule."""
     A = np.asarray(A, dtype=np.int64)
     n = A.shape[0]
-    c = (A @ A).tolist()
-    r = _quantile_rank(h, n - 1)
-    nbhds = [_gap_neighborhood(c, i, [i2 for i2 in range(n) if i2 != i], (), r)
-             for i in range(n)]
+    nbhds = [node_neighborhood(A, i, h) for i in range(n)]
     G = np.zeros((n, n))
     for i in range(n):
         for j in range(n):

@@ -3,6 +3,7 @@
 Exit code contract: 0 success, 2 validation failure, 1 unexpected error.
 """
 
+import csv
 import json
 import logging
 import subprocess
@@ -38,6 +39,18 @@ def graphon_file(tmp_path):
     p = tmp_path / "w.json"
     p.write_text(json.dumps({"breakpoints": [0.0, 0.5, 1.0],
                              "values": [[0.8, 0.2], [0.2, 0.8]]}))
+    return str(p)
+
+
+@pytest.fixture
+def graph30_file(tmp_path):
+    # three planted groups of ten; h = C * sqrt(ln 30 / 30) is 33.7 at C = 100
+    rng = np.random.default_rng(1)
+    g = np.arange(30) % 3
+    a = np.triu(rng.random((30, 30)) < np.where(g[:, None] == g[None], 0.8, 0.1), 1)
+    iu, ju = np.nonzero(a)
+    p = tmp_path / "g30.edges"
+    p.write_text("".join(f"{u} {v}\n" for u, v in zip(iu, ju)))
     return str(p)
 
 
@@ -98,6 +111,12 @@ class TestSample:
                                  "--seed", "2", "--format", "csv"])
         assert a.stdout != b.stdout
 
+    def test_zero_nodes_rejected(self, runner):
+        res = runner.invoke(main, ["sample", "--graphon", "three-group", "--n", "0",
+                                   "--seed", "1"])
+        assert res.exit_code == 2
+        assert "--n" in res.stderr
+
     def test_bad_format_rejected(self, runner, graphon_file):
         res = runner.invoke(main, ["sample", "--graphon", graphon_file, "--n", "4",
                                    "--seed", "1", "--format", "dot"])
@@ -120,6 +139,16 @@ class TestEstimate:
         res = runner.invoke(main, ["estimate", "--input", str(p), "--C", "0.5"])
         assert res.exit_code == 2
         assert "needs >= 4" in res.stderr
+
+    def test_bandwidth_over_one(self, runner, graph30_file):
+        res = runner.invoke(main, ["estimate", "--input", graph30_file, "--C", "100"])
+        assert res.exit_code == 2
+        assert "outside (0, 1)" in res.stderr
+
+    def test_negative_c(self, runner, graph30_file):
+        res = runner.invoke(main, ["estimate", "--input", graph30_file, "--C", "-1"])
+        assert res.exit_code == 2
+        assert "C must be positive" in res.stderr
 
     def test_original_variant(self, runner, tmp_path):
         p = tmp_path / "tiny.edges"
@@ -213,6 +242,28 @@ class TestExperiment:
         assert (out / "records.csv").exists()
         assert (out / "dendro_n8_seed1.json").exists()
 
+    def test_median_table(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "graphon": "three-group", "n_grid": [8, 12], "seeds": [1, 2, 3], "C": 0.5,
+        }))
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["experiment", "synthetic", "--config", str(cfg),
+                                   "--out-dir", str(out)])
+        assert res.exit_code == 0
+        lines = res.stdout.splitlines()
+        assert lines[:3] == [f"wrote 6 records to {out}/records.csv", "",
+                             "     n   med max-norm  med distortion      med mse"]
+        with open(out / "records.csv") as fh:
+            rows = [{k: float(v) for k, v in r.items()} for r in csv.DictReader(fh)]
+        for line, n in zip(lines[3:], (8, 12)):
+            mine = [r for r in rows if r["n"] == n]
+            want = "%6d %14.4g %15.4g %12.4g" % (
+                n, *(np.median([r[k] for r in mine])
+                     for k in ("max_norm_error", "merge_distortion", "mse")))
+            assert line == want
+        assert len(lines) == 5
+
     def test_bad_config(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"graphon": "three-group", "n_grid": [8]}))
@@ -243,6 +294,37 @@ class TestDataset:
                                    "--C", "0.3", "--out-dir", str(out), "--baseline"])
         assert res.exit_code == 0
         assert (out / "baseline_dendrogram.newick").exists()
+
+    def test_cluster_listing(self, runner, graph30_file, tmp_path, caplog):
+        # the listing is logged (stderr under the CLI); caplog reads the records
+        with caplog.at_level("INFO", logger="graphtree"):
+            res = runner.invoke(main, ["dataset", "cluster", "--input", graph30_file,
+                                       "--C", "0.5", "--variant", "original",
+                                       "--out-dir", str(tmp_path / "out")])
+        assert res.exit_code == 0
+        assert "dendrogram with 30 leaves" in res.stdout
+        d = Dendrogram.from_json((tmp_path / "out" / "dendrogram.json").read_text())
+        want = []
+        for lam in sorted(set(d.level), reverse=True)[:3]:
+            parts = d.cut(lam)
+            want.append("level %g: %d clusters" % (lam, len(parts)))
+            for part in parts[:12]:
+                names = ", ".join(map(str, part[:8])) + (", ..." if len(part) > 8 else "")
+                want.append("  [%3d] %s" % (len(part), names))
+            if len(parts) > 12:
+                want.append("  ... and %d more" % (len(parts) - 12))
+        assert caplog.messages[1:] == want
+        assert caplog.messages[0].startswith(f"dataset {graph30_file}: n=30")
+        assert caplog.messages[1] == "level 0.9375: 27 clusters"
+        assert caplog.messages[-1] == "  ... and 13 more"
+
+    @pytest.mark.parametrize("c, message", [("100", "outside (0, 1)"),
+                                            ("-1", "C must be positive")])
+    def test_bad_c(self, runner, graph30_file, tmp_path, c, message):
+        res = runner.invoke(main, ["dataset", "cluster", "--input", graph30_file,
+                                   "--C", c, "--out-dir", str(tmp_path / "out")])
+        assert res.exit_code == 2
+        assert message in res.stderr
 
     def test_missing_input(self, runner, tmp_path):
         res = runner.invoke(main, ["dataset", "cluster", "--input",

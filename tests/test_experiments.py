@@ -202,15 +202,18 @@ class TestDatasetClustering:
         p = self.write_k5(tmp_path)
         dendro = run_dataset_clustering(p, c=0.09, out_dir=str(tmp_path / "out"))
         assert dendro.n == 5
-
-        def levels(node):
-            if hasattr(node, "level"):
-                return [node.level] + levels(node.left) + levels(node.right)
-            return []
-
-        assert levels(dendro.root) == [1.0] * 4
+        assert dendro.level == (1.0,) * 4
         for name in ("dendrogram.json", "dendrogram.newick", "labels.csv"):
             assert (tmp_path / "out" / name).exists()
+
+    def test_logs_clusters_at_largest_levels(self, tmp_path, caplog):
+        a = np.ones((10, 10), dtype=np.int8)
+        np.fill_diagonal(a, 0)
+        p = tmp_path / "k10.edges"
+        save_edge_list(p, a)
+        with caplog.at_level("INFO", logger="graphtree"):
+            run_dataset_clustering(p, c=0.3, out_dir=str(tmp_path / "out"))
+        assert caplog.messages[1:] == ["level 1: 1 clusters", "  [ 10] 0, 1, 2, 3, 4, 5, 6, 7, ..."]
 
     def test_artifacts_byte_deterministic(self, tmp_path):
         p = self.write_k5(tmp_path)
@@ -267,13 +270,14 @@ class TestDatasetClustering:
             monkeypatch.setattr(smoothing, name, counted(getattr(smoothing, name)))
         with caplog.at_level("INFO", logger="graphtree"):
             run_dataset_clustering(p, c=0.5, variant=variant, out_dir=str(tmp_path / "out"))
-        h = smoothing.bandwidth(0.5, 11)
         if variant == "modified":
             assert calls == ["_pair_neighborhoods"] * 11  # one pass, one call per j
-            sizes = smoothing.modified_neighborhood_sizes(a, h)[~np.eye(11, dtype=bool)]
         else:
             assert calls == ["_node_neighborhoods"]
-            sizes = smoothing.original_neighborhood_sizes(a, h)
+        config = smoothing.SmoothingConfig(C=0.5, variant=variant)
+        _, sizes = smoothing.estimate_edge_probabilities(a, config, return_sizes=True)
+        if variant == "modified":
+            sizes = sizes[~np.eye(11, dtype=bool)]
         want = "neighborhood sizes min/median/max = %d/%g/%d" % (
             sizes.min(), np.median(sizes), sizes.max())
         assert want in caplog.text

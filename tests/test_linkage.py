@@ -9,8 +9,6 @@ import hypothesis.strategies as st
 
 from graphtree import (
     Dendrogram,
-    Leaf,
-    Merge,
     ValidationError,
     build_dendrogram,
     clusters_at_level,
@@ -18,7 +16,7 @@ from graphtree import (
     merge_estimate,
     single_linkage,
 )
-from graphtree.linkage import UnionFind, _json_loads
+from graphtree.linkage import UnionFind
 from conftest import random_symmetric
 import reference
 
@@ -116,18 +114,12 @@ class TestSingleLinkage:
         z = hierarchy.linkage(ranks.astype(float), method="single")
         assert np.array_equal(-values[hierarchy.cophenet(z).astype(int)], m[upper])
         # scipy breaks ties its own way, so shapes are compared by merge levels
-        levels, stack = [], [d.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Merge):
-                levels.append(node.level)
-                stack += [node.left, node.right]
-        assert sorted(levels) == sorted(-values[z[:, 2].astype(int)])
+        assert sorted(d.level) == sorted(-values[z[:, 2].astype(int)])
 
     def test_single_node(self):
         m, d = single_linkage(np.ones((1, 1)))
         assert np.array_equal(m, np.ones((1, 1)))
-        assert d == Dendrogram(root=Leaf(0), n=1)
+        assert d == Dendrogram((), (), ())
 
     def test_errors(self):
         for bad in (np.zeros((2, 3)), np.zeros((0, 0)), np.array([[1.0, 0.2], [0.3, 1.0]])):
@@ -226,23 +218,23 @@ class TestClustersAtLevel:
 class TestBuildDendrogram:
     def test_single_leaf(self):
         d = build_dendrogram(np.ones((1, 1)))
-        assert d.root == Leaf(0) and d.n == 1
+        assert d == Dendrogram((), (), ()) and d.n == 1
+        assert d.to_json() == "0" and d.leaf_order == [0]
         assert d.cut(0.5) == [[0]]
 
     def test_two_leaves(self):
         d = build_dendrogram(np.array([[1.0, 0.7], [0.7, 1.0]]))
-        assert d.root == Merge(Leaf(0), Leaf(1), 0.7)
+        assert d == Dendrogram([0], [1], [0.7])
 
     def test_chain_topology(self):
         d = build_dendrogram(CHAIN_SIM)
-        assert d.root == Merge(Merge(Leaf(0), Leaf(1), 0.9), Leaf(2), 0.8)
+        assert d == Dendrogram([0, 3], [1, 2], [0.9, 0.8])
 
     def test_all_equal_left_leaning(self):
         sim = np.full((4, 4), 0.5)
         np.fill_diagonal(sim, 1.0)
         d = build_dendrogram(sim)
-        want = Merge(Merge(Merge(Leaf(0), Leaf(1), 0.5), Leaf(2), 0.5), Leaf(3), 0.5)
-        assert d.root == want
+        assert d == Dendrogram([0, 4, 5], [1, 2, 3], [0.5] * 3)
         assert d.leaf_order == [0, 1, 2, 3]
 
     @given(st.integers(0, 2**31 - 1))
@@ -273,15 +265,10 @@ class TestBuildDendrogram:
     def test_levels_never_increase_toward_root(self):
         sim = small_sims(42)
         d = build_dendrogram(sim)
-
-        def walk(node, bound):
-            if isinstance(node, Leaf):
-                return
-            assert node.level <= bound
-            walk(node.left, node.level)
-            walk(node.right, node.level)
-
-        walk(d.root, np.inf)
+        for k, level in enumerate(d.level):
+            for child in (d.left[k], d.right[k]):
+                if child >= d.n:
+                    assert d.level[child - d.n] >= level
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -313,7 +300,7 @@ class TestSerialization:
 
     def test_json_dict_shape(self):
         d = build_dendrogram(CHAIN_SIM)
-        doc = d.to_json_dict()
+        doc = json.loads(d.to_json())
         assert doc == {"left": {"left": 0, "right": 1, "level": 0.9}, "right": 2, "level": 0.8}
 
     @pytest.mark.parametrize(
@@ -328,7 +315,7 @@ class TestSerialization:
     )
     def test_bad_documents(self, doc):
         with pytest.raises(ValidationError):
-            Dendrogram.from_json_dict(doc)
+            Dendrogram.from_json(json.dumps(doc))
 
     def test_bad_json_text(self):
         with pytest.raises(ValidationError):
@@ -352,12 +339,50 @@ class TestSerialization:
         assert d.to_newick(fmt="%.3f") == "(0:0.333,1:0.333);"
 
 
+
+
 def chain_dendrogram(n):
     """Leaf k joins the cluster {0..k-1} at level 1/(k+1): n - 1 levels deep."""
-    node = Leaf(0)
-    for k in range(1, n):
-        node = Merge(node, Leaf(k), 1.0 / (k + 1))
-    return Dendrogram(root=node, n=n)
+    rows = range(n - 1)
+    return Dendrogram([0] + [n + r - 1 for r in rows][1:], [r + 1 for r in rows],
+                      [1.0 / (r + 2) for r in rows])
+
+
+# ((0, 1) at 0.8, (2, 3) at 0.9) at 0.1, in canonical row order
+BALANCED = Dendrogram([0, 2, 4], [1, 3, 5], [0.8, 0.9, 0.1])
+
+
+class TestMergeTable:
+    def test_canonical_row_order(self):
+        # the same tree with the (2, 3) row first and the root's children named in reverse
+        other = Dendrogram([2, 0, 5], [3, 1, 4], [0.9, 0.8, 0.1])
+        assert other == BALANCED and hash(other) == hash(BALANCED)
+        assert (other.left, other.right, other.level) == ((0, 2, 4), (1, 3, 5), (0.8, 0.9, 0.1))
+        assert other.to_json() == BALANCED.to_json()
+
+    def test_children_order_matters(self):
+        swapped = Dendrogram([0, 2, 5], [1, 3, 4], [0.8, 0.9, 0.1])
+        assert swapped != BALANCED
+        assert swapped.leaf_order == [2, 3, 0, 1]
+
+    def test_numpy_ints_and_levels(self):
+        d = Dendrogram(np.array([0, 3]), np.array([1, 2]), np.array([0.9, 0.8]))
+        assert d == build_dendrogram(CHAIN_SIM)
+        assert all(type(c) is int for c in d.left + d.right)
+        assert all(type(x) is float for x in d.level)
+
+    @pytest.mark.parametrize("table", [
+        ([5], [5], [0.5]),  # leaves outside 0..n-1, twice
+        ([0], [2], [0.5]),  # row 0 joins itself
+        ([4, 0], [2, 1], [0.5, 0.9]),  # row 0 joins the later row 1
+        ([0, 0], [1, 2], [0.9, 0.8]),  # leaf 0 joined twice, node 3 never
+        ([0, 3], [1], [0.9, 0.8]),  # ragged rows
+        ([0.5], [1], [0.5]),  # non-integer child
+        ([-1], [1], [0.5]),
+    ])
+    def test_rejects_bad_tables(self, table):
+        with pytest.raises(ValidationError):
+            Dendrogram(*table)
 
 
 class TestDeepTrees:
@@ -369,8 +394,8 @@ class TestDeepTrees:
         text = d.to_json()
         back = Dendrogram.from_json(text)
         assert back.n == self.N
+        assert back == d
         assert back.to_json() == text
-        assert Dendrogram.from_json_dict(d.to_json_dict()).to_json() == text
         assert text.startswith('{"left": ' * (self.N - 1) + "0, ")
 
     def test_leaf_order_cut_newick_and_merge_matrix(self):
@@ -388,56 +413,47 @@ class TestDeepTrees:
 
 
 class TestDeepTreeComparison:
-    # the generated dataclass __eq__, __hash__ and __repr__ recursed once per level
     N = 3000
 
     def test_equality_and_hash(self):
         d1, d2 = chain_dendrogram(self.N), chain_dendrogram(self.N)
-        assert d1 == d2 and d1.root == d2.root
-        assert hash(d1) == hash(d2) and hash(d1.root) == hash(d2.root)
-        other = Dendrogram(Merge(d1.root.left, Leaf(self.N - 1), 0.5), n=self.N)
-        assert d1 != other and d1.root != other.root
-        assert d1 != Dendrogram(d1.root, n=self.N + 1)
-        assert len({d1, d2, other}) == 2
+        assert d1 == d2
+        assert hash(d1) == hash(d2)
+        other = Dendrogram(d1.left, d1.right, d1.level[:-1] + (0.5,))
+        assert d1 != other
+        # the root's children swapped: same rows, mirrored tree
+        mirror = Dendrogram(d1.left[:-1] + (self.N - 1,), d1.right[:-1] + (2 * self.N - 3,),
+                            d1.level)
+        assert d1 != mirror and mirror.leaf_order[0] == self.N - 1
+        assert len({d1, d2, other, mirror}) == 3
 
-    def test_repr_is_bounded(self):
+    def test_repr_at_depth(self):
         text = repr(chain_dendrogram(self.N))
-        assert text.startswith("Dendrogram(root=Merge(left=Merge(left=Merge(left=Merge(")
-        assert text.endswith(f"right=Leaf(index={self.N - 1}), level={1.0 / self.N!r}), n={self.N})")
-        assert "Merge(...)" in text and len(text) < 500
+        assert text.startswith(f"Dendrogram(left=(0, {self.N}, {self.N + 1}, ")
+        assert text.endswith(f"{1.0 / self.N!r}))")
 
-    def test_small_repr_unchanged(self):
+    def test_repr_is_the_table(self):
         d = build_dendrogram(CHAIN_SIM)
-        assert repr(d) == ("Dendrogram(root=Merge(left=Merge(left=Leaf(index=0), "
-                           "right=Leaf(index=1), level=0.9), right=Leaf(index=2), level=0.8), n=3)")
+        assert repr(d) == "Dendrogram(left=(0, 3), right=(1, 2), level=(0.9, 0.8))"
 
 
 class TestJsonBytes:
     @pytest.mark.parametrize("seed", range(20))
     def test_to_json_equals_json_dumps(self, seed):
         d = build_dendrogram(small_sims(seed, n_hi=12))
-        assert d.to_json() == json.dumps(d.to_json_dict(), sort_keys=True)
+        assert d.to_json() == json.dumps(json.loads(d.to_json()), sort_keys=True)
 
     def test_special_levels_and_moderate_depth(self):
-        d = Dendrogram(Merge(Merge(chain_dendrogram(300).root, Leaf(300), float("inf")),
-                             Merge(Leaf(301), Leaf(302), float("-inf")), 7.5), n=303)
+        # the 300-leaf chain under a +inf merge, beside a -inf pair: 303 leaves, so
+        # the chain's inner nodes move up by 3 and its root becomes node 601
+        chain = chain_dendrogram(300)
+        left, right = ([c + 3 * (c >= 300) for c in side] for side in (chain.left, chain.right))
+        d = Dendrogram(left + [601, 301, 602], right + [300, 302, 603],
+                       chain.level + (float("inf"), float("-inf"), 7.5))
         text = d.to_json()
-        assert text == json.dumps(d.to_json_dict(), sort_keys=True)
+        assert text == json.dumps(json.loads(text), sort_keys=True)
         assert Dendrogram.from_json(text).to_json() == text
-        assert Dendrogram.from_json(text) == Dendrogram.from_json_dict(json.loads(text))
-
-    @pytest.mark.parametrize("text", [
-        '{"a": [1, -2.5e3, 0.25, true, false, null], "b": {}, "c": []}',
-        ' \n[ "x\\"y\\u00e9", {"k" : {"k": 2}} , NaN, Infinity, -Infinity, -0, 1E2 ]\t',
-        '{"dup": 1, "dup": 2}',
-        '"text"',
-        "12",
-    ])
-    def test_parser_matches_json_loads(self, text):
-        got = _json_loads(text)
-        want = json.loads(text)
-        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
-        assert type(got) is type(want)
+        assert Dendrogram.from_json(text) == d
 
     @pytest.mark.parametrize("text", [
         "", "{", "[1,]", '{"a" 1}', '{"a": 1,}', "[1] 2", "{1: 2}", "[01]", "nul",
@@ -446,5 +462,75 @@ class TestJsonBytes:
     def test_parser_rejects_what_json_loads_rejects(self, text):
         with pytest.raises(json.JSONDecodeError):
             json.loads(text)
-        with pytest.raises(ValueError):
-            _json_loads(text)
+        with pytest.raises(ValidationError):
+            Dendrogram.from_json(text)
+
+    @pytest.mark.parametrize("text", [
+        '{"a": [1, -2.5e3, 0.25, true, false, null], "b": {}, "c": []}',
+        ' \n[ "x\\"y\\u00e9", {"k" : {"k": 2}} , NaN, Infinity, -Infinity, -0, 1E2 ]\t',
+        '{"dup": 1, "dup": 2}',
+        '"text"',
+        "12",
+    ])
+    def test_rejects_other_json(self, text):
+        # valid JSON, but not a dendrogram
+        json.loads(text)
+        with pytest.raises(ValidationError):
+            Dendrogram.from_json(text)
+
+
+class TestFromJson:
+    @pytest.mark.parametrize("text", [
+        '{"left": {"left": 0, "level": 0.9, "right": 1}, "level": 0.8, "right": 2}',
+        '{"right": 2, "level": 0.8, "left": {"right": 1, "left": 0, "level": 0.9}}',
+        ' \n{\t"level" :0.8 ,"left":{"level":9e-1,"left":0,"right":1},\r\n"right": 2}\n ',
+    ])
+    def test_any_key_order_and_whitespace(self, text):
+        d = Dendrogram.from_json(text)
+        assert d == build_dendrogram(CHAIN_SIM)
+        assert d.to_json() == ('{"left": {"left": 0, "level": 0.9, "right": 1}, '
+                               '"level": 0.8, "right": 2}')
+
+    def test_right_subtree_first(self):
+        text = ('{"right": {"left": 2, "level": 0.9, "right": 3}, "level": 0.1, '
+                '"left": {"left": 0, "level": 0.8, "right": 1}}')
+        assert Dendrogram.from_json(text) == BALANCED
+
+    def test_special_levels(self):
+        text = ('{"left": {"left": 0, "level": NaN, "right": 1}, "level": -Infinity, '
+                '"right": {"left": 2, "level": Infinity, "right": 3}}')
+        d = Dendrogram.from_json(text)
+        assert np.isnan(d.level[0]) and d.level[1:] == (np.inf, -np.inf)
+        assert d.to_json() == text
+
+    def test_single_leaf(self):
+        assert Dendrogram.from_json(" 0\n") == Dendrogram((), (), ())
+
+    @pytest.mark.parametrize("text", [
+        '{"left": 0, "level": 0.5, "right": 1,}',  # trailing comma
+        '{"left" 0, "level": 0.5, "right": 1}',  # missing colon
+        '{"left": 0, "level": 0.5, "right": 1} 0',  # extra data
+        '{"left": 0, "level": 0.5, "right": 1}}',
+        '{"left": 0, "level": 0.5, "right": 1, "name": "x"}',  # unknown key
+        '{"left": 0, "level": 0.5, "left": 1}',  # duplicate key
+        '{"left": 0, "level": 0.5}',  # missing key
+        '{"left": 0.0, "level": 0.5, "right": 1}',  # non-int leaves
+        '{"left": -1, "level": 0.5, "right": 1}',
+        '{"left": "0", "level": 0.5, "right": 1}',
+        '{"left": true, "level": 0.5, "right": 1}',
+        '{"left": 1e0, "level": 0.5, "right": 0}',
+        '{"left": 0, "level": "0.5", "right": 1}',  # non-number level
+        '{"left": 0, "level": {"left": 0, "level": 1, "right": 1}, "right": 1}',
+        '{"left": 0, "level": nan, "right": 1}',
+        '{}',
+        "5",  # one leaf must be leaf 0
+        # leaves other than 0..n-1 once each, or a child that is not an earlier node
+        '{"left": 5, "level": 0.5, "right": 5}',
+        '{"left": 0, "level": 0.5, "right": 2}',  # leaf 2 of 2 would be the row itself
+        '{"left": {"left": 0, "level": 0.9, "right": 1}, "level": 0.5, "right": 3}',
+        '{"left": {"left": 0, "level": 0.9, "right": 3}, "level": 0.5, "right": 1}',
+        '{"left": {"left": 0, "level": 0.9, "right": 0}, "level": 0.5, "right": 1}',
+    ])
+    def test_rejects(self, text):
+        with pytest.raises(ValidationError):
+            Dendrogram.from_json(text)

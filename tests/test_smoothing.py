@@ -14,6 +14,7 @@ import hypothesis.strategies as st
 
 from graphtree import (
     SmoothingConfig,
+    ValidationError,
     bandwidth,
     column_distance_matrix,
     estimate_edge_probabilities,
@@ -30,8 +31,6 @@ from graphtree.smoothing import (
     _pairwise_chebyshev,
     _square_counts,
     deleted_square_entry,
-    modified_neighborhood_sizes,
-    original_neighborhood_sizes,
     quantile_rank,
 )
 from conftest import random_adjacency
@@ -72,20 +71,28 @@ class TestBandwidth:
         assert bandwidth(0.1, 100) == 0.1 * math.sqrt(math.log(100) / 100)
 
     def test_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             bandwidth(0.0, 100)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             bandwidth(0.1, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             bandwidth(50.0, 2)  # h lands over 1
 
     def test_config(self):
         cfg = SmoothingConfig(C=0.09, variant="original")
         assert cfg.bandwidth(115) == bandwidth(0.09, 115)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             SmoothingConfig(C=-1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
+            SmoothingConfig(C=float("nan"))
+        with pytest.raises(ValidationError):
             SmoothingConfig(variant="fancy")
+        with pytest.raises(ValidationError, match="needs >= 4 nodes, got 3"):
+            SmoothingConfig(C=0.5).bandwidth(3)
+        with pytest.raises(ValidationError, match="needs >= 3 nodes, got 2"):
+            SmoothingConfig(C=0.5, variant="original").bandwidth(2)
+        with pytest.raises(ValidationError, match="outside"):
+            SmoothingConfig(C=100.0).bandwidth(30)
 
 
 class TestQuantileRank:
@@ -262,7 +269,7 @@ class TestNeighborhoods:
         a = np.triu(rng.random((n, n)) < p, 1).astype(np.int8)
         a = a | a.T
         h = bandwidth(0.1, n)
-        sizes = modified_neighborhood_sizes(a, h)
+        _, sizes = estimate_modified(a, SmoothingConfig(C=0.1), return_sizes=True)
         s = _counts(a)
         buf = _chebyshev_buffer(n, s.dtype)
         rank = quantile_rank(h, n - 2)
@@ -369,7 +376,10 @@ class TestModifiedEstimator:
         cfg = SmoothingConfig(C=0.5)
         phat, sizes = estimate_modified(FIX8, cfg, return_sizes=True)
         assert np.array_equal(phat, estimate_modified(FIX8, cfg))
-        assert np.array_equal(sizes, modified_neighborhood_sizes(FIX8, cfg.bandwidth(8)))
+        h = cfg.bandwidth(8)
+        want = [[len(reference.pair_neighborhood(FIX8, i, j, h)) if i != j else 0
+                 for j in range(8)] for i in range(8)]
+        assert np.array_equal(sizes, want)
 
     def test_output_invariants(self):
         rng = np.random.default_rng(10)
@@ -389,7 +399,7 @@ class TestModifiedEstimator:
         assert np.array_equal(direct, routed)
 
     def test_size_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             estimate_modified(np.zeros((3, 3), dtype=np.int8), SmoothingConfig(C=0.5))
 
     def test_variant_guard(self):
@@ -397,7 +407,7 @@ class TestModifiedEstimator:
             estimate_modified(FIX8, SmoothingConfig(C=0.5, variant="original"))
 
     def test_neighborhood_sizes_diagnostic(self):
-        sizes = modified_neighborhood_sizes(FIX8, bandwidth(0.5, 8))
+        _, sizes = estimate_modified(FIX8, SmoothingConfig(C=0.5), return_sizes=True)
         assert sizes.shape == (8, 8)
         assert np.all(np.diag(sizes) == 0)
         off = sizes[~np.eye(8, dtype=bool)]
@@ -448,15 +458,18 @@ class TestOriginalEstimator:
         cfg = SmoothingConfig(C=0.5, variant="original")
         phat, sizes = estimate_edge_probabilities(FIX8, cfg, return_sizes=True)
         assert np.array_equal(phat, estimate_original(FIX8, cfg))
-        assert np.array_equal(sizes, original_neighborhood_sizes(FIX8, cfg.bandwidth(8)))
+        h = cfg.bandwidth(8)
+        want = [len(reference.node_neighborhood(FIX8, i, h)) for i in range(8)]
+        assert np.array_equal(sizes, want)
 
     def test_size_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             estimate_original(np.zeros((2, 2), dtype=np.int8),
                               SmoothingConfig(C=0.5, variant="original"))
 
     def test_sizes_diagnostic(self):
-        sizes = original_neighborhood_sizes(FIX8, bandwidth(0.5, 8))
+        cfg = SmoothingConfig(C=0.5, variant="original")
+        _, sizes = estimate_original(FIX8, cfg, return_sizes=True)
         assert sizes.shape == (8,)
         assert sizes.min() >= 1
 
