@@ -111,12 +111,11 @@ class ExperimentConfig:
             raise ValidationError("n_grid must be non-empty")
         if not self.seeds:
             raise ValidationError("seeds must be non-empty")
-        if self.C <= 0:
-            raise ValidationError("C must be positive")
-        if self.variant not in ("modified", "original"):
-            raise ValidationError(f"unknown variant {self.variant!r}")
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
+        smoothing = SmoothingConfig(self.C, self.variant)
+        for n in self.n_grid:
+            smoothing.bandwidth(n)  # every cell's n and h, before any file is written
         resolve_graphon(self.graphon)
 
     @classmethod

@@ -40,9 +40,12 @@ __all__ = [
     "estimation_errors",
 ]
 
-# chunk budget for the pairwise distance kernel, in count elements; a block
-# of 1 << 18 int16 values (512 KiB) stays in cache across its three passes
+# chunk budget for the pairwise gap kernels, in count elements; a block of
+# 1 << 18 int16 values (512 KiB) stays in cache across its passes
 _CHUNK_ELEMS = 1 << 18
+
+# budget for the modified estimator's (i, j, i') blocks and row scans
+_BLOCK_ELEMS = 1 << 16
 
 
 # fewest nodes each variant can rank: n - 2 candidates per pair, n - 1 per node
@@ -143,34 +146,22 @@ def deleted_square_entry(sq: np.ndarray, a: np.ndarray, j: int, i: int, k: int) 
     return (float(sq[i, k]) - float(a[i, j]) * float(a[j, k])) / n
 
 
-def _deleted_square_counts(s: np.ndarray, a: np.ndarray, j: int) -> np.ndarray:
-    """Raw counts of (d_j A)^2 for all (i, k) with i, k != j; column j is forced to 0.
-
-    s and a share one dtype. Row j is never meaningful and callers must not
-    read it.
-    """
-    r = s - np.outer(a[:, j], a[j])
-    r[:, j] = 0
-    return r
-
-
 def _chebyshev_buffer(n: int, dtype) -> np.ndarray:
-    """Work space for _pairwise_chebyshev: whole rows, at most n of them."""
+    """Work space for the pairwise gap kernels: whole rows, at most n of them."""
     rows = min(n, max(1, _CHUNK_ELEMS // (n * n)))
     return np.empty(rows * n * n, dtype=dtype)
 
 
-def _pairwise_chebyshev(x: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """out[i, i2] = max over k not in {i, i2} of |x[i, k] - x[i2, k]|; zero diagonal.
+def _gap_blocks(x: np.ndarray, buf: np.ndarray):
+    """Yield (lo, hi, t): t[b, m, k] = |x[lo + b, k] - x[lo + m, k]|, 0 at k in {lo + b, lo + m}.
 
     The excluded columns are neutralized by zeroing their differences, which
     is safe because every candidate difference is nonnegative. Blocks of rows
-    i are compared only with rows i2 from the block start on, and the rest of
-    the result is mirrored, so about half the pairs are computed. x is an
-    integer matrix; buf comes from _chebyshev_buffer and is reused across calls.
+    i are compared only with rows i2 from the block start on, so callers
+    mirror the rest and compute about half the pairs. x is an integer matrix;
+    t lives in buf, which comes from _chebyshev_buffer and is reused.
     """
     n = x.shape[0]
-    out = np.empty((n, n), dtype=x.dtype)
     idx = np.arange(n)
     rows = buf.size // (n * n)
     for lo in range(0, n, rows):
@@ -181,23 +172,52 @@ def _pairwise_chebyshev(x: np.ndarray, buf: np.ndarray) -> np.ndarray:
         np.abs(t, out=t)
         t[idx[:b], :, idx[lo:hi]] = 0  # k == i
         t[:, idx[:m], idx[lo:]] = 0  # k == i2
+        yield lo, hi, t
+
+
+def _pairwise_chebyshev(x: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """out[i, i2] = max over k not in {i, i2} of |x[i, k] - x[i2, k]|; zero diagonal."""
+    n = x.shape[0]
+    out = np.empty((n, n), dtype=x.dtype)
+    for lo, hi, t in _gap_blocks(x, buf):
         t.max(axis=2, out=out[lo:hi, lo:])
         out[hi:, lo:hi] = out[lo:hi, hi:].T
     return out
 
 
-def _within_rank(d: np.ndarray, rank: int, col: int | None = None) -> np.ndarray:
+def _pairwise_top2(x: np.ndarray, buf: np.ndarray):
+    """(d1, g, d2) of the gaps |x[i, k] - x[i2, k]| over k not in {i, i2}.
+
+    d1[i, i2] is the largest gap and g[i, i2] its first argmax; d2[i, i2] is
+    the largest gap with k = g left out, so d2 < d1 exactly when the argmax is
+    unique. All three are symmetric and share x's dtype, which holds +-n.
+    """
+    n = x.shape[0]
+    d1, g, d2 = (np.empty((n, n), dtype=x.dtype) for _ in range(3))
+    for lo, hi, t in _gap_blocks(x, buf):
+        bi, mi = np.ogrid[: t.shape[0], : t.shape[1]]
+        top = t.argmax(axis=2)
+        g[lo:hi, lo:] = top
+        d1[lo:hi, lo:] = t[bi, mi, top]
+        t[bi, mi, top] = 0
+        t.max(axis=2, out=d2[lo:hi, lo:])
+        for out in (d1, g, d2):
+            out[hi:, lo:hi] = out[lo:hi, hi:].T
+    return d1, g, d2
+
+
+def _within_rank(d: np.ndarray, rank: int) -> np.ndarray:
     """Flags d[i, i2] within the rank-th smallest of row i, ties included.
 
-    The diagonal, and column col when given, are never candidates. d is
-    overwritten there.
+    The diagonal is never a candidate; d is overwritten there.
     """
-    big = np.iinfo(d.dtype).max
-    np.fill_diagonal(d, big)
-    if col is not None:
-        d[:, col] = big
-    q = np.partition(d, rank - 1, axis=1)[:, rank - 1]
-    return d <= q[:, None]
+    np.fill_diagonal(d, np.iinfo(d.dtype).max)
+    return d <= _kth_smallest(d, rank)[:, None]
+
+
+def _kth_smallest(x: np.ndarray, rank: int) -> np.ndarray:
+    """The rank-th smallest value along the last axis."""
+    return np.partition(x, rank - 1, axis=-1)[..., rank - 1]
 
 
 def estimate_modified(a: np.ndarray, config: SmoothingConfig, *, return_sizes: bool = False):
@@ -214,31 +234,133 @@ def estimate_modified(a: np.ndarray, config: SmoothingConfig, *, return_sizes: b
         raise ValueError(f"config variant is {config.variant!r}, not 'modified'")
     n = a.shape[0]
     h = config.bandwidth(n)
-    af = a.astype(np.float64)
-    s = _counts(a)
-    ai = a.astype(s.dtype)
-    buf = _chebyshev_buffer(n, s.dtype)
-    r = quantile_rank(h, n - 2)
-    f = np.empty((n, n))
-    sizes = np.empty((n, n), dtype=int)
-    for j in range(n):
-        nbrs = _pair_neighborhoods(s, ai, j, r, buf)
-        sizes[:, j] = nbrs.sum(axis=1)
-        f[:, j] = (nbrs @ af[:, j]) / sizes[:, j]
+    sizes, hits = _pair_neighborhoods(_counts(a), a, quantile_rank(h, n - 2))
+    f = hits / sizes
     phat = 0.5 * (f + f.T)
     np.fill_diagonal(phat, 0.0)
     np.fill_diagonal(sizes, 0)
     return (phat, sizes) if return_sizes else phat
 
 
-def _pair_neighborhoods(s: np.ndarray, ai: np.ndarray, j: int, rank: int, buf: np.ndarray):
-    """Boolean neighborhood rows for every ordered pair (i, j) at fixed j.
+def _pair_neighborhoods(s: np.ndarray, a: np.ndarray, rank: int):
+    """(sizes, hits) of N(i, j) for every ordered pair, in one exact pass.
 
-    Row i flags the candidates i' with d_j(i, i') within the rank-th smallest.
-    Rows i == j are meaningless; the diagonal and column j are never flagged.
+    sizes[i, j] = |N(i, j)| and hits[i, j] counts its members i' with
+    A[i', j] = 1; entries i == j are meaningless. s = A @ A in the count dtype.
+
+    For the pair (i, i2), B = S[i] - S[i2] has top gap D1 at the unique or
+    first argmax g and second gap D2 (_pairwise_top2). Deleting j changes
+    term k of B by (A[i, j] - A[i2, j]) * A[j, k] and drops term j, so with
+    M = D2 if D2 < D1 and j == g, else D1, d_j(i, i2) is M exactly when
+    A[i, j] == A[i2, j] and lies in [M - 1, M + 1] otherwise. Per (i, j), the
+    rank-th smallest upper bound caps the threshold; only entries whose
+    interval straddles that cap need their exact gap (_exact_gaps), and every
+    other entry keeps M, which leaves both the threshold and membership as
+    they are. One partition then ranks the block, ties included.
     """
-    d = _pairwise_chebyshev(_deleted_square_counts(s, ai, j), buf)
-    return _within_rank(d, rank, col=j)
+    n = s.shape[0]
+    ai = a.astype(s.dtype)
+    ab = a.astype(bool)
+    big = np.iinfo(s.dtype).max
+    top = _pairwise_top2(s, _chebyshev_buffer(n, s.dtype))
+    sizes = np.empty((n, n), dtype=int)
+    hits = np.empty((n, n), dtype=int)
+    for lo, hi, cand in _candidate_blocks(top, rank):
+        # entries are laid out [i - lo, j, c] for the candidate i' = cand[i - lo, c]
+        b, w = cand.shape
+        rows, cols = np.ogrid[:b, :w]
+        into_j = ab[:, cand].transpose(1, 0, 2)  # A[i', j] = A[j, i']
+        delta = ai[lo:hi, :, None] - into_j
+        m = _bound_centers(top, lo + rows, cand, n)
+        pb, pc = np.nonzero(cand == lo + rows)
+        for x, v in ((m, big), (delta, 0)):
+            x[pb, :, pc] = v  # padding: i' == i
+            x[rows, cand, cols] = v  # i' == j
+            x[rows, lo + rows] = v  # j == i, never read
+        off = delta != 0
+        cap = _kth_smallest(m + off, rank)
+        need = np.flatnonzero(off & (m - off <= cap[..., None]))
+        if need.size:
+            bi, jk = np.divmod(need, n * w)
+            j, c = np.divmod(jk, w)
+            m.reshape(-1)[need] = _exact_gaps(s, ai, top, lo + bi, cand[bi, c], j)
+        nbrs = m <= _kth_smallest(m, rank)[..., None]
+        sizes[lo:hi] = nbrs.view(np.int8).sum(axis=2, dtype=s.dtype)
+        nbrs &= into_j
+        hits[lo:hi] = nbrs.view(np.int8).sum(axis=2, dtype=s.dtype)
+    return sizes, hits
+
+
+def _candidate_blocks(top, rank: int):
+    """Yield (lo, hi, cand): rows i in [lo, hi) and the candidates i' each must rank.
+
+    For every j, d_j(i, i') >= D2 - 1, and the rank-th smallest upper bound
+    of row i is at most t + 1, with t the (rank+1)-th smallest D1 of the row
+    (dropping i' == j removes at most one value). So i' with D2 > t + 2 never
+    ranks for any j and is left out. Rows are padded to a common width with i
+    itself; a block holds at most _BLOCK_ELEMS (i, j, i') entries unless one
+    row alone is larger.
+    """
+    d1, _, d2 = top
+    n = d1.shape[0]
+    e = d1.copy()
+    np.fill_diagonal(e, np.iinfo(e.dtype).max)
+    keep = d2 <= (_kth_smallest(e, rank + 1) + 2)[:, None]
+    np.fill_diagonal(keep, False)
+    width = keep.sum(axis=1)
+    lo = 0
+    while lo < n:
+        hi, w = lo + 1, width[lo]
+        while hi < n and (hi + 1 - lo) * n * max(w, width[hi]) <= _BLOCK_ELEMS:
+            w = max(w, width[hi])
+            hi += 1
+        r, c = np.nonzero(keep[lo:hi])
+        cand = np.repeat(np.arange(lo, hi)[:, None], w, axis=1)
+        cand[r, np.arange(r.size) - (np.cumsum(width[lo:hi]) - width[lo:hi])[r]] = c
+        yield lo, hi, cand
+        lo = hi
+
+
+def _bound_centers(top, i: np.ndarray, cand: np.ndarray, n: int) -> np.ndarray:
+    """M for every (i, j, i' = cand): D2 where j is the unique argmax, D1 elsewhere."""
+    d1, g, d2 = (x[i, cand] for x in top)
+    m = np.repeat(d1[:, None, :], n, axis=1)
+    ub, uc = np.nonzero(d2 < d1)
+    m[ub, g[ub, uc], uc] = d2[ub, uc]
+    return m
+
+
+def _exact_gaps(s: np.ndarray, ai: np.ndarray, top, i, i2, j) -> np.ndarray:
+    """n * d_j(i, i2) for arrays of pairwise distinct (i, i2, j).
+
+    A unique argmax g != j settles the gap in O(1): the term at g becomes v,
+    one of D1 + 1, D1 and D1 - 1, and every other term is at most D2 + 1 <= D1.
+    So the gap is v when v >= D1, or when D2 <= D1 - 2. Every other entry,
+    including D2 == D1 - 1 with v == D1 - 1, is settled by a row scan.
+    """
+    d1, g, d2 = (x[i, i2] for x in top)
+    g = g.astype(np.intp)
+    delta = ai[i, j] - ai[i2, j]
+    v = np.abs(s[i, g] - s[i2, g] - delta * ai[j, g])
+    scan = np.flatnonzero((d2 == d1) | (g == j) | ((v < d1) & (d2 > d1 - 2)))
+    v[scan] = _scan_gaps(s, ai, i[scan], i2[scan], j[scan], delta[scan])
+    return v
+
+
+def _scan_gaps(s: np.ndarray, ai: np.ndarray, i, i2, j, delta) -> np.ndarray:
+    """max over k not in {i, i2, j} of |S[i, k] - S[i2, k] - delta * A[j, k]|, in chunks."""
+    out = np.empty(i.size, dtype=s.dtype)
+    step = max(1, _BLOCK_ELEMS // s.shape[0])
+    for lo in range(0, i.size, step):
+        sl = slice(lo, lo + step)
+        t = s[i[sl]] - s[i2[sl]]
+        t -= delta[sl, None] * ai[j[sl]]
+        np.abs(t, out=t)
+        rows = np.arange(t.shape[0])
+        for k in (i, i2, j):
+            t[rows, k[sl]] = 0
+        t.max(axis=1, out=out[sl])
+    return out
 
 
 def estimate_original(a: np.ndarray, config: SmoothingConfig, *, return_sizes: bool = False):

@@ -2,8 +2,9 @@
 
 Everything here favors obviousness over speed: explicit loops, explicit
 row/column zeroing, full sorts, exhaustive path enumeration. The fast package
-code is gated against these; apart from the per-entry views at the end of
-the file, nothing here imports the modules it checks.
+code is gated against these; apart from the dense modified pass and the
+per-entry views at the end of the file, nothing here imports the modules it
+checks.
 """
 
 import itertools
@@ -11,7 +12,14 @@ import math
 
 import numpy as np
 
-from graphtree.smoothing import _deleted_square_counts, _square_counts, quantile_rank
+from graphtree.smoothing import (
+    _chebyshev_buffer,
+    _counts,
+    _pairwise_chebyshev,
+    _square_counts,
+    _within_rank,
+    quantile_rank,
+)
 
 
 def maxmin_simple_paths(sim, i, j):
@@ -228,8 +236,55 @@ def components_at_level(sim, lam):
     return sorted(clusters)
 
 
-# Per-entry views of the package's count kernels (_square_counts and
-# _deleted_square_counts), one pair at a time: tests check them against
+# The dense modified pass: every d_j for all pairs at once through the
+# package's Chebyshev kernel, one j at a time, n^4 / 2 count differences in
+# all. The package's bound-then-verify pass must match it bit for bit.
+
+
+def deleted_square_counts(s, a, j):
+    """Raw counts of (d_j A)^2 for all (i, k) with i, k != j; column j is forced to 0.
+
+    s and a share one dtype. Row j is never meaningful and callers must not
+    read it.
+    """
+    r = s - np.outer(a[:, j], a[j])
+    r[:, j] = 0
+    return r
+
+
+def dense_pair_neighborhoods(s, ai, j, rank, buf):
+    """Boolean neighborhood rows for every ordered pair (i, j) at fixed j.
+
+    Row i flags the candidates i' with d_j(i, i') within the rank-th smallest.
+    Rows i == j are meaningless; the diagonal and column j are never flagged.
+    """
+    d = _pairwise_chebyshev(deleted_square_counts(s, ai, j), buf)
+    d[:, j] = np.iinfo(d.dtype).max
+    return _within_rank(d, rank)
+
+
+def dense_modified_estimate(A, h):
+    """(P_hat, sizes) of the modified estimator from the dense per-j pass."""
+    n = A.shape[0]
+    s = _counts(A)
+    ai = A.astype(s.dtype)
+    af = A.astype(np.float64)
+    buf = _chebyshev_buffer(n, s.dtype)
+    r = quantile_rank(h, n - 2)
+    f = np.empty((n, n))
+    sizes = np.empty((n, n), dtype=int)
+    for j in range(n):
+        nbrs = dense_pair_neighborhoods(s, ai, j, r, buf)
+        sizes[:, j] = nbrs.sum(axis=1)
+        f[:, j] = (nbrs @ af[:, j]) / sizes[:, j]
+    phat = 0.5 * (f + f.T)
+    np.fill_diagonal(phat, 0.0)
+    np.fill_diagonal(sizes, 0)
+    return phat, sizes
+
+
+# Per-entry views of the count kernels (_square_counts and
+# deleted_square_counts), one pair at a time: tests check them against
 # pair_distance and pair_neighborhood above.
 
 
@@ -237,7 +292,7 @@ def _pair_gaps(a, i, j, sq):
     """Integer gaps d_j(i, i2) * n for every i2, one at a time; entries i and j are 0."""
     n = a.shape[0]
     s = (_square_counts(a) if sq is None else sq).astype(np.int64)
-    r = _deleted_square_counts(s, a.astype(np.int64), j)
+    r = deleted_square_counts(s, a.astype(np.int64), j)
     gaps = np.zeros(n, dtype=np.int64)
     for i2 in range(n):
         if i2 not in (i, j):

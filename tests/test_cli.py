@@ -271,6 +271,21 @@ class TestExperiment:
         assert res.exit_code == 2
         assert "missing config keys" in res.stderr
 
+    def test_bad_grid_leaves_records_untouched(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "graphon": "three-group", "n_grid": [8, 3], "seeds": [1], "C": 0.5,
+        }))
+        out = tmp_path / "out"
+        out.mkdir()
+        before = b"n,seed,merge_distortion,max_norm_error,mse,wall_time_ms\n8,1,0.5,0.5,0.1,3\n"
+        (out / "records.csv").write_bytes(before)
+        res = runner.invoke(main, ["experiment", "synthetic", "--config", str(cfg),
+                                   "--out-dir", str(out)])
+        assert res.exit_code == 2
+        assert "needs >= 4 nodes, got 3" in res.stderr
+        assert (out / "records.csv").read_bytes() == before
+
     def test_unparsable_config(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{broken")

@@ -102,6 +102,19 @@ class TestExperimentConfig:
         with pytest.raises(ValidationError):
             ExperimentConfig.from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "kw, match",
+        [
+            ({"C": float("nan")}, "C must be positive"),
+            ({"n_grid": (16, 3)}, "needs >= 4 nodes"),
+            ({"C": 50.0, "n_grid": (16,)}, "outside \\(0, 1\\)"),
+        ],
+        ids=["nan-C", "n-below-minimum", "h-over-one"],
+    )
+    def test_rejected_on_construction(self, kw, match):
+        with pytest.raises(ValidationError, match=match):
+            ExperimentConfig(**{"graphon": "three-group", "n_grid": (8,), "seeds": (1,), **kw})
+
     def test_header_matches_record_fields(self):
         assert RECORD_HEADER.split(",") == [f.name for f in dataclasses.fields(RunRecord)]
 
@@ -271,7 +284,7 @@ class TestDatasetClustering:
         with caplog.at_level("INFO", logger="graphtree"):
             run_dataset_clustering(p, c=0.5, variant=variant, out_dir=str(tmp_path / "out"))
         if variant == "modified":
-            assert calls == ["_pair_neighborhoods"] * 11  # one pass, one call per j
+            assert calls == ["_pair_neighborhoods"]  # one pass over every ordered pair
         else:
             assert calls == ["_node_neighborhoods"]
         config = smoothing.SmoothingConfig(C=0.5, variant=variant)

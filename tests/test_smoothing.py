@@ -26,13 +26,17 @@ from graphtree.smoothing import (
     _chebyshev_buffer,
     _count_dtype,
     _counts,
-    _deleted_square_counts,
+    _exact_gaps,
     _pair_neighborhoods,
     _pairwise_chebyshev,
+    _pairwise_top2,
     _square_counts,
     deleted_square_entry,
     quantile_rank,
 )
+import graphtree.smoothing as smoothing
+from graphtree.experiments import three_group_graphon
+from graphtree.sampling import edge_probabilities, sample_graph, sample_latents
 from conftest import random_adjacency
 import reference
 from reference import neighborhood_of_pair, pair_distance_dj
@@ -136,7 +140,7 @@ class TestDeletedSquare:
         s = _counts(a)
         sq = _square_counts(a)
         for j in range(9):
-            r = _deleted_square_counts(s, a.astype(s.dtype), j)
+            r = reference.deleted_square_counts(s, a.astype(s.dtype), j)
             assert r.dtype == np.int16
             assert np.all(r[:, j] == 0)
             keep = np.arange(9) != j
@@ -251,7 +255,7 @@ class TestNeighborhoods:
         h = 0.3
         rank = quantile_rank(h, 9 - 2)
         for j in range(9):
-            nbrs = _pair_neighborhoods(s, a.astype(s.dtype), j, rank, buf)
+            nbrs = reference.dense_pair_neighborhoods(s, a.astype(s.dtype), j, rank, buf)
             for i in range(9):
                 if i == j:
                     continue
@@ -275,7 +279,7 @@ class TestNeighborhoods:
         rank = quantile_rank(h, n - 2)
         for _ in range(12):
             i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
-            nbrs = _pair_neighborhoods(s, a.astype(s.dtype), j, rank, buf)
+            nbrs = reference.dense_pair_neighborhoods(s, a.astype(s.dtype), j, rank, buf)
             want = reference.pair_neighborhood(a, i, j, h)
             assert list(neighborhood_of_pair(a, i, j, h)) == want
             assert list(np.flatnonzero(nbrs[i])) == want
@@ -412,6 +416,173 @@ class TestModifiedEstimator:
         assert np.all(np.diag(sizes) == 0)
         off = sizes[~np.eye(8, dtype=bool)]
         assert off.min() >= 1 and off.max() <= 6
+
+
+@st.composite
+def tie_heavy_graphs(draw):
+    """Graphs whose count gaps tie a lot: empty, complete, stars, cliques, 0/1 blocks."""
+    n = draw(st.integers(4, 40))
+    kind = draw(st.sampled_from(["empty", "complete", "star", "cliques", "blocks"]))
+    if kind == "empty":
+        a = np.zeros((n, n), dtype=np.int8)
+    elif kind == "complete":
+        a = np.ones((n, n), dtype=np.int8)
+    elif kind == "star":
+        a = np.zeros((n, n), dtype=np.int8)
+        centre = draw(st.integers(0, n - 1))
+        a[centre, :] = a[:, centre] = 1
+    else:
+        k = draw(st.integers(1, 4))
+        labels = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+        if kind == "cliques":
+            v = np.eye(k, dtype=np.int8)
+        else:
+            v = np.array(draw(st.lists(st.integers(0, 1), min_size=k * k, max_size=k * k)),
+                         dtype=np.int8).reshape(k, k)
+            v = np.triu(v) | np.triu(v, 1).T
+        a = v[np.ix_(labels, labels)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for i, j in draw(st.lists(pairs, max_size=3)):
+        a[i, j] = a[j, i] = 1 - a[i, j]
+    np.fill_diagonal(a, 0)
+    return a
+
+
+def _planted_partition(n, seed):
+    rng = np.random.default_rng(seed)
+    groups = rng.integers(0, 4, size=n)
+    p = np.where(groups[:, None] == groups[None, :], 0.6, 0.15)
+    np.fill_diagonal(p, 0.0)
+    return sample_graph(p, seed)
+
+
+def _three_group(n, seed):
+    latents = sample_latents(n, seed)
+    return sample_graph(edge_probabilities(three_group_graphon(), latents), seed + 1)
+
+
+class TestBoundThenVerify:
+    """The pruned modified pass against the dense per-j pass and the loop oracle."""
+
+    @pytest.mark.parametrize("n", [97, 115, 128, 200, 256])
+    @pytest.mark.parametrize("graph", [_three_group, _planted_partition])
+    def test_matches_dense_pass_bitwise(self, n, graph):
+        a = graph(n, 20 + n)
+        cfg = SmoothingConfig(C=0.1)
+        phat, sizes = estimate_modified(a, cfg, return_sizes=True)
+        want_phat, want_sizes = reference.dense_modified_estimate(a, cfg.bandwidth(n))
+        assert phat.tobytes() == want_phat.tobytes()
+        assert np.array_equal(sizes, want_sizes)
+
+    @given(tie_heavy_graphs(), st.sampled_from([0.1, 0.5, 1.0]))
+    @settings(max_examples=20)
+    def test_tie_heavy_graphs_match_reference(self, a, c):
+        h = bandwidth(c, a.shape[0])
+        assert np.array_equal(estimate_modified(a, SmoothingConfig(C=c)),
+                              reference.modified_estimate(a, h))
+
+    def test_top2_matches_loops(self):
+        rng = np.random.default_rng(16)
+        n = 9
+        x = rng.integers(0, 4, size=(n, n)).astype(np.int16)
+        for rows in (1, 4, 9):
+            d1, g, d2 = _pairwise_top2(x, np.empty(rows * n * n, dtype=np.int16))
+            for i in range(n):
+                for i2 in range(n):
+                    ks = [k for k in range(n) if k not in (i, i2)]
+                    gaps = [abs(int(x[i, k]) - int(x[i2, k])) for k in ks]
+                    assert d1[i, i2] == max(gaps, default=0)
+                    if d1[i, i2] > 0:
+                        assert g[i, i2] == ks[gaps.index(d1[i, i2])]
+                        rest = [gap for k, gap in zip(ks, gaps) if k != g[i, i2]]
+                        assert d2[i, i2] == max(rest, default=0)
+                    else:
+                        assert d2[i, i2] == 0
+
+    @staticmethod
+    def _entries(branch, monkeypatch):
+        """Every (i, i2, j) of small seeded graphs where branch holds, checked with the scan spied.
+
+        branch(d1, g, d2, v, delta, j) is evaluated on all triples at once,
+        where v is the argmax term |B[g] - delta * A[j, g]|. Returns the
+        number of matching entries and how many _exact_gaps sent to the scan.
+        """
+        scanned = []
+        scan = smoothing._scan_gaps
+
+        def spy(s, ai, i, *rest):
+            scanned.append(i.size)
+            return scan(s, ai, i, *rest)
+
+        monkeypatch.setattr(smoothing, "_scan_gaps", spy)
+        found = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n = 8
+            a = random_adjacency(rng, n, p=float(rng.uniform(0.2, 0.8)))
+            s = _counts(a)
+            ai = a.astype(s.dtype)
+            top = _pairwise_top2(s, _chebyshev_buffer(n, s.dtype))
+            i, i2, j = (t.ravel() for t in np.meshgrid(*[np.arange(n)] * 3, indexing="ij"))
+            ok = (i != i2) & (i != j) & (i2 != j)
+            i, i2, j = i[ok], i2[ok], j[ok]
+            d1, g, d2 = (t[i, i2].astype(int) for t in top)
+            delta = ai[i, j].astype(int) - ai[i2, j]
+            v = np.abs(s[i, g].astype(int) - s[i2, g] - delta * ai[j, g])
+            sel = np.flatnonzero(branch(d1, g, d2, v, delta, j))
+            if not sel.size:
+                continue
+            found += sel.size
+            got = _exact_gaps(s, ai, top, i[sel], i2[sel], j[sel])
+            want = [reference.pair_gap(a, *map(int, e)) for e in zip(i[sel], i2[sel], j[sel])]
+            assert got.tolist() == want
+        return found, sum(scanned)
+
+    def test_unique_argmax_is_deleted_column(self, monkeypatch):
+        # j == g: M = D2, exact when A[i, j] == A[i2, j], within one otherwise
+        for same in (True, False):
+            found, scanned = self._entries(
+                lambda d1, g, d2, v, delta, j: (d2 < d1) & (g == j) & ((delta == 0) == same),
+                monkeypatch)
+            assert found and scanned == found
+        rng = np.random.default_rng(4)
+        a = random_adjacency(rng, 8)
+        s = _counts(a)
+        top = d1, g, d2 = _pairwise_top2(s, _chebyshev_buffer(8, s.dtype))
+        m = smoothing._bound_centers(top, np.arange(8)[:, None], np.tile(np.arange(8), (8, 1)), 8)
+        for i in range(8):
+            for i2 in range(8):
+                for j in range(8):
+                    if len({i, i2, j}) < 3:
+                        continue
+                    centre = d2[i, i2] if d2[i, i2] < d1[i, i2] and g[i, i2] == j else d1[i, i2]
+                    assert m[i, j, i2] == centre
+                    gap = reference.pair_gap(a, i, i2, j)
+                    if a[i, j] == a[i2, j]:
+                        assert gap == centre
+                    else:
+                        assert centre - 1 <= gap <= centre + 1
+
+    @pytest.mark.parametrize("step", [1, 0, -1])
+    def test_unique_argmax_settles_in_constant_time(self, monkeypatch, step):
+        # v is M + 1, M or M - 1 (the last only with D2 <= M - 2): no scan
+        found, scanned = self._entries(
+            lambda d1, g, d2, v, delta, j: (d2 < d1) & (g != j) & (v == d1 + step)
+            & ((step >= 0) | (d2 <= d1 - 2)),
+            monkeypatch)
+        assert found and scanned == 0
+
+    def test_second_gap_one_below_falls_through_to_scan(self, monkeypatch):
+        found, scanned = self._entries(
+            lambda d1, g, d2, v, delta, j: (d2 == d1 - 1) & (g != j) & (v == d1 - 1),
+            monkeypatch)
+        assert found and scanned == found
+
+    def test_identical_rows_are_scanned(self, monkeypatch):
+        # D1 = 0: no unique argmax; the gap is 1 exactly when A[i, j] != A[i2, j]
+        # and j has a neighbour outside {i, i2}
+        found, scanned = self._entries(lambda d1, g, d2, v, delta, j: d1 == 0, monkeypatch)
+        assert found and scanned == found
 
 
 class TestOriginalEstimator:
