@@ -5,16 +5,33 @@ The modified variant builds one neighborhood per ordered pair (i, j), with
 row and column j of A deleted before squaring, so the entries averaged for
 P_hat[i][j] are independent of everything involving node j.
 
-Both variants rank candidates with one exact integer Chebyshev kernel. With
-S = A @ A held as raw common-neighbour counts, the distance between rows i
-and i' is the largest |S[i,k] - S[i',k]| over k not in {i, i'}. Deleting
-row/column j never materializes a zeroed copy: entry (i, k) of (d_j A)^2 is
+Both variants rank candidates on exact integer Chebyshev gaps. With S = A @ A
+held as raw common-neighbour counts, the distance between rows i and i' is
+the largest |S[i,k] - S[i',k]| over k not in {i, i'}. Deleting row/column j
+never materializes a zeroed copy: entry (i, k) of (d_j A)^2 is
 S[i,k] - A[i,j] * A[j,k], and column j drops out of the maximum. The tie
 rule is "ties on integer count gaps": ranking and the "ties included"
 threshold use these exact integers, at every n. The 1/n of the paper's A^2/n
 scale is applied only where a value is reported (deleted_square_entry).
 Neighborhoods are thus the exact distance quantiles of Zhang, Levina & Zhu
 (Biometrika 2017).
+
+The modified variant does not compute every d_j(i, i'). One pass over the
+pairs (i, i') finds the top gap D1 of S[i] - S[i'], its argmax g and the
+second gap D2. Deleting j moves each term by at most one, so d_j(i, i') is
+exactly M (D2 when g is the unique argmax and j == g, else D1) wherever
+A[i,j] == A[i',j], and lies in [M - 1, M + 1] elsewhere. Per (i, j), the
+rank-th smallest upper bound caps the threshold; candidates whose lower
+bound stays above it for every j are dropped up front, and an exact gap is
+computed only where A[i,j] != A[i',j] and the lower bound is at or below the
+cap. The unique argmax settles such an entry in O(1) when j != g and the
+term at g decides the maximum; a scan over k settles the rest. This is the
+bound-then-verify nearest-neighbour search of Fukunaga & Narendra (1975).
+The result, tie rule included, is bit for bit that of the dense pass over
+all (i, j, i'). On the three-group graphon 3.8% of the entries need an
+exact gap at n=128 and 1.0% at n=1024, and the O(1) rule settles a third to
+a half of those; a graph whose bounds all straddle the cap still costs
+O(n^4).
 """
 
 from __future__ import annotations
@@ -271,7 +288,7 @@ def _pair_neighborhoods(s: np.ndarray, a: np.ndarray, rank: int):
         rows, cols = np.ogrid[:b, :w]
         into_j = ab[:, cand].transpose(1, 0, 2)  # A[i', j] = A[j, i']
         delta = ai[lo:hi, :, None] - into_j
-        m = _bound_centers(top, lo + rows, cand, n)
+        m = _bound_centers(top, lo + rows, cand)
         pb, pc = np.nonzero(cand == lo + rows)
         for x, v in ((m, big), (delta, 0)):
             x[pb, :, pc] = v  # padding: i' == i
@@ -321,10 +338,10 @@ def _candidate_blocks(top, rank: int):
         lo = hi
 
 
-def _bound_centers(top, i: np.ndarray, cand: np.ndarray, n: int) -> np.ndarray:
+def _bound_centers(top, i: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """M for every (i, j, i' = cand): D2 where j is the unique argmax, D1 elsewhere."""
     d1, g, d2 = (x[i, cand] for x in top)
-    m = np.repeat(d1[:, None, :], n, axis=1)
+    m = np.repeat(d1[:, None, :], top[0].shape[0], axis=1)
     ub, uc = np.nonzero(d2 < d1)
     m[ub, g[ub, uc], uc] = d2[ub, uc]
     return m
@@ -339,7 +356,6 @@ def _exact_gaps(s: np.ndarray, ai: np.ndarray, top, i, i2, j) -> np.ndarray:
     including D2 == D1 - 1 with v == D1 - 1, is settled by a row scan.
     """
     d1, g, d2 = (x[i, i2] for x in top)
-    g = g.astype(np.intp)
     delta = ai[i, j] - ai[i2, j]
     v = np.abs(s[i, g] - s[i2, g] - delta * ai[j, g])
     scan = np.flatnonzero((d2 == d1) | (g == j) | ((v < d1) & (d2 > d1 - 2)))

@@ -549,7 +549,7 @@ class TestBoundThenVerify:
         a = random_adjacency(rng, 8)
         s = _counts(a)
         top = d1, g, d2 = _pairwise_top2(s, _chebyshev_buffer(8, s.dtype))
-        m = smoothing._bound_centers(top, np.arange(8)[:, None], np.tile(np.arange(8), (8, 1)), 8)
+        m = smoothing._bound_centers(top, np.arange(8)[:, None], np.tile(np.arange(8), (8, 1)))
         for i in range(8):
             for i2 in range(8):
                 for j in range(8):
