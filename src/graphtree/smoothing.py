@@ -270,10 +270,11 @@ def _pair_neighborhoods(s: np.ndarray, a: np.ndarray, rank: int):
     term k of B by (A[i, j] - A[i2, j]) * A[j, k] and drops term j, so with
     M = D2 if D2 < D1 and j == g, else D1, d_j(i, i2) is M exactly when
     A[i, j] == A[i2, j] and lies in [M - 1, M + 1] otherwise. Per (i, j), the
-    rank-th smallest upper bound caps the threshold; only entries whose
-    interval straddles that cap need their exact gap (_exact_gaps), and every
-    other entry keeps M, which leaves both the threshold and membership as
-    they are. One partition then ranks the block, ties included.
+    rank-th smallest upper bound caps the threshold; only entries whose A
+    values differ and whose lower bound is at or below that cap need their
+    exact gap (_exact_gaps). Every other entry keeps M, which is either exact
+    or above the cap, so the threshold and membership stay as they are. One
+    partition then ranks the block, ties included.
     """
     n = s.shape[0]
     ai = a.astype(s.dtype)
