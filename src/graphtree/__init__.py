@@ -12,7 +12,6 @@ from .experiments import (
     ExperimentConfig,
     RECORD_HEADER,
     RunRecord,
-    group_of_thirds,
     load_graph_file,
     resolve_graphon,
     run_dataset_clustering,
@@ -41,10 +40,7 @@ from .graphon import (
 )
 from .linkage import (
     Dendrogram,
-    build_dendrogram,
-    clusters_at_level,
     dendrogram_merge_matrix,
-    merge_estimate,
     single_linkage,
 )
 from .mergeon import (
@@ -52,9 +48,7 @@ from .mergeon import (
     ClusterTree,
     cluster_tree_of,
     discretization_oracle,
-    induced_merge_height,
     merge_distortion,
-    mergeon_eval,
     mergeon_eval_matrix,
     step_mergeon,
 )
@@ -69,7 +63,6 @@ from .sampling import (
 )
 from .smoothing import (
     SmoothingConfig,
-    bandwidth,
     column_distance_matrix,
     estimate_edge_probabilities,
     estimate_modified,
@@ -93,9 +86,7 @@ __all__ = [
     "step_mergeon",
     "discretization_oracle",
     "cluster_tree_of",
-    "mergeon_eval",
     "mergeon_eval_matrix",
-    "induced_merge_height",
     "merge_distortion",
     "LatentSample",
     "derive_seed",
@@ -105,7 +96,6 @@ __all__ = [
     "exact_graph_probability",
     "rho_dense_check",
     "SmoothingConfig",
-    "bandwidth",
     "estimate_modified",
     "estimate_original",
     "estimate_edge_probabilities",
@@ -113,9 +103,6 @@ __all__ = [
     "estimation_errors",
     "Dendrogram",
     "single_linkage",
-    "merge_estimate",
-    "build_dendrogram",
-    "clusters_at_level",
     "dendrogram_merge_matrix",
     "GmlGraph",
     "load_edge_list",
@@ -135,6 +122,5 @@ __all__ = [
     "run_synthetic_experiment",
     "run_dataset_clustering",
     "load_graph_file",
-    "group_of_thirds",
     "__version__",
 ]

@@ -25,7 +25,7 @@ from .experiments import (
     run_dataset_clustering,
     run_synthetic_experiment,
 )
-from .graph_io import load_matrix_csv, save_adjacency_csv, save_matrix_csv
+from .graph_io import load_matrix_csv, save_adjacency_csv, save_edge_list, save_matrix_csv
 from .graphon import load_step_graphon
 from .linkage import single_linkage
 from .mergeon import cluster_tree_of, merge_distortion, step_mergeon
@@ -61,6 +61,11 @@ def _write_text(text: str, out: str) -> None:
     else:
         with open(out, "w") as fh:
             fh.write(text)
+
+
+def _dest(out: str):
+    """An output flag as a writer destination: stdout for -, else the path."""
+    return sys.stdout if out == "-" else out
 
 
 def _load_square_csv(path) -> np.ndarray:
@@ -105,14 +110,8 @@ def sample(source, n, seed, out, fmt):
     w = _graphon_from_flag(source)
     latents = sample_latents(n, derive_seed(seed, n, 0))
     a = sample_graph(edge_probabilities(w, latents), derive_seed(seed, n, 1))
-    if fmt == "csv":
-        if out == "-":
-            np.savetxt(sys.stdout, np.asarray(a, dtype=int), fmt="%d", delimiter=",")
-        else:
-            save_adjacency_csv(out, a)
-    else:
-        iu, ju = np.nonzero(np.triu(a, k=1))
-        _write_text("".join(f"{u} {v}\n" for u, v in zip(iu, ju)), out)
+    save = save_adjacency_csv if fmt == "csv" else save_edge_list
+    save(_dest(out), a)
 
 
 @main.command()
@@ -129,11 +128,7 @@ def estimate(path, c, variant, out):
     a, _ = load_graph_file(path)
     config = SmoothingConfig(C=c, variant=variant)
     logging.getLogger("graphtree").info("n=%d, h=%.6g", a.shape[0], config.bandwidth(a.shape[0]))
-    phat = estimate_edge_probabilities(a, config)
-    if out == "-":
-        np.savetxt(sys.stdout, phat, fmt="%.6g", delimiter=",")
-    else:
-        save_matrix_csv(out, phat)
+    save_matrix_csv(_dest(out), estimate_edge_probabilities(a, config))
 
 
 @main.command()

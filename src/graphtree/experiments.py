@@ -42,7 +42,6 @@ __all__ = [
     "run_synthetic_experiment",
     "run_dataset_clustering",
     "load_graph_file",
-    "group_of_thirds",
 ]
 
 log = logging.getLogger("graphtree")
@@ -236,11 +235,6 @@ def run_synthetic_experiment(cfg: ExperimentConfig):
                 for (n, seed), fut in zip(jobs, futures):
                     emit(fut.result(), n, seed)
     return records
-
-
-def group_of_thirds(points: np.ndarray) -> np.ndarray:
-    """Latent group index 0/1/2 when groups are the thirds of [0, 1]."""
-    return np.minimum((np.asarray(points) * 3).astype(int), 2)
 
 
 def load_graph_file(path):

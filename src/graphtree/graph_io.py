@@ -65,12 +65,10 @@ def load_edge_list(path) -> np.ndarray:
     return a
 
 
-def save_edge_list(path, a: np.ndarray) -> None:
+def save_edge_list(dest, a: np.ndarray) -> None:
+    """Write one "u v" line per edge, u < v, to a path or an open text file."""
     check_adjacency(a)
-    iu, ju = np.nonzero(np.triu(a, k=1))
-    with open(path, "w") as fh:
-        for u, v in zip(iu, ju):
-            fh.write(f"{u} {v}\n")
+    np.savetxt(dest, np.argwhere(np.triu(a, k=1)), fmt="%d", delimiter=" ")
 
 
 def load_adjacency_csv(path) -> np.ndarray:
@@ -87,9 +85,10 @@ def load_adjacency_csv(path) -> np.ndarray:
     return a.astype(np.int8)
 
 
-def save_adjacency_csv(path, a: np.ndarray) -> None:
+def save_adjacency_csv(dest, a: np.ndarray) -> None:
+    """Write 0/1 rows to a path or an open text file."""
     check_adjacency(a)
-    np.savetxt(path, np.asarray(a, dtype=int), fmt="%d", delimiter=",")
+    np.savetxt(dest, np.asarray(a, dtype=int), fmt="%d", delimiter=",")
 
 
 def load_matrix_csv(path) -> np.ndarray:
@@ -104,8 +103,9 @@ def load_matrix_csv(path) -> np.ndarray:
     return m
 
 
-def save_matrix_csv(path, m: np.ndarray, fmt: str = "%.6g") -> None:
-    np.savetxt(path, np.asarray(m, dtype=float), fmt=fmt, delimiter=",")
+def save_matrix_csv(dest, m: np.ndarray) -> None:
+    """Write %.6g rows to a path or an open text file."""
+    np.savetxt(dest, np.asarray(m, dtype=float), fmt="%.6g", delimiter=",")
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
-"""Single linkage on similarity matrices: merge matrices, dendrograms, level cuts.
+"""Single linkage on similarity matrices: dendrograms and merge matrices.
 
 The merge matrix entry (i, j) is the best bottleneck over simple paths, i.e.
 the level at which i and j fall into a common cluster when edges below the
-level are discarded. One pass computes it together with the dendrogram: a
+level are discarded. single_linkage builds the dendrogram in O(n^2): a
 maximum spanning tree (whose unique tree paths realize the max-min values),
-then its edges in descending weight order through one union-find. The pass
-is O(n^2). Diagonal fixed at 1.
+then its edges in descending weight order through one union-find. The merge
+matrix is read off that tree by dendrogram_merge_matrix, the one writer of
+merge-matrix blocks: each row of the table writes the block between its two
+children once. Diagonal fixed at 1.
 
 A dendrogram is a merge table in the stepwise form of Muellner (2011) and of
 scipy's linkage matrix: leaves are nodes 0..n-1 and row k joins two earlier
@@ -26,9 +28,6 @@ from .errors import ValidationError
 __all__ = [
     "Dendrogram",
     "single_linkage",
-    "merge_estimate",
-    "build_dendrogram",
-    "clusters_at_level",
     "dendrogram_merge_matrix",
 ]
 
@@ -85,23 +84,21 @@ def _max_spanning_tree(sim: np.ndarray):
 
 
 def single_linkage(sim: np.ndarray):
-    """Merge matrix and dendrogram of a symmetric similarity matrix, in one O(n^2) pass.
+    """Merge matrix and dendrogram of a symmetric similarity matrix, in O(n^2).
 
     The maximum spanning tree's edges are stable-sorted by descending weight
-    and merged with one union-find. Tie rule: the edges of one weight join
-    each component they form as a left-deep chain of that component's
-    clusters from above the weight, taken in order of their leader (smallest
-    member); the lower leader is always the left child. Each join writes its
-    merge-matrix block once. Cutting the tree at any level gives
-    clusters_at_level, and the tree of a similarity equals the tree of its
-    merge matrix.
+    and merged with one union-find into a merge table. Tie rule: the edges of
+    one weight join each component they form as a left-deep chain of that
+    component's clusters from above the weight, taken in order of their
+    leader (smallest member); the lower leader is always the left child. The
+    merge matrix is dendrogram_merge_matrix of that tree. Cutting the tree at
+    lam gives the connected components of the graph with edges sim >= lam,
+    and the tree of a similarity equals the tree of its merge matrix.
     """
     us, vs, ws = _max_spanning_tree(sim)
     n = len(ws) + 1
-    out = np.ones((n, n))
     uf = UnionFind(n)
     node = list(range(n))  # dendrogram node of each set, indexed by set root
-    members = [np.array([i]) for i in range(n)]
     left, right, levels = [], [], []
     order = sorted(range(n - 1), key=lambda e: -ws[e])  # stable
     start = 0
@@ -119,27 +116,13 @@ def single_linkage(sim: np.ndarray):
             parts.setdefault(uf.find(a), set()).update((a, b))
         for lead, *rest in map(sorted, parts.values()):
             for r in rest:
-                out[np.ix_(members[lead], members[r])] = level
-                out[np.ix_(members[r], members[lead])] = level
-                members[lead] = np.concatenate((members[lead], members[r]))
                 left.append(node[lead])
                 right.append(node[r])
                 levels.append(level)
                 node[lead] = n + len(levels) - 1
         start = stop
-    return out, Dendrogram(left, right, levels)
-
-
-def merge_estimate(sim: np.ndarray) -> np.ndarray:
-    """Max-min path similarity for every pair: the merge matrix of single_linkage.
-
-    Equals brute-force enumeration over all simple paths; ties in tree
-    construction cannot change the values.
-    """
-    m, _ = single_linkage(sim)
-    if m.shape[0] < 2:
-        raise ValueError("need at least two nodes")
-    return m
+    d = Dendrogram(left, right, levels)
+    return dendrogram_merge_matrix(d), d
 
 
 # one token of the dendrogram's JSON grammar, after optional whitespace:
@@ -300,8 +283,8 @@ class Dendrogram:
         return cls([c if c >= 0 else n + ~c for c in left],
                    [c if c >= 0 else n + ~c for c in right], level)
 
-    def to_newick(self, labels=None, fmt: str = "%.12g") -> str:
-        """Newick text; every child edge is annotated with its parent's merge level."""
+    def to_newick(self, labels=None) -> str:
+        """Newick text; every child edge is annotated with its parent's merge level (%.12g)."""
         parts = []
         for k, step in self._walk():
             if step is None:
@@ -309,7 +292,7 @@ class Dendrogram:
             elif step == 0:
                 parts.append("(")
             else:
-                parts.append(":" + (fmt % self.level[k]) + ("," if step == 1 else ")"))
+                parts.append(":" + ("%.12g" % self.level[k]) + ("," if step == 1 else ")"))
         return "".join(parts) + ";"
 
 
@@ -320,33 +303,23 @@ def _newick_safe(label: str) -> str:
     return out
 
 
-def build_dendrogram(m: np.ndarray) -> Dendrogram:
-    """Dendrogram of a merge matrix: the tree of single_linkage, with its tie rule.
-
-    Given a raw similarity instead, it returns the tree of merge_estimate(sim).
-    That tree cuts into clusters_at_level(sim, lam) at every level, but where
-    the similarity has ties its shape may differ from agglomerating the raw
-    similarity by argmax.
-    """
-    return single_linkage(m)[1]
-
-
-def clusters_at_level(m: np.ndarray, lam: float):
-    """Partition into connected components of the graph with edges m >= lam.
-
-    The single-linkage tree cut at lam. Every node appears exactly once;
-    clusters and the partition itself are sorted by smallest member.
-    """
-    return single_linkage(m)[1].cut(lam)
-
-
 def dendrogram_merge_matrix(d: Dendrogram) -> np.ndarray:
-    """Pairwise merge levels encoded by a dendrogram (lowest common merge)."""
-    out = np.ones((d.n, d.n))
-    members = [[i] for i in range(d.n)]  # leaves under each node
+    """Pairwise merge levels encoded by a dendrogram (lowest common merge); diagonal 1.
+
+    Row k writes the two blocks between the leaves under its children, so
+    every off-diagonal entry is written exactly once. The leaves under a node
+    are one run of leaf_order, so each node's members are a view of it.
+    """
+    n = d.n
+    order = np.array(d.leaf_order)
+    pos = np.empty(n, dtype=np.intp)  # place of each leaf in leaf_order
+    pos[order] = np.arange(n)
+    lo, hi = pos.tolist(), (pos + 1).tolist()  # run of places under each node
+    out = np.ones((n, n))
     for a, b, level in zip(d.left, d.right, d.level):
-        out[np.ix_(members[a], members[b])] = level
-        out[np.ix_(members[b], members[a])] = level
-        members.append(members[a] + members[b])
-        members[a] = members[b] = None
+        ra, rb = order[lo[a]:hi[a]], order[lo[b]:hi[b]]
+        out[np.ix_(ra, rb)] = level
+        out[np.ix_(rb, ra)] = level
+        lo.append(lo[a])
+        hi.append(hi[b])
     return out

@@ -26,9 +26,7 @@ __all__ = [
     "step_mergeon",
     "discretization_oracle",
     "cluster_tree_of",
-    "mergeon_eval",
     "mergeon_eval_matrix",
-    "induced_merge_height",
     "merge_distortion",
 ]
 
@@ -84,35 +82,19 @@ class ClusterTree:
         return json.dumps(self.to_json_list(), sort_keys=True)
 
 
-def _widest_path_closure(weights: np.ndarray) -> np.ndarray:
-    """All-pairs max-min path values over inter-node edges.
-
-    Self loops are excluded up front; after the closure the diagonal holds the
-    best two-step return value max_c w[a][c], which is exactly what the
-    within-block merge rule needs.
-    """
-    c = np.array(weights, dtype=float)
-    np.fill_diagonal(c, -np.inf)
-    for mid in range(c.shape[0]):
-        np.maximum(c, np.minimum(c[:, mid : mid + 1], c[mid : mid + 1, :]), out=c)
-    return c
-
-
 def step_mergeon(w: StepGraphon) -> BlockMergeMatrix:
     """Merge levels of all block pairs of a step graphon.
 
     Off-diagonal (a, b): maximum over block paths from a to b (consecutive
-    blocks distinct) of the minimum inter-block value along the path.
-    Diagonal (a, a): max(values[a][a], max over c != a of values[a][c]), since
+    blocks distinct) of the minimum inter-block value along the path, which
+    is single linkage of the block values. Diagonal (a, a): the row maximum
+    of the values, max(values[a][a], max over c != a of values[a][c]), since
     points of a block join either inside the block or through any neighbor.
     Gated by exact equality with discretization_oracle for every input.
     """
     v = w.values
-    if w.k == 1:
-        return BlockMergeMatrix(w.partition, v.copy())
-    closure = _widest_path_closure(v)
-    levels = closure.copy()
-    np.fill_diagonal(levels, np.maximum(np.diagonal(v), np.diagonal(closure)))
+    levels = single_linkage(v)[0]
+    np.fill_diagonal(levels, v.max(axis=1))
     return BlockMergeMatrix(w.partition, levels)
 
 
@@ -175,37 +157,12 @@ def cluster_tree_of(merge: BlockMergeMatrix) -> ClusterTree:
     return ClusterTree(tuple(entries))
 
 
-def mergeon_eval(merge: BlockMergeMatrix, x: float, y: float) -> float:
-    """Merge level of the blocks containing x and y (the mergeon as a function)."""
-    return merge.eval(x, y)
-
-
 def mergeon_eval_matrix(merge: BlockMergeMatrix, points) -> np.ndarray:
     """Pairwise true merge heights at sample points; diagonal set to 1."""
     idx = merge.partition.locate_many(points)
     out = merge.levels[np.ix_(idx, idx)].copy()
     np.fill_diagonal(out, 1.0)
     return out
-
-
-def induced_merge_height(clusters, mvals: np.ndarray, i: int, j: int) -> float:
-    """Merge height induced on a clustering by true pairwise heights.
-
-    Finds the smallest cluster containing both i and j and returns the
-    minimum of mvals over distinct pairs inside it.
-    """
-    if i == j:
-        raise ValueError("need two distinct indices")
-    best = None
-    for c in clusters:
-        if i in c and j in c and (best is None or len(c) < len(best)):
-            best = c
-    if best is None:
-        raise ValueError(f"no cluster contains both {i} and {j}")
-    members = sorted(best)
-    return min(
-        float(mvals[u, v]) for a, u in enumerate(members) for v in members[a + 1 :]
-    )
 
 
 def merge_distortion(mvals: np.ndarray, mhat: np.ndarray) -> float:

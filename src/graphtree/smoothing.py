@@ -12,7 +12,8 @@ never materializes a zeroed copy: entry (i, k) of (d_j A)^2 is
 S[i,k] - A[i,j] * A[j,k], and column j drops out of the maximum. The tie
 rule is "ties on integer count gaps": ranking and the "ties included"
 threshold use these exact integers, at every n. The 1/n of the paper's A^2/n
-scale is applied only where a value is reported (deleted_square_entry).
+scale is a positive constant factor, so it changes no rank and no tie and is
+never applied.
 Neighborhoods are thus the exact distance quantiles of Zhang, Levina & Zhu
 (Biometrika 2017).
 
@@ -47,9 +48,7 @@ from .sampling import check_adjacency
 __all__ = [
     "SmoothingConfig",
     "EstimationErrors",
-    "bandwidth",
     "quantile_rank",
-    "deleted_square_entry",
     "estimate_modified",
     "estimate_original",
     "estimate_edge_probabilities",
@@ -67,18 +66,6 @@ _BLOCK_ELEMS = 1 << 16
 
 # fewest nodes each variant can rank: n - 2 candidates per pair, n - 1 per node
 MINIMUM_N = {"modified": 4, "original": 3}
-
-
-def bandwidth(c: float, n: int) -> float:
-    """h = C * sqrt(ln n / n); natural log. Must land in (0, 1) for the given n."""
-    if not c > 0:
-        raise ValidationError(f"C must be positive, got {c}")
-    if n < 2:
-        raise ValidationError("need n >= 2")
-    h = c * math.sqrt(math.log(n) / n)
-    if not 0.0 < h < 1.0:
-        raise ValidationError(f"bandwidth h={h} outside (0, 1) for C={c}, n={n}")
-    return h
 
 
 @dataclass(frozen=True)
@@ -100,10 +87,14 @@ class SmoothingConfig:
             raise ValidationError(f"unknown variant {self.variant!r}")
 
     def bandwidth(self, n: int) -> float:
+        """h = C * sqrt(ln n / n); natural log. Must land in (0, 1) for the given n."""
         minimum = MINIMUM_N[self.variant]
         if n < minimum:
             raise ValidationError(f"{self.variant} estimator needs >= {minimum} nodes, got {n}")
-        return bandwidth(self.C, n)
+        h = self.C * math.sqrt(math.log(n) / n)
+        if not 0.0 < h < 1.0:
+            raise ValidationError(f"bandwidth h={h} outside (0, 1) for C={self.C}, n={n}")
+        return h
 
 
 @dataclass(frozen=True)
@@ -146,21 +137,6 @@ def _count_dtype(n: int) -> np.dtype:
 def _counts(a: np.ndarray) -> np.ndarray:
     """A @ A as raw counts in the kernel's integer dtype."""
     return _square_counts(a).astype(_count_dtype(a.shape[0]))
-
-
-def deleted_square_entry(sq: np.ndarray, a: np.ndarray, j: int, i: int, k: int) -> float:
-    """Entry (i, k) of (d_j A)^2 / n from precomputed raw counts sq = A @ A.
-
-    Requires i != j and k != j. The correction A[i,j] * A[j,k] removes the
-    only term of the common-neighbor sum that passes through j; subtraction
-    happens on exact integers, then one division by n.
-    """
-    n = a.shape[0]
-    if i == j or k == j:
-        raise ValueError("deleted index j must differ from i and k")
-    if not (0 <= i < n and 0 <= k < n and 0 <= j < n):
-        raise ValueError("index out of range")
-    return (float(sq[i, k]) - float(a[i, j]) * float(a[j, k])) / n
 
 
 def _chebyshev_buffer(n: int, dtype) -> np.ndarray:

@@ -98,6 +98,21 @@ def zeroed_square_over_n(A, j):
     return zeroed_square_counts(A, j) / A.shape[0]
 
 
+def deleted_square_entry(sq, a, j, i, k):
+    """Entry (i, k) of (d_j A)^2 / n from precomputed raw counts sq = A @ A.
+
+    Requires i != j and k != j. The correction A[i,j] * A[j,k] removes the
+    only term of the common-neighbor sum that passes through j; subtraction
+    happens on exact integers, then one division by n.
+    """
+    n = a.shape[0]
+    if i == j or k == j:
+        raise ValueError("deleted index j must differ from i and k")
+    if not (0 <= i < n and 0 <= k < n and 0 <= j < n):
+        raise ValueError("index out of range")
+    return (float(sq[i, k]) - float(a[i, j]) * float(a[j, k])) / n
+
+
 def pair_gap(A, i, i2, j):
     """Integer gap behind d_j(i, i2): max |c[i, k] - c[i2, k]| over k not in {i, i2, j}."""
     c = zeroed_square_counts(A, j).tolist()
@@ -149,25 +164,43 @@ def node_neighborhood(A, i, h):
     return _gap_neighborhood(c, i, cands, (), _quantile_rank(h, n - 1))
 
 
+def zeroed_gap_table(A, j):
+    """Integer gaps d_j(i, i2) * n for all (i, i2) at once, from zeroed_square_counts.
+
+    Entry (i, i2) is max |c[i, k] - c[i2, k]| over k not in {i, i2, j}, with
+    every masked term set to 0, as pair_gap starts its maximum at 0.
+    """
+    c = zeroed_square_counts(A, j)
+    n = c.shape[0]
+    diff = np.abs(c[:, None, :] - c[None, :, :])
+    idx = np.arange(n)
+    diff[idx, :, idx] = 0  # k == i
+    diff[:, idx, idx] = 0  # k == i2
+    diff[:, :, j] = 0
+    return diff.max(axis=2)
+
+
 def modified_estimate(A, h):
     """Per ordered pair neighborhoods with the target's row/column deleted.
 
     For each ordered (i, j): integer count gaps to every candidate i' not in
     {i, j}, full sort, threshold at the ceil(h*(n-2))th smallest with ties
     included, then average adjacency into j over the neighborhood. The final
-    estimate symmetrizes the two directions.
+    estimate symmetrizes the two directions. The gaps of one j come from one
+    zeroed_gap_table.
     """
     A = np.asarray(A, dtype=np.int64)
     n = A.shape[0]
     r = _quantile_rank(h, n - 2)
     F = np.zeros((n, n))
     for j in range(n):
-        c = zeroed_square_counts(A, j).tolist()
+        gaps = zeroed_gap_table(A, j).tolist()
         for i in range(n):
             if i == j:
                 continue
             cands = [i2 for i2 in range(n) if i2 not in (i, j)]
-            nbhd = _gap_neighborhood(c, i, cands, (j,), r)
+            q = sorted(gaps[i][i2] for i2 in cands)[r - 1]
+            nbhd = [i2 for i2 in cands if gaps[i][i2] <= q]
             F[i, j] = sum(int(A[i2, j]) for i2 in nbhd) / len(nbhd)
     phat = 0.5 * (F + F.T)
     np.fill_diagonal(phat, 0.0)
@@ -234,6 +267,31 @@ def components_at_level(sim, lam):
                     stack.append(v)
         clusters.append(sorted(comp))
     return sorted(clusters)
+
+
+def induced_merge_height(clusters, mvals, i, j):
+    """Merge height induced on a clustering by true pairwise heights.
+
+    Finds the smallest cluster containing both i and j and returns the
+    minimum of mvals over distinct pairs inside it.
+    """
+    if i == j:
+        raise ValueError("need two distinct indices")
+    best = None
+    for c in clusters:
+        if i in c and j in c and (best is None or len(c) < len(best)):
+            best = c
+    if best is None:
+        raise ValueError(f"no cluster contains both {i} and {j}")
+    members = sorted(best)
+    return min(
+        float(mvals[u, v]) for a, u in enumerate(members) for v in members[a + 1 :]
+    )
+
+
+def group_of_thirds(points):
+    """Latent group index 0/1/2 when groups are the thirds of [0, 1]."""
+    return np.minimum((np.asarray(points) * 3).astype(int), 2)
 
 
 # The dense modified pass: every d_j for all pairs at once through the

@@ -25,10 +25,7 @@ from graphtree import (
     Dendrogram,
     ExperimentConfig,
     MeasurePreservingMap,
-    bandwidth,
-    build_dendrogram,
     cluster_tree_of,
-    clusters_at_level,
     dendrogram_merge_matrix,
     derive_seed,
     discretization_oracle,
@@ -36,24 +33,22 @@ from graphtree import (
     estimate_modified,
     estimate_original,
     exact_graph_probability,
-    group_of_thirds,
-    induced_merge_height,
     merge_distortion,
-    merge_estimate,
-    mergeon_eval,
     mergeon_eval_matrix,
     rho_dense_check,
     run_synthetic_experiment,
     sample_graph,
     sample_latents,
     separated_three_block_graphon,
+    single_linkage,
     step_mergeon,
     SmoothingConfig,
 )
 from graphtree.cli import main as cli_main
-from graphtree.smoothing import _square_counts, deleted_square_entry
+from graphtree.smoothing import _square_counts
 from conftest import random_adjacency, random_step_graphon
 import reference
+from reference import deleted_square_entry, group_of_thirds, induced_merge_height
 
 WORKERS = min(4, os.cpu_count() or 1)
 
@@ -89,10 +84,10 @@ def test_c2_merge_estimate_oracle():
         sim = np.triu(vals, 1)
         sim = sim + sim.T
         np.fill_diagonal(sim, 1.0)
-        assert np.array_equal(merge_estimate(sim), reference.maxmin_matrix(sim))
+        assert np.array_equal(single_linkage(sim)[0], reference.maxmin_matrix(sim))
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
-    report(f"C2 PASS: merge_estimate == brute-force max-min on 100 matrices, "
+    report(f"C2 PASS: single_linkage merge matrix == brute-force max-min on 100 matrices, "
            f"exact ({elapsed:.2f} s < 5 s)")
 
 
@@ -152,9 +147,8 @@ def test_c5_mergeon_pullback_invariance():
         orig = step_mergeon(w)
         pulled = step_mergeon(w.pullback(phi))
         for x, y in rng.random((20, 2)):
-            assert mergeon_eval(pulled, x, y) == mergeon_eval(
-                orig, phi.apply(x), phi.apply(y)
-            )  # exact; 50 graphons x 20 pairs = 1000 pairs
+            # exact; 50 graphons x 20 pairs = 1000 pairs
+            assert pulled.eval(x, y) == orig.eval(phi.apply(x), phi.apply(y))
 
         # cluster trees correspond once pullback blocks are mapped to the
         # blocks their points came from
@@ -184,11 +178,11 @@ def test_c6_merge_distortion_bound():
         assert np.abs(noise).max() < eps
         mhat = np.clip(mvals + noise, 0.0, 1.0)
         np.fill_diagonal(mhat, 1.0)
-        m = merge_estimate(mhat)
+        m, d = single_linkage(mhat)
         levels = sorted({m[i, j] for i in range(n) for j in range(i + 1, n)})
         hierarchy = []
         for lam in levels:
-            hierarchy.extend(clusters_at_level(m, lam))
+            hierarchy.extend(d.cut(lam))
         induced = np.ones((n, n))
         for i in range(n):
             for j in range(i + 1, n):
@@ -233,7 +227,7 @@ FIXED_8 = np.array(
 
 def test_c8_estimator_reference_equivalence():
     fixtures = [FIXED_8, random_adjacency(np.random.default_rng(8), 8, p=0.5)]
-    h = bandwidth(0.5, 8)
+    h = SmoothingConfig(C=0.5).bandwidth(8)
     for a in fixtures:
         got_m = estimate_modified(a, SmoothingConfig(C=0.5))
         got_o = estimate_original(a, SmoothingConfig(C=0.5, variant="original"))
@@ -297,7 +291,7 @@ def test_c10_structure_recovery_strict():
         latents = sample_latents(n, derive_seed(seed, n, 0))
         a = sample_graph(edge_probabilities(w, latents), derive_seed(seed, n, 1))
         phat = estimate_modified(a, SmoothingConfig(C=0.2))
-        got = clusters_at_level(merge_estimate(phat), lam)
+        got = single_linkage(phat)[1].cut(lam)
         groups = group_of_thirds(latents.points)
         want = sorted(
             sorted(int(i) for i in np.flatnonzero(groups == g)) for g in range(3)

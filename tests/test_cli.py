@@ -117,6 +117,15 @@ class TestSample:
         assert res.exit_code == 2
         assert "--n" in res.stderr
 
+    @pytest.mark.parametrize("fmt", ["edges", "csv"])
+    def test_stdout_matches_file(self, runner, graphon_file, tmp_path, fmt):
+        args = ["sample", "--graphon", graphon_file, "--n", "12", "--seed", "5",
+                "--format", fmt]
+        res = runner.invoke(main, args)
+        out = tmp_path / "g.out"
+        assert runner.invoke(main, args + ["--out", str(out)]).exit_code == 0
+        assert res.exit_code == 0 and res.stdout_bytes == out.read_bytes() != b""
+
     def test_bad_format_rejected(self, runner, graphon_file):
         res = runner.invoke(main, ["sample", "--graphon", graphon_file, "--n", "4",
                                    "--seed", "1", "--format", "dot"])
@@ -124,6 +133,14 @@ class TestSample:
 
 
 class TestEstimate:
+    def test_stdout_matches_file(self, runner, graph30_file, tmp_path):
+        args = ["estimate", "--input", graph30_file, "--C", "0.5"]
+        res = runner.invoke(main, args)
+        out = tmp_path / "phat.csv"
+        assert runner.invoke(main, args + ["--out", str(out)]).exit_code == 0
+        assert res.exit_code == 0 and res.stdout_bytes == out.read_bytes()
+        assert np.loadtxt(out, delimiter=",").shape == (30, 30)
+
     def test_complete_graph(self, runner, k5_file, tmp_path):
         out = tmp_path / "phat.csv"
         res = runner.invoke(main, ["estimate", "--input", k5_file, "--C", "0.5",

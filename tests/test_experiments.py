@@ -13,7 +13,6 @@ from graphtree import (
     RECORD_HEADER,
     RunRecord,
     ValidationError,
-    group_of_thirds,
     load_graph_file,
     resolve_graphon,
     run_dataset_clustering,
@@ -23,6 +22,7 @@ from graphtree import (
     step_graphon_to_dict,
     three_group_graphon,
 )
+from reference import group_of_thirds
 
 
 def read_csv_rows(path):

@@ -90,17 +90,26 @@ class TestAdjacencyCsv:
 
 
 class TestMatrixCsv:
-    def test_round_trip(self, tmp_path):
-        m = np.random.default_rng(2).random((5, 5))
+    def test_fixed_format_bytes(self, tmp_path):
         p = tmp_path / "m.csv"
-        save_matrix_csv(p, m, fmt="%.17g")
-        assert np.array_equal(load_matrix_csv(p), m)
+        save_matrix_csv(p, np.array([[1 / 3, 0.5], [1e-7, 123456789.0]]))
+        assert p.read_bytes() == b"0.333333,0.5\n1e-07,1.23457e+08\n"
 
     def test_rejects_ragged_shape(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("0.1,0.2,0.3\n0.4,0.5,0.6\n")
         with pytest.raises(ValidationError, match="square"):
             load_matrix_csv(p)
+
+
+class TestWritersTakeOpenFiles:
+    @pytest.mark.parametrize("save", [save_edge_list, save_adjacency_csv, save_matrix_csv])
+    def test_same_bytes_as_a_path(self, tmp_path, save):
+        a = random_adjacency(np.random.default_rng(4), 7, p=0.5)
+        save(tmp_path / "by_path", a)
+        with open(tmp_path / "by_file", "w") as fh:
+            save(fh, a)
+        assert (tmp_path / "by_file").read_bytes() == (tmp_path / "by_path").read_bytes()
 
 
 MINIMAL_GML = """\

@@ -10,10 +10,7 @@ import hypothesis.strategies as st
 from graphtree import (
     Dendrogram,
     ValidationError,
-    build_dendrogram,
-    clusters_at_level,
     dendrogram_merge_matrix,
-    merge_estimate,
     single_linkage,
 )
 from graphtree.linkage import UnionFind
@@ -93,13 +90,12 @@ class TestSingleLinkage:
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=30)
-    def test_wrappers_share_the_pass(self, seed):
+    def test_merge_matrix_is_its_own_tree(self, seed):
         sim = small_sims(seed, n_hi=15)
         m, d = single_linkage(sim)
-        assert np.array_equal(merge_estimate(sim), m)
-        assert build_dendrogram(sim) == d == build_dendrogram(m)
-        for lam in sorted(set(sim.flat)):
-            assert clusters_at_level(sim, lam) == d.cut(lam) == clusters_at_level(m, lam)
+        assert np.array_equal(dendrogram_merge_matrix(d), m)
+        m2, d2 = single_linkage(m)
+        assert np.array_equal(m2, m) and d2 == d
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=30)
@@ -142,11 +138,11 @@ class TestUnionFind:
 class TestMergeEstimate:
     def test_two_nodes(self):
         s = np.array([[1.0, 0.3], [0.3, 1.0]])
-        m = merge_estimate(s)
+        m = single_linkage(s)[0]
         assert m[0, 1] == 0.3 and m[0, 0] == 1.0 and m[1, 1] == 1.0
 
     def test_chain_rides_the_path(self):
-        m = merge_estimate(CHAIN_SIM)
+        m = single_linkage(CHAIN_SIM)[0]
         assert m[0, 2] == 0.8
         assert m[0, 1] == 0.9
         assert m[1, 2] == 0.8
@@ -155,12 +151,12 @@ class TestMergeEstimate:
     @settings(max_examples=40)
     def test_matches_path_enumeration(self, seed):
         sim = small_sims(seed)
-        assert np.array_equal(merge_estimate(sim), reference.maxmin_matrix(sim))
+        assert np.array_equal(single_linkage(sim)[0], reference.maxmin_matrix(sim))
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25)
     def test_ultrametric(self, seed):
-        m = merge_estimate(small_sims(seed))
+        m = single_linkage(small_sims(seed))[0]
         n = m.shape[0]
         for i in range(n):
             for j in range(n):
@@ -169,32 +165,31 @@ class TestMergeEstimate:
 
     def test_dominates_input_off_diagonal(self):
         sim = small_sims(123)
-        m = merge_estimate(sim)
+        m = single_linkage(sim)[0]
         off = ~np.eye(sim.shape[0], dtype=bool)
         assert np.all(m[off] >= sim[off])
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            merge_estimate(np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            merge_estimate(np.ones((1, 1)))
+            single_linkage(np.zeros((2, 3)))
         bad = np.array([[1.0, 0.2], [0.3, 1.0]])
         with pytest.raises(ValueError):
-            merge_estimate(bad)
+            single_linkage(bad)
 
 
 class TestClustersAtLevel:
     def test_chain_example(self):
-        m = merge_estimate(CHAIN_SIM)
-        assert clusters_at_level(m, 0.85) == [[0, 1], [2]]
-        assert clusters_at_level(m, 0.8) == [[0, 1, 2]]
-        assert clusters_at_level(m, 0.95) == [[0], [1], [2]]
+        d = single_linkage(single_linkage(CHAIN_SIM)[0])[1]
+        assert d.cut(0.85) == [[0, 1], [2]]
+        assert d.cut(0.8) == [[0, 1, 2]]
+        assert d.cut(0.95) == [[0], [1], [2]]
 
     def test_extremes(self):
         sim = small_sims(7)
         n = sim.shape[0]
-        assert clusters_at_level(sim, 0.0) == [list(range(n))]
-        assert clusters_at_level(sim, 1.5) == [[i] for i in range(n)]
+        d = single_linkage(sim)[1]
+        assert d.cut(0.0) == [list(range(n))]
+        assert d.cut(1.5) == [[i] for i in range(n)]
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25)
@@ -202,38 +197,40 @@ class TestClustersAtLevel:
         # thresholding the raw similarities and thresholding their max-min
         # closure give the same components, at every level that occurs
         sim = small_sims(seed)
-        m = merge_estimate(sim)
+        m, d = single_linkage(sim)
+        d_of_m = single_linkage(m)[1]
         off = sim[~np.eye(sim.shape[0], dtype=bool)]
         for lam in sorted(set(off)) + [0.5 * (1 + off.max())]:
-            assert clusters_at_level(sim, lam) == clusters_at_level(m, lam)
+            assert d.cut(lam) == d_of_m.cut(lam)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20)
     def test_matches_reference_components(self, seed):
         sim = small_sims(seed)
+        d = single_linkage(sim)[1]
         for lam in (0.25, 0.5, 0.75):
-            assert clusters_at_level(sim, lam) == reference.components_at_level(sim, lam)
+            assert d.cut(lam) == reference.components_at_level(sim, lam)
 
 
 class TestBuildDendrogram:
     def test_single_leaf(self):
-        d = build_dendrogram(np.ones((1, 1)))
+        d = single_linkage(np.ones((1, 1)))[1]
         assert d == Dendrogram((), (), ()) and d.n == 1
         assert d.to_json() == "0" and d.leaf_order == [0]
         assert d.cut(0.5) == [[0]]
 
     def test_two_leaves(self):
-        d = build_dendrogram(np.array([[1.0, 0.7], [0.7, 1.0]]))
+        d = single_linkage(np.array([[1.0, 0.7], [0.7, 1.0]]))[1]
         assert d == Dendrogram([0], [1], [0.7])
 
     def test_chain_topology(self):
-        d = build_dendrogram(CHAIN_SIM)
+        d = single_linkage(CHAIN_SIM)[1]
         assert d == Dendrogram([0, 3], [1, 2], [0.9, 0.8])
 
     def test_all_equal_left_leaning(self):
         sim = np.full((4, 4), 0.5)
         np.fill_diagonal(sim, 1.0)
-        d = build_dendrogram(sim)
+        d = single_linkage(sim)[1]
         assert d == Dendrogram([0, 4, 5], [1, 2, 3], [0.5] * 3)
         assert d.leaf_order == [0, 1, 2, 3]
 
@@ -241,20 +238,20 @@ class TestBuildDendrogram:
     @settings(max_examples=30)
     def test_cut_equals_components(self, seed):
         sim = small_sims(seed)
-        d = build_dendrogram(sim)
+        d = single_linkage(sim)[1]
         off = sim[~np.eye(sim.shape[0], dtype=bool)]
         lams = sorted(set(off))
         mids = [0.5 * (a + b) for a, b in zip(lams, lams[1:])]
         for lam in lams + mids + [0.0, 2.0]:
-            assert d.cut(lam) == clusters_at_level(sim, lam)
+            assert d.cut(lam) == reference.components_at_level(sim, lam)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20)
     def test_monotone_transform_keeps_partitions(self, seed):
         sim = small_sims(seed)
         cube = sim**3
-        d1 = build_dendrogram(sim)
-        d2 = build_dendrogram(cube)
+        d1 = single_linkage(sim)[1]
+        d2 = single_linkage(cube)[1]
         off = ~np.eye(sim.shape[0], dtype=bool)
         for lam in sorted(set(sim[off])):
             # pull the mapped threshold out of the mapped matrix so both cuts
@@ -264,7 +261,7 @@ class TestBuildDendrogram:
 
     def test_levels_never_increase_toward_root(self):
         sim = small_sims(42)
-        d = build_dendrogram(sim)
+        d = single_linkage(sim)[1]
         for k, level in enumerate(d.level):
             for child in (d.left[k], d.right[k]):
                 if child >= d.n:
@@ -272,9 +269,9 @@ class TestBuildDendrogram:
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            build_dendrogram(np.zeros((2, 3)))
+            single_linkage(np.zeros((2, 3)))
         with pytest.raises(ValueError):
-            build_dendrogram(np.array([[1.0, 0.2], [0.3, 1.0]]))
+            single_linkage(np.array([[1.0, 0.2], [0.3, 1.0]]))
 
 
 class TestMergeMatrixRoundTrip:
@@ -283,23 +280,23 @@ class TestMergeMatrixRoundTrip:
     def test_fixed_point_on_ultrametric(self, seed):
         # the merge matrix is its own closure, so the dendrogram built from it
         # encodes exactly the same pairwise levels
-        m = merge_estimate(small_sims(seed))
-        d = build_dendrogram(m)
+        m = single_linkage(small_sims(seed))[0]
+        d = single_linkage(m)[1]
         assert np.array_equal(dendrogram_merge_matrix(d), m)
 
     def test_chain(self):
-        d = build_dendrogram(CHAIN_SIM)
+        d = single_linkage(CHAIN_SIM)[1]
         want = np.array([[1.0, 0.9, 0.8], [0.9, 1.0, 0.8], [0.8, 0.8, 1.0]])
         assert np.array_equal(dendrogram_merge_matrix(d), want)
 
 
 class TestSerialization:
     def test_json_round_trip(self):
-        d = build_dendrogram(small_sims(3))
+        d = single_linkage(small_sims(3))[1]
         assert Dendrogram.from_json(d.to_json()) == d
 
     def test_json_dict_shape(self):
-        d = build_dendrogram(CHAIN_SIM)
+        d = single_linkage(CHAIN_SIM)[1]
         doc = json.loads(d.to_json())
         assert doc == {"left": {"left": 0, "right": 1, "level": 0.9}, "right": 2, "level": 0.8}
 
@@ -322,21 +319,21 @@ class TestSerialization:
             Dendrogram.from_json("{not json")
 
     def test_newick_two_leaves(self):
-        d = build_dendrogram(np.array([[1.0, 0.7], [0.7, 1.0]]))
+        d = single_linkage(np.array([[1.0, 0.7], [0.7, 1.0]]))[1]
         assert d.to_newick() == "(0:0.7,1:0.7);"
 
     def test_newick_chain(self):
-        d = build_dendrogram(CHAIN_SIM)
+        d = single_linkage(CHAIN_SIM)[1]
         assert d.to_newick() == "((0:0.9,1:0.9):0.8,2:0.8);"
 
     def test_newick_labels_sanitized(self):
-        d = build_dendrogram(np.array([[1.0, 0.7], [0.7, 1.0]]))
+        d = single_linkage(np.array([[1.0, 0.7], [0.7, 1.0]]))[1]
         out = d.to_newick(labels=["a b", "c:d(e)"])
         assert out == "(a_b:0.7,c_d_e_:0.7);"
 
-    def test_newick_format_control(self):
-        d = build_dendrogram(np.array([[1.0, 1 / 3], [1 / 3, 1.0]]))
-        assert d.to_newick(fmt="%.3f") == "(0:0.333,1:0.333);"
+    def test_newick_fixed_format(self):
+        d = single_linkage(np.array([[1.0, 1 / 3], [1 / 3, 1.0]]))[1]
+        assert d.to_newick() == "(0:0.333333333333,1:0.333333333333);"
 
 
 
@@ -367,7 +364,7 @@ class TestMergeTable:
 
     def test_numpy_ints_and_levels(self):
         d = Dendrogram(np.array([0, 3]), np.array([1, 2]), np.array([0.9, 0.8]))
-        assert d == build_dendrogram(CHAIN_SIM)
+        assert d == single_linkage(CHAIN_SIM)[1]
         assert all(type(c) is int for c in d.left + d.right)
         assert all(type(x) is float for x in d.level)
 
@@ -433,14 +430,14 @@ class TestDeepTreeComparison:
         assert text.endswith(f"{1.0 / self.N!r}))")
 
     def test_repr_is_the_table(self):
-        d = build_dendrogram(CHAIN_SIM)
+        d = single_linkage(CHAIN_SIM)[1]
         assert repr(d) == "Dendrogram(left=(0, 3), right=(1, 2), level=(0.9, 0.8))"
 
 
 class TestJsonBytes:
     @pytest.mark.parametrize("seed", range(20))
     def test_to_json_equals_json_dumps(self, seed):
-        d = build_dendrogram(small_sims(seed, n_hi=12))
+        d = single_linkage(small_sims(seed, n_hi=12))[1]
         assert d.to_json() == json.dumps(json.loads(d.to_json()), sort_keys=True)
 
     def test_special_levels_and_moderate_depth(self):
@@ -487,7 +484,7 @@ class TestFromJson:
     ])
     def test_any_key_order_and_whitespace(self, text):
         d = Dendrogram.from_json(text)
-        assert d == build_dendrogram(CHAIN_SIM)
+        assert d == single_linkage(CHAIN_SIM)[1]
         assert d.to_json() == ('{"left": {"left": 0, "level": 0.9, "right": 1}, '
                                '"level": 0.8, "right": 2}')
 

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from graphtree import (
@@ -14,18 +14,16 @@ from graphtree import (
     MeasurePreservingMap,
     ValidationError,
     cluster_tree_of,
-    clusters_at_level,
     discretization_oracle,
-    induced_merge_height,
     merge_distortion,
-    merge_estimate,
-    mergeon_eval,
     mergeon_eval_matrix,
+    single_linkage,
     step_mergeon,
 )
 from graphtree.experiments import three_group_graphon
 from conftest import random_step_graphon, random_symmetric, step_graphons
 import reference
+from reference import induced_merge_height
 
 CHAIN = StepGraphon(
     BlockPartition((0.0, 0.25, 0.5, 1.0)),
@@ -66,6 +64,14 @@ class TestStepMergeon:
         for a in range(k):
             for b in range(a + 1, k):
                 assert levels[a, b] == reference.maxmin_simple_paths(w.values, a, b)
+
+    @given(step_graphons())
+    @example(StepGraphon(BlockPartition((0.0, 1.0)), np.array([[0.4]])))  # k = 1
+    def test_matches_closure_reference(self, w):
+        # independent of single_linkage, which discretization_oracle also runs
+        want = reference.maxmin_closure(w.values)
+        np.fill_diagonal(want, w.values.max(axis=1))
+        assert step_mergeon(w).levels.tobytes() == want.tobytes()
 
     @given(step_graphons())
     def test_diagonal_rule(self, w):
@@ -188,19 +194,19 @@ class TestMergeonEval:
     def test_constant(self):
         w = StepGraphon(BlockPartition((0.0, 1.0)), np.array([[0.4]]))
         m = step_mergeon(w)
-        assert mergeon_eval(m, 0.1, 0.9) == 0.4
+        assert m.eval(0.1, 0.9) == 0.4
 
     def test_three_group_points(self):
         m = step_mergeon(three_group_graphon())
-        assert mergeon_eval(m, 0.1, 0.9) == 0.1  # group 1 vs group 3
-        assert mergeon_eval(m, 0.05, 0.1) == 0.7  # same block
-        assert mergeon_eval(m, 0.1, 0.5) == 0.5  # group 1 vs group 2
+        assert m.eval(0.1, 0.9) == 0.1  # group 1 vs group 3
+        assert m.eval(0.05, 0.1) == 0.7  # same block
+        assert m.eval(0.1, 0.5) == 0.5  # group 1 vs group 2
 
     def test_symmetry_and_domain(self):
         m = step_mergeon(CHAIN)
-        assert mergeon_eval(m, 0.1, 0.8) == mergeon_eval(m, 0.8, 0.1)
+        assert m.eval(0.1, 0.8) == m.eval(0.8, 0.1)
         with pytest.raises(ValueError):
-            mergeon_eval(m, -0.5, 0.5)
+            m.eval(-0.5, 0.5)
 
     def test_eval_matrix(self):
         m = step_mergeon(CHAIN)
@@ -208,7 +214,7 @@ class TestMergeonEval:
         got = mergeon_eval_matrix(m, pts)
         for i, x in enumerate(pts):
             for j, y in enumerate(pts):
-                want = 1.0 if i == j else mergeon_eval(m, float(x), float(y))
+                want = 1.0 if i == j else m.eval(float(x), float(y))
                 assert got[i, j] == want
 
 
@@ -241,11 +247,11 @@ class TestInducedMergeHeight:
 
     def test_fixed_point_of_own_tree(self):
         rng = np.random.default_rng(3)
-        m = merge_estimate(random_symmetric(rng, 6))
+        m, d = single_linkage(random_symmetric(rng, 6))
         levels = sorted({m[i, j] for i in range(6) for j in range(i + 1, 6)})
         hierarchy = []
         for lam in levels:
-            hierarchy.extend(clusters_at_level(m, lam))
+            hierarchy.extend(d.cut(lam))
         for i in range(6):
             for j in range(i + 1, 6):
                 assert induced_merge_height(hierarchy, m, i, j) == m[i, j]
@@ -294,11 +300,11 @@ class TestMergeDistortion:
             assert np.abs(noise).max() < eps
             mhat = np.clip(mvals + noise, 0.0, 1.0)
             np.fill_diagonal(mhat, 1.0)
-            m = merge_estimate(mhat)
+            m, d = single_linkage(mhat)
             levels = sorted({m[i, j] for i in range(n) for j in range(i + 1, n)})
             hierarchy = []
             for lam in levels:
-                hierarchy.extend(clusters_at_level(m, lam))
+                hierarchy.extend(d.cut(lam))
             induced = np.ones((n, n))
             for i in range(n):
                 for j in range(i + 1, n):
@@ -317,9 +323,7 @@ class TestMptInvariance:
         orig = step_mergeon(w)
         rng = np.random.default_rng(0)
         for x, y in rng.random((50, 2)):
-            assert mergeon_eval(pulled, x, y) == mergeon_eval(
-                orig, phi.apply(x), phi.apply(y)
-            )
+            assert pulled.eval(x, y) == orig.eval(phi.apply(x), phi.apply(y))
 
     def test_cluster_tree_corresponds_under_preimage(self):
         w = three_group_graphon()

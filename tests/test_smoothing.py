@@ -15,7 +15,6 @@ import hypothesis.strategies as st
 from graphtree import (
     SmoothingConfig,
     ValidationError,
-    bandwidth,
     column_distance_matrix,
     estimate_edge_probabilities,
     estimate_modified,
@@ -31,7 +30,6 @@ from graphtree.smoothing import (
     _pairwise_chebyshev,
     _pairwise_top2,
     _square_counts,
-    deleted_square_entry,
     quantile_rank,
 )
 import graphtree.smoothing as smoothing
@@ -39,7 +37,7 @@ from graphtree.experiments import three_group_graphon
 from graphtree.sampling import edge_probabilities, sample_graph, sample_latents
 from conftest import random_adjacency
 import reference
-from reference import neighborhood_of_pair, pair_distance_dj
+from reference import deleted_square_entry, neighborhood_of_pair, pair_distance_dj
 
 # 6-node fixture used across distance tests: a path 0-1-2-3-4-5 plus chords
 FIX6 = np.array(
@@ -72,19 +70,19 @@ FIX8 = np.array(
 
 class TestBandwidth:
     def test_value(self):
-        assert bandwidth(0.1, 100) == 0.1 * math.sqrt(math.log(100) / 100)
+        assert SmoothingConfig(C=0.1).bandwidth(100) == 0.1 * math.sqrt(math.log(100) / 100)
 
     def test_errors(self):
-        with pytest.raises(ValidationError):
-            bandwidth(0.0, 100)
-        with pytest.raises(ValidationError):
-            bandwidth(0.1, 1)
-        with pytest.raises(ValidationError):
-            bandwidth(50.0, 2)  # h lands over 1
+        with pytest.raises(ValidationError, match="C must be positive"):
+            SmoothingConfig(C=0.0)
+        with pytest.raises(ValidationError, match="needs >= 3 nodes, got 1"):
+            SmoothingConfig(C=0.1, variant="original").bandwidth(1)
+        with pytest.raises(ValidationError, match="outside"):
+            SmoothingConfig(C=50.0, variant="original").bandwidth(3)  # h lands over 1
 
     def test_config(self):
         cfg = SmoothingConfig(C=0.09, variant="original")
-        assert cfg.bandwidth(115) == bandwidth(0.09, 115)
+        assert cfg.bandwidth(115) == SmoothingConfig(C=0.09).bandwidth(115)
         with pytest.raises(ValidationError):
             SmoothingConfig(C=-1.0)
         with pytest.raises(ValidationError):
@@ -103,7 +101,7 @@ class TestQuantileRank:
     def test_examples(self):
         assert quantile_rank(0.5, 4) == 2
         assert quantile_rank(0.01, 50) == 1  # never zero
-        assert quantile_rank(bandwidth(0.09, 115), 113) == 3
+        assert quantile_rank(SmoothingConfig(C=0.09).bandwidth(115), 113) == 3
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -272,8 +270,9 @@ class TestNeighborhoods:
         p = np.where(groups[:, None] == groups[None, :], 0.7, 0.1)
         a = np.triu(rng.random((n, n)) < p, 1).astype(np.int8)
         a = a | a.T
-        h = bandwidth(0.1, n)
-        _, sizes = estimate_modified(a, SmoothingConfig(C=0.1), return_sizes=True)
+        cfg = SmoothingConfig(C=0.1)
+        h = cfg.bandwidth(n)
+        _, sizes = estimate_modified(a, cfg, return_sizes=True)
         s = _counts(a)
         buf = _chebyshev_buffer(n, s.dtype)
         rank = quantile_rank(h, n - 2)
@@ -356,6 +355,19 @@ class TestModifiedEstimator:
         h = cfg.bandwidth(8)
         assert np.array_equal(estimate_modified(FIX8, cfg), reference.modified_estimate(FIX8, h))
 
+    @pytest.mark.parametrize("c", [0.3, 0.5, 1.0])
+    def test_reference_gap_table_matches_per_pair_reference(self, c):
+        # the oracle's per-j gap table against one pair_neighborhood per (i, j)
+        h = SmoothingConfig(C=c).bandwidth(8)
+        f = np.zeros((8, 8))
+        for i in range(8):
+            for j in range(8):
+                if i != j:
+                    nbhd = reference.pair_neighborhood(FIX8, i, j, h)
+                    f[i, j] = sum(int(FIX8[i2, j]) for i2 in nbhd) / len(nbhd)
+        want = 0.5 * (f + f.T)
+        assert reference.modified_estimate(FIX8, h).tobytes() == want.tobytes()
+
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=15)
     def test_random_matches_reference_bitwise(self, seed):
@@ -363,9 +375,9 @@ class TestModifiedEstimator:
         n = int(rng.integers(4, 11))
         a = random_adjacency(rng, n, p=float(rng.uniform(0.2, 0.8)))
         c = float(rng.uniform(0.1, 1.0))
-        h = bandwidth(c, n)
-        got = estimate_modified(a, SmoothingConfig(C=c))
-        assert np.array_equal(got, reference.modified_estimate(a, h))
+        cfg = SmoothingConfig(C=c)
+        got = estimate_modified(a, cfg)
+        assert np.array_equal(got, reference.modified_estimate(a, cfg.bandwidth(n)))
 
     @pytest.mark.parametrize("n", [7, 9, 15])
     def test_odd_n_matches_reference_bitwise(self, n):
@@ -373,8 +385,9 @@ class TestModifiedEstimator:
         for _ in range(3):
             a = random_adjacency(rng, n, p=float(rng.uniform(0.2, 0.8)))
             c = float(rng.uniform(0.2, 1.0))
-            got = estimate_modified(a, SmoothingConfig(C=c))
-            assert np.array_equal(got, reference.modified_estimate(a, bandwidth(c, n)))
+            cfg = SmoothingConfig(C=c)
+            got = estimate_modified(a, cfg)
+            assert np.array_equal(got, reference.modified_estimate(a, cfg.bandwidth(n)))
 
     def test_sizes_by_product(self):
         cfg = SmoothingConfig(C=0.5)
@@ -477,9 +490,9 @@ class TestBoundThenVerify:
     @given(tie_heavy_graphs(), st.sampled_from([0.1, 0.5, 1.0]))
     @settings(max_examples=20)
     def test_tie_heavy_graphs_match_reference(self, a, c):
-        h = bandwidth(c, a.shape[0])
-        assert np.array_equal(estimate_modified(a, SmoothingConfig(C=c)),
-                              reference.modified_estimate(a, h))
+        cfg = SmoothingConfig(C=c)
+        assert np.array_equal(estimate_modified(a, cfg),
+                              reference.modified_estimate(a, cfg.bandwidth(a.shape[0])))
 
     def test_top2_matches_loops(self):
         rng = np.random.default_rng(16)
@@ -613,8 +626,9 @@ class TestOriginalEstimator:
         n = int(rng.integers(3, 11))
         a = random_adjacency(rng, n, p=float(rng.uniform(0.2, 0.8)))
         c = float(rng.uniform(0.1, 1.0))
-        got = estimate_original(a, SmoothingConfig(C=c, variant="original"))
-        assert np.array_equal(got, reference.original_estimate(a, bandwidth(c, n)))
+        cfg = SmoothingConfig(C=c, variant="original")
+        got = estimate_original(a, cfg)
+        assert np.array_equal(got, reference.original_estimate(a, cfg.bandwidth(n)))
 
     @pytest.mark.parametrize("n", [7, 9, 15])
     def test_odd_n_matches_reference_bitwise(self, n):
@@ -622,8 +636,9 @@ class TestOriginalEstimator:
         for _ in range(3):
             a = random_adjacency(rng, n, p=float(rng.uniform(0.2, 0.8)))
             c = float(rng.uniform(0.2, 1.0))
-            got = estimate_original(a, SmoothingConfig(C=c, variant="original"))
-            assert np.array_equal(got, reference.original_estimate(a, bandwidth(c, n)))
+            cfg = SmoothingConfig(C=c, variant="original")
+            got = estimate_original(a, cfg)
+            assert np.array_equal(got, reference.original_estimate(a, cfg.bandwidth(n)))
 
     def test_sizes_by_product(self):
         cfg = SmoothingConfig(C=0.5, variant="original")
