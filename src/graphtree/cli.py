@@ -142,7 +142,7 @@ def cluster(path, tree, newick):
     m = _load_square_csv(path)
     if m.shape[0] < 2:
         raise ValidationError("need at least two nodes to cluster")
-    _, dendro = single_linkage(m)
+    dendro = single_linkage(m)
     _write_text(dendro.to_json() + "\n", tree)
     if newick is not None:
         _write_text(dendro.to_newick() + "\n", newick)

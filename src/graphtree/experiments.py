@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ValidationError
 from .graph_io import load_adjacency_csv, load_edge_list, load_gml_subset
 from .graphon import StepGraphon, step_graphon_from_dict, step_graphon_to_dict
-from .linkage import Dendrogram, single_linkage
+from .linkage import Dendrogram, dendrogram_merge_matrix, single_linkage
 from .mergeon import merge_distortion, mergeon_eval_matrix, step_mergeon
 from .sampling import derive_seed, edge_probabilities, sample_graph, sample_latents
 from .smoothing import (
@@ -165,7 +165,8 @@ def _single_run(graphon_doc: dict, n: int, seed: int, c: float, variant: str):
     p = edge_probabilities(w, latents)
     a = sample_graph(p, derive_seed(seed, n, 1))
     phat = estimate_edge_probabilities(a, SmoothingConfig(C=c, variant=variant))
-    mhat, dendro = single_linkage(phat)
+    dendro = single_linkage(phat)
+    mhat = dendrogram_merge_matrix(dendro)
     mvals = mergeon_eval_matrix(step_mergeon(w), latents.points)
     errs = estimation_errors(phat, p)
     record = RunRecord(
@@ -277,7 +278,7 @@ def run_dataset_clustering(
         "dataset %s: n=%d, h=%.6g, neighborhood sizes min/median/max = %d/%g/%d",
         path, n, h, int(sizes.min()), float(np.median(sizes)), int(sizes.max()),
     )
-    _, dendro = single_linkage(phat)
+    dendro = single_linkage(phat)
     for lam in sorted(set(dendro.level), reverse=True)[:3]:
         parts = dendro.cut(lam)
         log.info("level %g: %d clusters", lam, len(parts))
@@ -299,7 +300,7 @@ def run_dataset_clustering(
             writer.writerow([i, lab])
 
     if baseline:
-        _, base = single_linkage(-column_distance_matrix(a))
+        base = single_linkage(-column_distance_matrix(a))
         with open(os.path.join(out_dir, "baseline_dendrogram.json"), "w") as fh:
             fh.write(base.to_json() + "\n")
         with open(os.path.join(out_dir, "baseline_dendrogram.newick"), "w") as fh:

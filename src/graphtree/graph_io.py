@@ -28,12 +28,53 @@ __all__ = [
 ]
 
 
+# One line the fast path of load_edge_list cannot read: anything but a blank
+# line, a "#" comment or two ASCII digit runs split by spaces or tabs. Runs of
+# at most 18 digits stay below 2**63, so int64 cannot wrap. Searched over
+# "\n" + text, so the literal "\n" starts every line, the first included.
+_ODD_EDGE_LINE = re.compile(
+    r"\n(?![ \t]*+(?:#|[0-9]{1,18}+[ \t]++[0-9]{1,18}+[ \t]*+(?:\n|\Z)|\n|\Z))")
+_COMMENT = re.compile(r"#[^\n]*")
+
+
 def load_edge_list(path) -> np.ndarray:
     """Parse "u v" lines into a dense adjacency matrix.
 
     Node ids are 0-based; n is one plus the largest id seen, so an isolated
-    trailing node cannot be represented in this format.
+    trailing node cannot be represented in this format. Blank lines and
+    lines starting with "#" are skipped.
+
+    Two paths, one result. When every line is blank, a comment or two ASCII
+    digit runs of at most 18 digits, the file is read in one pass: one regex
+    search checks the lines, one numpy call parses every id and the edges
+    are scattered into the matrix at once. Any other file, and any file that
+    breaks a rule (a self loop, no edges), is read line by line, which
+    accepts every spelling int() does and names the first bad line.
     """
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as e:
+        raise ValidationError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError:
+        return _read_edge_lines(path)
+    if _ODD_EDGE_LINE.search("\n" + text):
+        return _read_edge_lines(path)
+    body = _COMMENT.sub("", text) if "#" in text else text
+    if not body.strip():  # np.fromstring would not return an empty array
+        return _read_edge_lines(path)
+    u, v = np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 2).T
+    if np.any(u == v):
+        return _read_edge_lines(path)
+    n = int(max(u.max(), v.max())) + 1
+    a = np.zeros((n, n), dtype=np.int8)
+    a[u, v] = 1
+    a[v, u] = 1
+    return a
+
+
+def _read_edge_lines(path) -> np.ndarray:
+    """load_edge_list one line at a time; every error names its line."""
     edges = []
     try:
         with open(path) as fh:

@@ -4,10 +4,11 @@ The merge matrix entry (i, j) is the best bottleneck over simple paths, i.e.
 the level at which i and j fall into a common cluster when edges below the
 level are discarded. single_linkage builds the dendrogram in O(n^2): a
 maximum spanning tree (whose unique tree paths realize the max-min values),
-then its edges in descending weight order through one union-find. The merge
-matrix is read off that tree by dendrogram_merge_matrix, the one writer of
-merge-matrix blocks: each row of the table writes the block between its two
-children once. Diagonal fixed at 1.
+then its edges in descending weight order through one union-find. The tree
+is the output; callers that read the merge matrix take it from
+dendrogram_merge_matrix, the one writer of merge-matrix blocks: each row of
+the table writes the block between its two children once. Diagonal fixed
+at 1.
 
 A dendrogram is a merge table in the stepwise form of Muellner (2011) and of
 scipy's linkage matrix: leaves are nodes 0..n-1 and row k joins two earlier
@@ -83,17 +84,19 @@ def _max_spanning_tree(sim: np.ndarray):
     return us, vs, ws
 
 
-def single_linkage(sim: np.ndarray):
-    """Merge matrix and dendrogram of a symmetric similarity matrix, in O(n^2).
+def single_linkage(sim: np.ndarray) -> "Dendrogram":
+    """Dendrogram of a symmetric similarity matrix, in O(n^2).
 
     The maximum spanning tree's edges are stable-sorted by descending weight
     and merged with one union-find into a merge table. Tie rule: the edges of
     one weight join each component they form as a left-deep chain of that
     component's clusters from above the weight, taken in order of their
     leader (smallest member); the lower leader is always the left child. The
-    merge matrix is dendrogram_merge_matrix of that tree. Cutting the tree at
-    lam gives the connected components of the graph with edges sim >= lam,
-    and the tree of a similarity equals the tree of its merge matrix.
+    merge matrix (max-min closure) is dendrogram_merge_matrix of the tree; it
+    is an n x n array, so it is built only where it is read. Cutting the tree
+    at lam gives the connected components of the graph with edges
+    sim >= lam, and the tree of a similarity equals the tree of its merge
+    matrix.
     """
     us, vs, ws = _max_spanning_tree(sim)
     n = len(ws) + 1
@@ -121,8 +124,7 @@ def single_linkage(sim: np.ndarray):
                 levels.append(level)
                 node[lead] = n + len(levels) - 1
         start = stop
-    d = Dendrogram(left, right, levels)
-    return dendrogram_merge_matrix(d), d
+    return Dendrogram(left, right, levels)
 
 
 # one token of the dendrogram's JSON grammar, after optional whitespace:

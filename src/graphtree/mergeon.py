@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graphon import BlockPartition, StepGraphon
-from .linkage import UnionFind, single_linkage
+from .linkage import UnionFind, dendrogram_merge_matrix, single_linkage
 
 __all__ = [
     "BlockMergeMatrix",
@@ -93,7 +93,7 @@ def step_mergeon(w: StepGraphon) -> BlockMergeMatrix:
     Gated by exact equality with discretization_oracle for every input.
     """
     v = w.values
-    levels = single_linkage(v)[0]
+    levels = dendrogram_merge_matrix(single_linkage(v))
     np.fill_diagonal(levels, v.max(axis=1))
     return BlockMergeMatrix(w.partition, levels)
 
@@ -120,7 +120,7 @@ def discretization_oracle(w: StepGraphon, m: int) -> BlockMergeMatrix:
     n = k * m
     weights = w.eval_many(np.repeat(reps, n), np.tile(reps, n)).reshape(n, n)
 
-    heights, _ = single_linkage(weights)
+    heights = dendrogram_merge_matrix(single_linkage(weights))
 
     levels = np.empty((k, k))
     for a in range(k):

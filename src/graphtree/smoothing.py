@@ -117,12 +117,6 @@ def quantile_rank(h: float, m: int) -> int:
     return max(1, math.ceil(h * m))
 
 
-def _square_counts(a: np.ndarray) -> np.ndarray:
-    # raw common-neighbor counts A @ A; the float64 BLAS product is exact
-    af = a.astype(np.float64)
-    return af @ af
-
-
 def _count_dtype(n: int) -> np.dtype:
     """Smallest signed dtype, int16 at least, that holds +-n.
 
@@ -135,8 +129,15 @@ def _count_dtype(n: int) -> np.dtype:
 
 
 def _counts(a: np.ndarray) -> np.ndarray:
-    """A @ A as raw counts in the kernel's integer dtype."""
-    return _square_counts(a).astype(_count_dtype(a.shape[0]))
+    """A @ A as raw counts in the kernel's integer dtype.
+
+    The product runs in float32 BLAS, twice as fast as float64. Each entry
+    is a sum of n 0/1 products, so it is exact while n <= 2**24, the
+    float32 significand; the int8 adjacency alone would need 2**48 bytes
+    there.
+    """
+    af = a.astype(np.float32)
+    return (af @ af).astype(_count_dtype(a.shape[0]))
 
 
 def _chebyshev_buffer(n: int, dtype) -> np.ndarray:
@@ -363,13 +364,18 @@ def estimate_original(a: np.ndarray, config: SmoothingConfig, *, return_sizes: b
     not in {i, i'}; the quantile rule matches the modified variant
     (ceil(h*(n-1))th smallest, ties included) and the output is symmetrized
     the same way. With return_sizes, also returns |N_i| per node.
+
+    The hit counts nbrs @ A are sums of 0/1 products, exact in float32 BLAS
+    while n <= 2**24 as in _counts; they are widened to float64 before the
+    division, so the estimate is that of the float64 product bit for bit.
     """
     check_adjacency(a)
     if config.variant != "original":
         raise ValueError(f"config variant is {config.variant!r}, not 'original'")
     nbrs = _node_neighborhoods(a, config.bandwidth(a.shape[0]))
     sizes = nbrs.sum(axis=1)
-    g = (nbrs @ a.astype(np.float64)) / sizes[:, None]
+    hits = nbrs.astype(np.float32) @ a.astype(np.float32)
+    g = hits.astype(np.float64) / sizes[:, None]
     phat = 0.5 * (g + g.T)
     np.fill_diagonal(phat, 0.0)
     return (phat, sizes) if return_sizes else phat

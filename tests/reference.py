@@ -1,10 +1,11 @@
 """Slow, definition-level reference implementations used as oracles.
 
 Everything here favors obviousness over speed: explicit loops, explicit
-row/column zeroing, full sorts, exhaustive path enumeration. The fast package
-code is gated against these; apart from the dense modified pass and the
-per-entry views at the end of the file, nothing here imports the modules it
-checks.
+row/column zeroing, full sorts, exhaustive path enumeration, one edge-list
+line at a time. The fast package code is gated against these; apart from the
+dense modified pass and the per-entry views, nothing here imports the modules
+it checks (the edge-list oracle raises graphtree's ValidationError, so that
+messages compare).
 """
 
 import itertools
@@ -12,11 +13,11 @@ import math
 
 import numpy as np
 
+from graphtree.errors import ValidationError
 from graphtree.smoothing import (
     _chebyshev_buffer,
-    _counts,
+    _count_dtype,
     _pairwise_chebyshev,
-    _square_counts,
     _within_rank,
     quantile_rank,
 )
@@ -83,6 +84,12 @@ def argmax_agglomerate(m):
         lvl[b, :] = -np.inf
         lvl[:, b] = -np.inf
     return nodes[0]
+
+
+def square_counts(A):
+    """Raw common-neighbour counts A @ A in int64."""
+    Ai = np.asarray(A, dtype=np.int64)
+    return Ai @ Ai
 
 
 def zeroed_square_counts(A, j):
@@ -324,7 +331,7 @@ def dense_pair_neighborhoods(s, ai, j, rank, buf):
 def dense_modified_estimate(A, h):
     """(P_hat, sizes) of the modified estimator from the dense per-j pass."""
     n = A.shape[0]
-    s = _counts(A)
+    s = square_counts(A).astype(_count_dtype(n))
     ai = A.astype(s.dtype)
     af = A.astype(np.float64)
     buf = _chebyshev_buffer(n, s.dtype)
@@ -341,7 +348,7 @@ def dense_modified_estimate(A, h):
     return phat, sizes
 
 
-# Per-entry views of the count kernels (_square_counts and
+# Per-entry views of the count kernels (square_counts and
 # deleted_square_counts), one pair at a time: tests check them against
 # pair_distance and pair_neighborhood above.
 
@@ -349,7 +356,7 @@ def dense_modified_estimate(A, h):
 def _pair_gaps(a, i, j, sq):
     """Integer gaps d_j(i, i2) * n for every i2, one at a time; entries i and j are 0."""
     n = a.shape[0]
-    s = (_square_counts(a) if sq is None else sq).astype(np.int64)
+    s = (square_counts(a) if sq is None else sq).astype(np.int64)
     r = deleted_square_counts(s, a.astype(np.int64), j)
     gaps = np.zeros(n, dtype=np.int64)
     for i2 in range(n):
@@ -390,3 +397,41 @@ def neighborhood_of_pair(a, i, j, h, sq=None):
     gaps = _pair_gaps(a, i, j, sq)[cands]
     q = np.sort(gaps)[quantile_rank(h, n - 2) - 1]
     return cands[gaps <= q]
+
+
+def edge_list_by_lines(path):
+    """Adjacency of an edge-list file read one line at a time with int().
+
+    Same rules and messages as graphtree.load_edge_list: blank and "#" lines
+    skipped, two nonnegative distinct ids per line, each error naming its
+    line, n one plus the largest id.
+    """
+    edges = []
+    try:
+        with open(path) as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split()
+                if len(parts) != 2:
+                    raise ValidationError(f"{path}:{lineno}: expected two node ids, got {line!r}")
+                try:
+                    u, v = int(parts[0]), int(parts[1])
+                except ValueError:
+                    raise ValidationError(f"{path}:{lineno}: node ids must be integers") from None
+                if u < 0 or v < 0:
+                    raise ValidationError(f"{path}:{lineno}: node ids must be nonnegative")
+                if u == v:
+                    raise ValidationError(f"{path}:{lineno}: self loops are not allowed")
+                edges.append((u, v))
+    except OSError as e:
+        raise ValidationError(f"cannot read {path}: {e}") from e
+    if not edges:
+        raise ValidationError(f"{path}: no edges found")
+    n = max(max(u, v) for u, v in edges) + 1
+    a = np.zeros((n, n), dtype=np.int8)
+    for u, v in edges:
+        a[u, v] = 1
+        a[v, u] = 1
+    return a

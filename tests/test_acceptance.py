@@ -45,7 +45,6 @@ from graphtree import (
     SmoothingConfig,
 )
 from graphtree.cli import main as cli_main
-from graphtree.smoothing import _square_counts
 from conftest import random_adjacency, random_step_graphon
 import reference
 from reference import deleted_square_entry, group_of_thirds, induced_merge_height
@@ -84,7 +83,7 @@ def test_c2_merge_estimate_oracle():
         sim = np.triu(vals, 1)
         sim = sim + sim.T
         np.fill_diagonal(sim, 1.0)
-        assert np.array_equal(single_linkage(sim)[0], reference.maxmin_matrix(sim))
+        assert np.array_equal(dendrogram_merge_matrix(single_linkage(sim)), reference.maxmin_matrix(sim))
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     report(f"C2 PASS: single_linkage merge matrix == brute-force max-min on 100 matrices, "
@@ -95,7 +94,7 @@ def test_c3_rank_one_identity_and_bracket():
     rng = np.random.default_rng(3)
     n = 20
     a = random_adjacency(rng, n, p=0.5)
-    sq = _square_counts(a)
+    sq = reference.square_counts(a)
     zeroed = {j: reference.zeroed_square_over_n(a, j) for j in range(n)}
     t0 = time.perf_counter()
     for _ in range(1000):
@@ -178,7 +177,8 @@ def test_c6_merge_distortion_bound():
         assert np.abs(noise).max() < eps
         mhat = np.clip(mvals + noise, 0.0, 1.0)
         np.fill_diagonal(mhat, 1.0)
-        m, d = single_linkage(mhat)
+        d = single_linkage(mhat)
+        m = dendrogram_merge_matrix(d)
         levels = sorted({m[i, j] for i in range(n) for j in range(i + 1, n)})
         hierarchy = []
         for lam in levels:
@@ -291,7 +291,7 @@ def test_c10_structure_recovery_strict():
         latents = sample_latents(n, derive_seed(seed, n, 0))
         a = sample_graph(edge_probabilities(w, latents), derive_seed(seed, n, 1))
         phat = estimate_modified(a, SmoothingConfig(C=0.2))
-        got = single_linkage(phat)[1].cut(lam)
+        got = single_linkage(phat).cut(lam)
         groups = group_of_thirds(latents.points)
         want = sorted(
             sorted(int(i) for i in np.flatnonzero(groups == g)) for g in range(3)

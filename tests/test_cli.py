@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from graphtree import Dendrogram
+from graphtree import Dendrogram, save_edge_list
 from graphtree.cli import main
 
 
@@ -166,6 +166,36 @@ class TestEstimate:
         res = runner.invoke(main, ["estimate", "--input", graph30_file, "--C", "-1"])
         assert res.exit_code == 2
         assert "C must be positive" in res.stderr
+
+    def test_both_edge_list_readers_agree(self, runner, tmp_path):
+        # the same graph read line by line (CRLF, comments, blanks, a "+3"
+        # id) and in one pass (the save_edge_list file) gives the same bytes
+        rng = np.random.default_rng(4)
+        a = np.triu(rng.random((30, 30)) < 0.3, 1).astype(np.int8)
+        a[0, 29] = a[0, 3] = 1
+        a = a | a.T
+        plain = tmp_path / "plain.edges"
+        save_edge_list(plain, a)
+        lines = ["# edges, messy", ""]
+        for u, v in np.argwhere(np.triu(a, 1)):
+            lines.append(f" {u}\t{v} " if (u, v) != (0, 3) else "0 +3")
+            if u % 7 == 0:
+                lines.append("")
+        messy = tmp_path / "messy.edges"
+        messy.write_bytes("\r\n".join(lines).encode())
+        for variant in ("modified", "original"):
+            args = ["estimate", "--C", "0.5", "--variant", variant, "--input"]
+            want = runner.invoke(main, args + [str(plain)])
+            got = runner.invoke(main, args + [str(messy)])
+            assert want.exit_code == 0 and got.exit_code == 0
+            assert got.stdout_bytes == want.stdout_bytes
+
+    def test_self_loop_names_its_line(self, runner, tmp_path):
+        p = tmp_path / "loop.edges"
+        p.write_text("# header\n0 1\n1 2\n2 2\n2 3\n")
+        res = runner.invoke(main, ["estimate", "--input", str(p), "--C", "0.5"])
+        assert res.exit_code == 2
+        assert f"{p}:4: self loops are not allowed" in res.stderr
 
     def test_original_variant(self, runner, tmp_path):
         p = tmp_path / "tiny.edges"

@@ -1,8 +1,14 @@
 """Graph and matrix file formats: edge lists, CSV, and the GML subset."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
+import graphtree.graph_io as graph_io
 from graphtree import (
     ValidationError,
     load_adjacency_csv,
@@ -14,6 +20,7 @@ from graphtree import (
     save_matrix_csv,
 )
 from conftest import random_adjacency
+import reference
 
 
 class TestEdgeList:
@@ -61,6 +68,106 @@ class TestEdgeList:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="cannot read"):
             load_edge_list(tmp_path / "absent.edges")
+
+    @pytest.mark.parametrize("text", [
+        "0 1\n",
+        "0 1",
+        "\n\n  0\t1  \r\n# note 7 7\r\n\t# indented 3 3\n2 1\n\n",
+        "000000000000000003 000000000000000000\n",
+    ])
+    def test_plain_files_take_one_pass(self, tmp_path, monkeypatch, text):
+        p = tmp_path / "g.edges"
+        p.write_bytes(text.encode())
+        want = reference.edge_list_by_lines(p)
+
+        def no_line_loop(path):
+            raise AssertionError("read line by line")
+
+        monkeypatch.setattr(graph_io, "_read_edge_lines", no_line_loop)
+        got = load_edge_list(p)
+        assert got.dtype == np.int8 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("text", [
+        "0 +3\n",  # spellings int() accepts
+        "1_0 2\n",
+        "\u0663 1\n",
+        "0\u20031\n",
+        "1234567890123456789 2\n5 5\n",  # 19 digits; then an error line
+        "0 1\n2 2\n",  # self loop
+        "# only a comment\n\n",
+        "",
+    ])
+    def test_other_files_read_line_by_line(self, tmp_path, monkeypatch, text):
+        p = tmp_path / "g.edges"
+        p.write_bytes(text.encode())
+        calls = []
+        line_loop = graph_io._read_edge_lines
+
+        def counted(path):
+            calls.append(path)
+            return line_loop(path)
+
+        monkeypatch.setattr(graph_io, "_read_edge_lines", counted)
+        try:
+            load_edge_list(p)
+        except ValidationError:
+            pass
+        assert calls == [p]
+
+    def test_undecodable_tail_still_names_the_first_bad_line(self, tmp_path):
+        # the line loop decodes as it goes, so an error on line 2 comes before
+        # the bad byte near the end; the one-pass read must not change that
+        p = tmp_path / "g.edges"
+        p.write_bytes(b"0 1\n2 2\n" + b"0 1\n" * 5000 + b"\xff\n")
+        with pytest.raises(ValidationError, match=r"g\.edges:2: self loop"):
+            reference.edge_list_by_lines(p)
+        with pytest.raises(ValidationError, match=r"g\.edges:2: self loop"):
+            load_edge_list(p)
+
+
+# Line kinds for the differential test: blank lines, comments and edges the
+# one-pass reader takes, spellings only int() accepts, and every error kind.
+# A file mixing them must read exactly as the line loop reads it.
+_SPACES = st.sampled_from(["", " ", "\t", "  ", " \t "])
+_SEPS = st.sampled_from([" ", "\t", "  ", " \t"])
+_IDS = st.integers(0, 24)
+_EXOTIC_IDS = st.sampled_from(["+3", "007", "1_0", "\u0663", "0x1", "\uff15"])
+_LINES = st.one_of(
+    st.builds(lambda a, u, s, v, b: f"{a}{u}{s}{v}{b}", _SPACES, _IDS, _SEPS, _IDS, _SPACES),
+    st.builds(lambda a, c: f"{a}#{c}", _SPACES, st.sampled_from(["", " 1 2", "##", " x y z"])),
+    _SPACES,
+    st.builds(lambda u, v: f"{u} {v}", _EXOTIC_IDS, _IDS),
+    st.builds(lambda u, v: f"{u} {v}", _IDS, _EXOTIC_IDS),
+    st.sampled_from([
+        "1 2 3",  # three tokens
+        "a 2",  # not an integer
+        "1.5 2",
+        "-1 2",  # negative
+        "4 4",  # self loop
+        "7",
+        "0\u20032",  # em space: str.split splits it, the one-pass regex does not
+        "0\x0c2",
+    ]),
+)
+
+
+@given(st.lists(_LINES, max_size=12), st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_edge_list_matches_line_loop(lines, newline, final_newline):
+    text = newline.join(lines) + (newline if final_newline and lines else "")
+    with tempfile.TemporaryDirectory() as d:
+        p = os.path.join(d, "g.edges")
+        with open(p, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        try:
+            want = reference.edge_list_by_lines(p)
+        except (ValidationError, UnicodeDecodeError) as e:  # the latter off UTF-8 locales
+            with pytest.raises(type(e)) as got:
+                load_edge_list(p)
+            assert str(got.value) == str(e)
+        else:
+            got = load_edge_list(p)
+            assert got.dtype == np.int8 and np.array_equal(got, want)
 
 
 class TestAdjacencyCsv:

@@ -60,7 +60,8 @@ def chain_sim(n):
 
 
 def assert_matches_reference(sim):
-    m, d = single_linkage(sim)
+    d = single_linkage(sim)
+    m = dendrogram_merge_matrix(d)
     want = reference.maxmin_closure(sim)
     assert np.array_equal(m, want)
     assert d.to_json() == json.dumps(reference.argmax_agglomerate(want), sort_keys=True)
@@ -80,7 +81,7 @@ class TestSingleLinkage:
     def test_nested_ultrametric_matches_reference(self, seed):
         sim = nested_ultrametric(seed)
         assert_matches_reference(sim)
-        assert np.array_equal(single_linkage(sim)[0], sim)
+        assert np.array_equal(dendrogram_merge_matrix(single_linkage(sim)), sim)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=40)
@@ -92,17 +93,18 @@ class TestSingleLinkage:
     @settings(max_examples=30)
     def test_merge_matrix_is_its_own_tree(self, seed):
         sim = small_sims(seed, n_hi=15)
-        m, d = single_linkage(sim)
-        assert np.array_equal(dendrogram_merge_matrix(d), m)
-        m2, d2 = single_linkage(m)
-        assert np.array_equal(m2, m) and d2 == d
+        d = single_linkage(sim)
+        m = dendrogram_merge_matrix(d)
+        d2 = single_linkage(m)
+        assert d2 == d and np.array_equal(dendrogram_merge_matrix(d2), m)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=30)
     def test_matches_scipy(self, seed):
         hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
         sim = small_sims(seed, n_hi=30)
-        m, d = single_linkage(sim)
+        d = single_linkage(sim)
+        m = dendrogram_merge_matrix(d)
         upper = np.triu_indices(sim.shape[0], 1)
         # scipy wants non-negative distances: rank the negated similarities,
         # a monotone map that single linkage does not see, and map back
@@ -113,7 +115,8 @@ class TestSingleLinkage:
         assert sorted(d.level) == sorted(-values[z[:, 2].astype(int)])
 
     def test_single_node(self):
-        m, d = single_linkage(np.ones((1, 1)))
+        d = single_linkage(np.ones((1, 1)))
+        m = dendrogram_merge_matrix(d)
         assert np.array_equal(m, np.ones((1, 1)))
         assert d == Dendrogram((), (), ())
 
@@ -121,6 +124,34 @@ class TestSingleLinkage:
         for bad in (np.zeros((2, 3)), np.zeros((0, 0)), np.array([[1.0, 0.2], [0.3, 1.0]])):
             with pytest.raises(ValueError):
                 single_linkage(bad)
+
+
+class TestLipschitz:
+    """Single linkage is 1-Lipschitz in the max norm: adding a symmetric E to
+    the similarity moves no merge level by more than max|E|.
+
+    The bound is checked against the float perturbation actually applied,
+    T - S. Merge levels are copies of entries of T or S, and float
+    subtraction rounds monotonically, so the real-valued inequality carries
+    over to the computed one exactly.
+    """
+
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([1e-9, 1e-3, 0.05, 0.5, 4.0]),
+           st.booleans())
+    @settings(max_examples=80)
+    def test_levels_move_at_most_the_perturbation(self, seed, scale, tied):
+        rng = np.random.default_rng(seed)
+        s = small_sims(seed, n_hi=30) if tied else random_symmetric(rng, int(rng.integers(2, 31)))
+        e = rng.uniform(-scale, scale, size=s.shape)
+        if rng.random() < 0.3:  # a sparse perturbation: one entry and its mirror
+            keep = np.zeros(s.shape, dtype=bool)
+            keep[rng.integers(s.shape[0]), rng.integers(s.shape[0])] = True
+            e = np.where(keep, e, 0.0)
+        t = s + (e + e.T)
+        off = ~np.eye(s.shape[0], dtype=bool)
+        moved = np.abs(dendrogram_merge_matrix(single_linkage(t))
+                       - dendrogram_merge_matrix(single_linkage(s)))[off]
+        assert moved.max(initial=0.0) <= np.abs(t - s)[off].max(initial=0.0)
 
 
 class TestUnionFind:
@@ -138,11 +169,11 @@ class TestUnionFind:
 class TestMergeEstimate:
     def test_two_nodes(self):
         s = np.array([[1.0, 0.3], [0.3, 1.0]])
-        m = single_linkage(s)[0]
+        m = dendrogram_merge_matrix(single_linkage(s))
         assert m[0, 1] == 0.3 and m[0, 0] == 1.0 and m[1, 1] == 1.0
 
     def test_chain_rides_the_path(self):
-        m = single_linkage(CHAIN_SIM)[0]
+        m = dendrogram_merge_matrix(single_linkage(CHAIN_SIM))
         assert m[0, 2] == 0.8
         assert m[0, 1] == 0.9
         assert m[1, 2] == 0.8
@@ -151,12 +182,12 @@ class TestMergeEstimate:
     @settings(max_examples=40)
     def test_matches_path_enumeration(self, seed):
         sim = small_sims(seed)
-        assert np.array_equal(single_linkage(sim)[0], reference.maxmin_matrix(sim))
+        assert np.array_equal(dendrogram_merge_matrix(single_linkage(sim)), reference.maxmin_matrix(sim))
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25)
     def test_ultrametric(self, seed):
-        m = single_linkage(small_sims(seed))[0]
+        m = dendrogram_merge_matrix(single_linkage(small_sims(seed)))
         n = m.shape[0]
         for i in range(n):
             for j in range(n):
@@ -165,7 +196,7 @@ class TestMergeEstimate:
 
     def test_dominates_input_off_diagonal(self):
         sim = small_sims(123)
-        m = single_linkage(sim)[0]
+        m = dendrogram_merge_matrix(single_linkage(sim))
         off = ~np.eye(sim.shape[0], dtype=bool)
         assert np.all(m[off] >= sim[off])
 
@@ -179,7 +210,7 @@ class TestMergeEstimate:
 
 class TestClustersAtLevel:
     def test_chain_example(self):
-        d = single_linkage(single_linkage(CHAIN_SIM)[0])[1]
+        d = single_linkage(dendrogram_merge_matrix(single_linkage(CHAIN_SIM)))
         assert d.cut(0.85) == [[0, 1], [2]]
         assert d.cut(0.8) == [[0, 1, 2]]
         assert d.cut(0.95) == [[0], [1], [2]]
@@ -187,7 +218,7 @@ class TestClustersAtLevel:
     def test_extremes(self):
         sim = small_sims(7)
         n = sim.shape[0]
-        d = single_linkage(sim)[1]
+        d = single_linkage(sim)
         assert d.cut(0.0) == [list(range(n))]
         assert d.cut(1.5) == [[i] for i in range(n)]
 
@@ -197,8 +228,9 @@ class TestClustersAtLevel:
         # thresholding the raw similarities and thresholding their max-min
         # closure give the same components, at every level that occurs
         sim = small_sims(seed)
-        m, d = single_linkage(sim)
-        d_of_m = single_linkage(m)[1]
+        d = single_linkage(sim)
+        m = dendrogram_merge_matrix(d)
+        d_of_m = single_linkage(m)
         off = sim[~np.eye(sim.shape[0], dtype=bool)]
         for lam in sorted(set(off)) + [0.5 * (1 + off.max())]:
             assert d.cut(lam) == d_of_m.cut(lam)
@@ -207,30 +239,30 @@ class TestClustersAtLevel:
     @settings(max_examples=20)
     def test_matches_reference_components(self, seed):
         sim = small_sims(seed)
-        d = single_linkage(sim)[1]
+        d = single_linkage(sim)
         for lam in (0.25, 0.5, 0.75):
             assert d.cut(lam) == reference.components_at_level(sim, lam)
 
 
 class TestBuildDendrogram:
     def test_single_leaf(self):
-        d = single_linkage(np.ones((1, 1)))[1]
+        d = single_linkage(np.ones((1, 1)))
         assert d == Dendrogram((), (), ()) and d.n == 1
         assert d.to_json() == "0" and d.leaf_order == [0]
         assert d.cut(0.5) == [[0]]
 
     def test_two_leaves(self):
-        d = single_linkage(np.array([[1.0, 0.7], [0.7, 1.0]]))[1]
+        d = single_linkage(np.array([[1.0, 0.7], [0.7, 1.0]]))
         assert d == Dendrogram([0], [1], [0.7])
 
     def test_chain_topology(self):
-        d = single_linkage(CHAIN_SIM)[1]
+        d = single_linkage(CHAIN_SIM)
         assert d == Dendrogram([0, 3], [1, 2], [0.9, 0.8])
 
     def test_all_equal_left_leaning(self):
         sim = np.full((4, 4), 0.5)
         np.fill_diagonal(sim, 1.0)
-        d = single_linkage(sim)[1]
+        d = single_linkage(sim)
         assert d == Dendrogram([0, 4, 5], [1, 2, 3], [0.5] * 3)
         assert d.leaf_order == [0, 1, 2, 3]
 
@@ -238,7 +270,7 @@ class TestBuildDendrogram:
     @settings(max_examples=30)
     def test_cut_equals_components(self, seed):
         sim = small_sims(seed)
-        d = single_linkage(sim)[1]
+        d = single_linkage(sim)
         off = sim[~np.eye(sim.shape[0], dtype=bool)]
         lams = sorted(set(off))
         mids = [0.5 * (a + b) for a, b in zip(lams, lams[1:])]
@@ -250,8 +282,8 @@ class TestBuildDendrogram:
     def test_monotone_transform_keeps_partitions(self, seed):
         sim = small_sims(seed)
         cube = sim**3
-        d1 = single_linkage(sim)[1]
-        d2 = single_linkage(cube)[1]
+        d1 = single_linkage(sim)
+        d2 = single_linkage(cube)
         off = ~np.eye(sim.shape[0], dtype=bool)
         for lam in sorted(set(sim[off])):
             # pull the mapped threshold out of the mapped matrix so both cuts
@@ -261,7 +293,7 @@ class TestBuildDendrogram:
 
     def test_levels_never_increase_toward_root(self):
         sim = small_sims(42)
-        d = single_linkage(sim)[1]
+        d = single_linkage(sim)
         for k, level in enumerate(d.level):
             for child in (d.left[k], d.right[k]):
                 if child >= d.n:
@@ -280,23 +312,23 @@ class TestMergeMatrixRoundTrip:
     def test_fixed_point_on_ultrametric(self, seed):
         # the merge matrix is its own closure, so the dendrogram built from it
         # encodes exactly the same pairwise levels
-        m = single_linkage(small_sims(seed))[0]
-        d = single_linkage(m)[1]
+        m = dendrogram_merge_matrix(single_linkage(small_sims(seed)))
+        d = single_linkage(m)
         assert np.array_equal(dendrogram_merge_matrix(d), m)
 
     def test_chain(self):
-        d = single_linkage(CHAIN_SIM)[1]
+        d = single_linkage(CHAIN_SIM)
         want = np.array([[1.0, 0.9, 0.8], [0.9, 1.0, 0.8], [0.8, 0.8, 1.0]])
         assert np.array_equal(dendrogram_merge_matrix(d), want)
 
 
 class TestSerialization:
     def test_json_round_trip(self):
-        d = single_linkage(small_sims(3))[1]
+        d = single_linkage(small_sims(3))
         assert Dendrogram.from_json(d.to_json()) == d
 
     def test_json_dict_shape(self):
-        d = single_linkage(CHAIN_SIM)[1]
+        d = single_linkage(CHAIN_SIM)
         doc = json.loads(d.to_json())
         assert doc == {"left": {"left": 0, "right": 1, "level": 0.9}, "right": 2, "level": 0.8}
 
@@ -319,20 +351,20 @@ class TestSerialization:
             Dendrogram.from_json("{not json")
 
     def test_newick_two_leaves(self):
-        d = single_linkage(np.array([[1.0, 0.7], [0.7, 1.0]]))[1]
+        d = single_linkage(np.array([[1.0, 0.7], [0.7, 1.0]]))
         assert d.to_newick() == "(0:0.7,1:0.7);"
 
     def test_newick_chain(self):
-        d = single_linkage(CHAIN_SIM)[1]
+        d = single_linkage(CHAIN_SIM)
         assert d.to_newick() == "((0:0.9,1:0.9):0.8,2:0.8);"
 
     def test_newick_labels_sanitized(self):
-        d = single_linkage(np.array([[1.0, 0.7], [0.7, 1.0]]))[1]
+        d = single_linkage(np.array([[1.0, 0.7], [0.7, 1.0]]))
         out = d.to_newick(labels=["a b", "c:d(e)"])
         assert out == "(a_b:0.7,c_d_e_:0.7);"
 
     def test_newick_fixed_format(self):
-        d = single_linkage(np.array([[1.0, 1 / 3], [1 / 3, 1.0]]))[1]
+        d = single_linkage(np.array([[1.0, 1 / 3], [1 / 3, 1.0]]))
         assert d.to_newick() == "(0:0.333333333333,1:0.333333333333);"
 
 
@@ -364,7 +396,7 @@ class TestMergeTable:
 
     def test_numpy_ints_and_levels(self):
         d = Dendrogram(np.array([0, 3]), np.array([1, 2]), np.array([0.9, 0.8]))
-        assert d == single_linkage(CHAIN_SIM)[1]
+        assert d == single_linkage(CHAIN_SIM)
         assert all(type(c) is int for c in d.left + d.right)
         assert all(type(x) is float for x in d.level)
 
@@ -430,14 +462,14 @@ class TestDeepTreeComparison:
         assert text.endswith(f"{1.0 / self.N!r}))")
 
     def test_repr_is_the_table(self):
-        d = single_linkage(CHAIN_SIM)[1]
+        d = single_linkage(CHAIN_SIM)
         assert repr(d) == "Dendrogram(left=(0, 3), right=(1, 2), level=(0.9, 0.8))"
 
 
 class TestJsonBytes:
     @pytest.mark.parametrize("seed", range(20))
     def test_to_json_equals_json_dumps(self, seed):
-        d = single_linkage(small_sims(seed, n_hi=12))[1]
+        d = single_linkage(small_sims(seed, n_hi=12))
         assert d.to_json() == json.dumps(json.loads(d.to_json()), sort_keys=True)
 
     def test_special_levels_and_moderate_depth(self):
@@ -484,7 +516,7 @@ class TestFromJson:
     ])
     def test_any_key_order_and_whitespace(self, text):
         d = Dendrogram.from_json(text)
-        assert d == single_linkage(CHAIN_SIM)[1]
+        assert d == single_linkage(CHAIN_SIM)
         assert d.to_json() == ('{"left": {"left": 0, "level": 0.9, "right": 1}, '
                                '"level": 0.8, "right": 2}')
 

@@ -14,6 +14,7 @@ from graphtree import (
     MeasurePreservingMap,
     ValidationError,
     cluster_tree_of,
+    dendrogram_merge_matrix,
     discretization_oracle,
     merge_distortion,
     mergeon_eval_matrix,
@@ -247,7 +248,8 @@ class TestInducedMergeHeight:
 
     def test_fixed_point_of_own_tree(self):
         rng = np.random.default_rng(3)
-        m, d = single_linkage(random_symmetric(rng, 6))
+        d = single_linkage(random_symmetric(rng, 6))
+        m = dendrogram_merge_matrix(d)
         levels = sorted({m[i, j] for i in range(6) for j in range(i + 1, 6)})
         hierarchy = []
         for lam in levels:
@@ -300,7 +302,8 @@ class TestMergeDistortion:
             assert np.abs(noise).max() < eps
             mhat = np.clip(mvals + noise, 0.0, 1.0)
             np.fill_diagonal(mhat, 1.0)
-            m, d = single_linkage(mhat)
+            d = single_linkage(mhat)
+            m = dendrogram_merge_matrix(d)
             levels = sorted({m[i, j] for i in range(n) for j in range(i + 1, n)})
             hierarchy = []
             for lam in levels:

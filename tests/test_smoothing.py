@@ -29,7 +29,6 @@ from graphtree.smoothing import (
     _pair_neighborhoods,
     _pairwise_chebyshev,
     _pairwise_top2,
-    _square_counts,
     quantile_rank,
 )
 import graphtree.smoothing as smoothing
@@ -113,20 +112,20 @@ class TestQuantileRank:
 class TestDeletedSquare:
     def test_empty_graph(self):
         a = np.zeros((5, 5), dtype=np.int8)
-        sq = _square_counts(a)
+        sq = reference.square_counts(a)
         assert deleted_square_entry(sq, a, 2, 0, 1) == 0.0
 
     def test_complete_graph_k4(self):
         a = np.ones((4, 4), dtype=np.int8)
         np.fill_diagonal(a, 0)
-        sq = _square_counts(a)
+        sq = reference.square_counts(a)
         # two common neighbors of 0 and 1; removing node 3 leaves one: (2-1)/4
         assert deleted_square_entry(sq, a, 3, 0, 1) == 0.25
 
     def test_matches_naive_on_random_draws(self):
         rng = np.random.default_rng(0)
         a = random_adjacency(rng, 12)
-        sq = _square_counts(a)
+        sq = reference.square_counts(a)
         for _ in range(100):
             i, k, j = rng.choice(12, size=3, replace=False)
             want = reference.zeroed_square_over_n(a, j)[i, k]
@@ -136,7 +135,7 @@ class TestDeletedSquare:
         rng = np.random.default_rng(1)
         a = random_adjacency(rng, 9)
         s = _counts(a)
-        sq = _square_counts(a)
+        sq = reference.square_counts(a)
         for j in range(9):
             r = reference.deleted_square_counts(s, a.astype(s.dtype), j)
             assert r.dtype == np.int16
@@ -154,7 +153,7 @@ class TestDeletedSquare:
         rng = np.random.default_rng(2)
         a = random_adjacency(rng, 10)
         n = 10
-        sq = _square_counts(a)
+        sq = reference.square_counts(a)
         for j in range(n):
             for i in range(n):
                 for k in range(n):
@@ -167,7 +166,7 @@ class TestDeletedSquare:
 
     def test_index_errors(self):
         a = random_adjacency(np.random.default_rng(3), 5)
-        sq = _square_counts(a)
+        sq = reference.square_counts(a)
         with pytest.raises(ValueError):
             deleted_square_entry(sq, a, 2, 2, 1)
         with pytest.raises(ValueError):
@@ -335,6 +334,42 @@ class TestNeighborhoods:
         assert _count_dtype(32768) == np.int32
         assert _count_dtype(2**31 - 1) == np.int32
         assert _count_dtype(2**31) == np.int64
+
+
+class TestFloat32Products:
+    """_counts and the hit product of estimate_original run in float32 BLAS.
+
+    Both are sums of 0/1 products, so they must equal the wide products
+    exactly, at sizes that are not powers of two too.
+    """
+
+    @pytest.mark.parametrize("n", [115, 1000])
+    def test_counts_match_int64_product(self, n):
+        rng = np.random.default_rng(n)
+        complete = np.ones((n, n), dtype=np.int8) - np.eye(n, dtype=np.int8)  # counts n - 2
+        for a in (random_adjacency(rng, n, p=0.5), complete, np.zeros((n, n), dtype=np.int8)):
+            got = _counts(a)
+            assert got.dtype == np.int16
+            assert np.array_equal(got, reference.square_counts(a))
+
+    @staticmethod
+    def float64_original(a, cfg):
+        # estimate_original with its hit product in float64
+        nbrs = smoothing._node_neighborhoods(a, cfg.bandwidth(a.shape[0]))
+        g = (nbrs @ a.astype(np.float64)) / nbrs.sum(axis=1)[:, None]
+        phat = 0.5 * (g + g.T)
+        np.fill_diagonal(phat, 0.0)
+        return phat
+
+    @pytest.mark.parametrize("graph", ["fix8", "random300"])
+    def test_original_estimate_matches_float64_product_bitwise(self, graph):
+        if graph == "fix8":
+            a = FIX8
+        else:
+            a = random_adjacency(np.random.default_rng(300), 300, p=0.3)
+        cfg = SmoothingConfig(C=0.5, variant="original")
+        got = estimate_original(a, cfg)
+        assert got.tobytes() == self.float64_original(a, cfg).tobytes()
 
 
 class TestModifiedEstimator:
