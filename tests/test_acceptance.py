@@ -83,7 +83,8 @@ def test_c2_merge_estimate_oracle():
         sim = np.triu(vals, 1)
         sim = sim + sim.T
         np.fill_diagonal(sim, 1.0)
-        assert np.array_equal(dendrogram_merge_matrix(single_linkage(sim)), reference.maxmin_matrix(sim))
+        assert np.array_equal(dendrogram_merge_matrix(single_linkage(sim)),
+                              reference.maxmin_matrix(sim))
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     report(f"C2 PASS: single_linkage merge matrix == brute-force max-min on 100 matrices, "

@@ -182,7 +182,8 @@ class TestMergeEstimate:
     @settings(max_examples=40)
     def test_matches_path_enumeration(self, seed):
         sim = small_sims(seed)
-        assert np.array_equal(dendrogram_merge_matrix(single_linkage(sim)), reference.maxmin_matrix(sim))
+        assert np.array_equal(dendrogram_merge_matrix(single_linkage(sim)),
+                              reference.maxmin_matrix(sim))
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25)
