@@ -33,7 +33,7 @@ __all__ = [
 # at most 18 digits stay below 2**63, so int64 cannot wrap. Searched over
 # "\n" + text, so the literal "\n" starts every line, the first included.
 _ODD_EDGE_LINE = re.compile(
-    r"\n(?![ \t]*+(?:#|[0-9]{1,18}+[ \t]++[0-9]{1,18}+[ \t]*+(?:\n|\Z)|\n|\Z))")
+    r"\n(?![ \t]*(?:#|[0-9]{1,18}[ \t]+[0-9]{1,18}[ \t]*(?:\n|\Z)|\n|\Z))")
 _COMMENT = re.compile(r"#[^\n]*")
 
 

@@ -374,8 +374,7 @@ def estimate_original(a: np.ndarray, config: SmoothingConfig, *, return_sizes: b
         raise ValueError(f"config variant is {config.variant!r}, not 'original'")
     nbrs = _node_neighborhoods(a, config.bandwidth(a.shape[0]))
     sizes = nbrs.sum(axis=1)
-    hits = nbrs.astype(np.float32) @ a.astype(np.float32)
-    g = hits.astype(np.float64) / sizes[:, None]
+    g = (nbrs.astype(np.float32) @ a.astype(np.float32)).astype(np.float64) / sizes[:, None]
     phat = 0.5 * (g + g.T)
     np.fill_diagonal(phat, 0.0)
     return (phat, sizes) if return_sizes else phat
