@@ -114,6 +114,14 @@ class TestEdgeList:
             pass
         assert calls == [p]
 
+    def test_line_pattern_compiles_on_python_3_10(self, capsys):
+        # pyproject.toml allows Python 3.10, whose re rejects possessive
+        # quantifiers and atomic groups when graph_io is imported.
+        parser = pytest.importorskip("re._parser")
+        parser.parse(graph_io._ODD_EDGE_LINE.pattern).dump()
+        tree = capsys.readouterr().out
+        assert "POSSESSIVE_REPEAT" not in tree and "ATOMIC_GROUP" not in tree
+
     def test_undecodable_tail_still_names_the_first_bad_line(self, tmp_path):
         # the line loop decodes as it goes, so an error on line 2 comes before
         # the bad byte near the end; the one-pass read must not change that
