@@ -32,6 +32,10 @@ __all__ = [
     "dendrogram_merge_matrix",
 ]
 
+# budget, in float64 values (256 KiB), for the block of merge-matrix rows
+# whose columns are put back in leaf order at once
+_PERMUTE_ELEMS = 1 << 15
+
 
 class UnionFind:
     """Disjoint sets over 0..n-1; the root of every set is its smallest member."""
@@ -310,18 +314,22 @@ def dendrogram_merge_matrix(d: Dendrogram) -> np.ndarray:
 
     Row k writes the two blocks between the leaves under its children, so
     every off-diagonal entry is written exactly once. The leaves under a node
-    are one run of leaf_order, so each node's members are a view of it.
+    are one run of leaf_order, so each block is written with the leaves as
+    rows and a slice of places in leaf_order as columns; the columns are
+    then put back in leaf order in place, one block of rows at a time.
     """
     n = d.n
     order = np.array(d.leaf_order)
     pos = np.empty(n, dtype=np.intp)  # place of each leaf in leaf_order
     pos[order] = np.arange(n)
     lo, hi = pos.tolist(), (pos + 1).tolist()  # run of places under each node
-    out = np.ones((n, n))
+    out = np.ones((n, n))  # out[i, pos[j]] is the level of (i, j) until the end
     for a, b, level in zip(d.left, d.right, d.level):
-        ra, rb = order[lo[a]:hi[a]], order[lo[b]:hi[b]]
-        out[np.ix_(ra, rb)] = level
-        out[np.ix_(rb, ra)] = level
+        out[order[lo[a]:hi[a]], lo[b]:hi[b]] = level
+        out[order[lo[b]:hi[b]], lo[a]:hi[a]] = level
         lo.append(lo[a])
         hi.append(hi[b])
+    step = max(1, _PERMUTE_ELEMS // n)
+    for r in range(0, n, step):
+        out[r:r + step] = out[r:r + step, pos]
     return out

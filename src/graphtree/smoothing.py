@@ -128,54 +128,93 @@ def _count_dtype(n: int) -> np.dtype:
     return np.dtype(np.int64)
 
 
+def _tile_step(n: int) -> int:
+    """Side of the row and column blocks that keep an (n, step) operand within _CHUNK_ELEMS."""
+    return max(1, _CHUNK_ELEMS // n)
+
+
+def _tiled_product(left: np.ndarray, right: np.ndarray, out: np.ndarray, *,
+                   symmetric: bool = False) -> np.ndarray:
+    """out = left @ right for 0/1 matrices, in float32 tiles written straight into out.
+
+    Each tile multiplies a float32 copy of a block of rows of left by one of
+    a block of columns of right, so no operand or product larger than
+    _CHUNK_ELEMS float32 values exists besides out. Every entry is a sum of
+    at most n 0/1 products, exact in float32 while n <= 2**24, the float32
+    significand, so it lands in out exactly whatever out's dtype. With
+    symmetric (left == right, a symmetric matrix), only the tiles on and
+    above the diagonal are multiplied and each is mirrored.
+    """
+    step = _tile_step(right.shape[0])
+    for c in range(0, right.shape[1], step):
+        cols = right[:, c:c + step].astype(np.float32)
+        for r in range(0, c + 1 if symmetric else left.shape[0], step):
+            t = left[r:r + step].astype(np.float32) @ cols
+            out[r:r + step, c:c + step] = t
+            if symmetric:
+                out[c:c + step, r:r + step] = t.T
+    return out
+
+
 def _counts(a: np.ndarray) -> np.ndarray:
     """A @ A as raw counts in the kernel's integer dtype.
 
-    The product runs in float32 BLAS, twice as fast as float64. Each entry
-    is a sum of n 0/1 products, so it is exact while n <= 2**24, the
-    float32 significand; the int8 adjacency alone would need 2**48 bytes
-    there.
+    The product runs in float32 BLAS tiles (_tiled_product), faster than
+    float64 and exact while n <= 2**24; the int8 adjacency alone would need
+    2**48 bytes there. A is symmetric, so only half the tiles are multiplied.
     """
-    af = a.astype(np.float32)
-    return (af @ af).astype(_count_dtype(a.shape[0]))
+    n = a.shape[0]
+    return _tiled_product(a, a, np.empty((n, n), dtype=_count_dtype(n)), symmetric=True)
 
 
 def _chebyshev_buffer(n: int, dtype) -> np.ndarray:
-    """Work space for the pairwise gap kernels: whole rows, at most n of them."""
-    rows = min(n, max(1, _CHUNK_ELEMS // (n * n)))
-    return np.empty(rows * n * n, dtype=dtype)
+    """Work space for the pairwise gap kernels: at most max(n, _CHUNK_ELEMS) values.
+
+    Whole (n, n) row slabs, at most n of them, while one fits the budget;
+    above that, one row against a run of the rows i2.
+    """
+    if n * n <= _CHUNK_ELEMS:
+        return np.empty(min(n, _CHUNK_ELEMS // (n * n)) * n * n, dtype=dtype)
+    return np.empty(_tile_step(n) * n, dtype=dtype)
 
 
 def _gap_blocks(x: np.ndarray, buf: np.ndarray):
-    """Yield (lo, hi, t): t[b, m, k] = |x[lo + b, k] - x[lo + m, k]|, 0 at k in {lo + b, lo + m}.
+    """Yield (lo, hi, c0, c1, t): t[b, m, k] = |x[lo + b, k] - x[c0 + m, k]|.
 
-    The excluded columns are neutralized by zeroing their differences, which
-    is safe because every candidate difference is nonnegative. Blocks of rows
-    i are compared only with rows i2 from the block start on, so callers
-    mirror the rest and compute about half the pairs. x is an integer matrix;
-    t lives in buf, which comes from _chebyshev_buffer and is reused.
+    t is 0 at k in {lo + b, c0 + m}: the excluded columns are neutralized by
+    zeroing their differences, which is safe because every candidate
+    difference is nonnegative. Blocks of rows i are compared only with rows
+    i2 from the block start on, in runs [c0, c1) that fit buf, so callers
+    mirror the rest once c1 == n and compute about half the pairs. x is an
+    integer matrix; t lives in buf, which comes from _chebyshev_buffer and is
+    reused.
     """
     n = x.shape[0]
     idx = np.arange(n)
-    rows = buf.size // (n * n)
+    pairs = buf.size // n  # (i, i2) pairs that fit buf
+    rows, cols = max(1, pairs // n), min(n, pairs)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        b, m = hi - lo, n - lo
-        t = buf[: b * m * n].reshape(b, m, n)
-        np.subtract(x[lo:hi, None, :], x[None, lo:, :], out=t)
-        np.abs(t, out=t)
-        t[idx[:b], :, idx[lo:hi]] = 0  # k == i
-        t[:, idx[:m], idx[lo:]] = 0  # k == i2
-        yield lo, hi, t
+        b = hi - lo
+        for c0 in range(lo, n, cols):
+            c1 = min(c0 + cols, n)
+            m = c1 - c0
+            t = buf[: b * m * n].reshape(b, m, n)
+            np.subtract(x[lo:hi, None, :], x[None, c0:c1, :], out=t)
+            np.abs(t, out=t)
+            t[idx[:b], :, idx[lo:hi]] = 0  # k == i
+            t[:, idx[:m], idx[c0:c1]] = 0  # k == i2
+            yield lo, hi, c0, c1, t
 
 
 def _pairwise_chebyshev(x: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """out[i, i2] = max over k not in {i, i2} of |x[i, k] - x[i2, k]|; zero diagonal."""
     n = x.shape[0]
     out = np.empty((n, n), dtype=x.dtype)
-    for lo, hi, t in _gap_blocks(x, buf):
-        t.max(axis=2, out=out[lo:hi, lo:])
-        out[hi:, lo:hi] = out[lo:hi, hi:].T
+    for lo, hi, c0, c1, t in _gap_blocks(x, buf):
+        t.max(axis=2, out=out[lo:hi, c0:c1])
+        if c1 == n:
+            out[hi:, lo:hi] = out[lo:hi, hi:].T
     return out
 
 
@@ -188,15 +227,16 @@ def _pairwise_top2(x: np.ndarray, buf: np.ndarray):
     """
     n = x.shape[0]
     d1, g, d2 = (np.empty((n, n), dtype=x.dtype) for _ in range(3))
-    for lo, hi, t in _gap_blocks(x, buf):
+    for lo, hi, c0, c1, t in _gap_blocks(x, buf):
         bi, mi = np.ogrid[: t.shape[0], : t.shape[1]]
         top = t.argmax(axis=2)
-        g[lo:hi, lo:] = top
-        d1[lo:hi, lo:] = t[bi, mi, top]
+        g[lo:hi, c0:c1] = top
+        d1[lo:hi, c0:c1] = t[bi, mi, top]
         t[bi, mi, top] = 0
-        t.max(axis=2, out=d2[lo:hi, lo:])
-        for out in (d1, g, d2):
-            out[hi:, lo:hi] = out[lo:hi, hi:].T
+        t.max(axis=2, out=d2[lo:hi, c0:c1])
+        if c1 == n:
+            for out in (d1, g, d2):
+                out[hi:, lo:hi] = out[lo:hi, hi:].T
     return d1, g, d2
 
 
@@ -365,17 +405,29 @@ def estimate_original(a: np.ndarray, config: SmoothingConfig, *, return_sizes: b
     (ceil(h*(n-1))th smallest, ties included) and the output is symmetrized
     the same way. With return_sizes, also returns |N_i| per node.
 
-    The hit counts nbrs @ A are sums of 0/1 products, exact in float32 BLAS
-    while n <= 2**24 as in _counts; they are widened to float64 before the
-    division, so the estimate is that of the float64 product bit for bit.
+    P_hat is the one n x n float64 array this allocates; every other stage
+    works in blocks of at most _CHUNK_ELEMS values besides the int16 and bool
+    (n, n) arrays of the distance pass. The hit counts nbrs @ A are filled
+    into P_hat tile by tile in float32 BLAS, exact while n <= 2**24 as in
+    _counts, then divided in place, and the halves are averaged block by
+    block: each entry takes the same two float operations as
+    0.5 * (g + g.T), so the estimate is that of the float64 product bit for
+    bit.
     """
     check_adjacency(a)
     if config.variant != "original":
         raise ValueError(f"config variant is {config.variant!r}, not 'original'")
-    nbrs = _node_neighborhoods(a, config.bandwidth(a.shape[0]))
+    n = a.shape[0]
+    nbrs = _node_neighborhoods(a, config.bandwidth(n))
     sizes = nbrs.sum(axis=1)
-    g = (nbrs.astype(np.float32) @ a.astype(np.float32)).astype(np.float64) / sizes[:, None]
-    phat = 0.5 * (g + g.T)
+    phat = _tiled_product(nbrs, a, np.empty((n, n)))
+    phat /= sizes[:, None]
+    step = _tile_step(n)
+    for r in range(0, n, step):
+        for c in range(r, n, step):
+            t = 0.5 * (phat[r:r + step, c:c + step] + phat[c:c + step, r:r + step].T)
+            phat[r:r + step, c:c + step] = t
+            phat[c:c + step, r:r + step] = t.T
     np.fill_diagonal(phat, 0.0)
     return (phat, sizes) if return_sizes else phat
 

@@ -86,6 +86,27 @@ def argmax_agglomerate(m):
     return nodes[0]
 
 
+def merge_matrix_by_index_blocks(d):
+    """Merge matrix of a dendrogram, each child-by-child block written through np.ix_.
+
+    Row k of the merge table sets the levels between the leaves under its two
+    children; the leaves under a node are one run of d.leaf_order.
+    """
+    n = d.n
+    order = np.array(d.leaf_order)
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(n)
+    lo, hi = pos.tolist(), (pos + 1).tolist()
+    out = np.ones((n, n))
+    for a, b, level in zip(d.left, d.right, d.level):
+        ra, rb = order[lo[a]:hi[a]], order[lo[b]:hi[b]]
+        out[np.ix_(ra, rb)] = level
+        out[np.ix_(rb, ra)] = level
+        lo.append(lo[a])
+        hi.append(hi[b])
+    return out
+
+
 def square_counts(A):
     """Raw common-neighbour counts A @ A in int64."""
     Ai = np.asarray(A, dtype=np.int64)

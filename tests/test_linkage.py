@@ -323,6 +323,41 @@ class TestMergeMatrixRoundTrip:
         assert np.array_equal(dendrogram_merge_matrix(d), want)
 
 
+def tied_levels(rng, n, levels):
+    """Random symmetric matrix of small integer levels, so most levels are tied."""
+    sim = np.triu(rng.integers(0, levels + 1, size=(n, n)).astype(float), 1)
+    sim = sim + sim.T
+    np.fill_diagonal(sim, levels + 1.0)
+    return sim
+
+
+class TestMergeMatrixWriter:
+    """dendrogram_merge_matrix against the np.ix_ block writer it replaced.
+
+    The oracle is reference.merge_matrix_by_index_blocks.
+    """
+
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 60), st.integers(1, 4))
+    @settings(max_examples=60)
+    def test_matches_index_block_writer(self, seed, n, levels):
+        d = single_linkage(tied_levels(np.random.default_rng(seed), n, levels))
+        want = reference.merge_matrix_by_index_blocks(d)
+        assert np.array_equal(dendrogram_merge_matrix(d), want)
+
+    @pytest.mark.parametrize("n", [700, 1031])
+    def test_many_row_blocks(self, n):
+        # 2**15 // n rows per block, so the last block is ragged
+        d = single_linkage(tied_levels(np.random.default_rng(n), n, 3))
+        want = reference.merge_matrix_by_index_blocks(d)
+        assert np.array_equal(dendrogram_merge_matrix(d), want)
+
+    def test_chain_deep_tree(self):
+        d = chain_dendrogram(1500)
+        m = dendrogram_merge_matrix(d)
+        assert np.array_equal(m, reference.merge_matrix_by_index_blocks(d))
+        assert np.array_equal(m, m.T)
+
+
 class TestSerialization:
     def test_json_round_trip(self):
         d = single_linkage(small_sims(3))

@@ -6,6 +6,7 @@ of the estimator's contract, not an accident.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -324,8 +325,11 @@ class TestNeighborhoods:
             assert np.array_equal(_pairwise_chebyshev(x, buf), want)
 
     def test_buffer_rows_capped_at_n(self):
-        assert _chebyshev_buffer(5, np.int16).shape == (5 * 5 * 5,)
-        assert _chebyshev_buffer(1000, np.int16).shape == (1000 * 1000,)
+        # whole rows, at most n of them, while one fits; else runs of rows i2
+        for n in (5, 512, 513, 1000):
+            size = _chebyshev_buffer(n, np.int16).size
+            assert n <= size <= max(n, smoothing._CHUNK_ELEMS)
+            assert size % n == 0
 
     def test_count_dtype(self):
         # every count and count gap lies in [-(n - 1), n - 1]
@@ -370,6 +374,100 @@ class TestFloat32Products:
         cfg = SmoothingConfig(C=0.5, variant="original")
         got = estimate_original(a, cfg)
         assert got.tobytes() == self.float64_original(a, cfg).tobytes()
+
+
+def dense_gaps(x):
+    """t[i, i2, k] = |x[i, k] - x[i2, k]| in int64, 0 at k in {i, i2}."""
+    x = x.astype(np.int64)
+    t = np.abs(x[:, None, :] - x[None, :, :])
+    idx = np.arange(x.shape[0])
+    t[idx, :, idx] = 0
+    t[:, idx, idx] = 0
+    return t
+
+
+class TestBlockBoundaries:
+    """Every tiled stage equals its dense oracle where tiles and i2 runs split.
+
+    With a 512-value budget, count tiles are 512 // n wide and the gap buffer
+    holds one row against 512 // n rows i2, so at these n every stage splits
+    in both directions and the last tile is ragged (at 50 the tiles divide n).
+    """
+
+    @pytest.fixture(autouse=True)
+    def small_budget(self, monkeypatch):
+        monkeypatch.setattr(smoothing, "_CHUNK_ELEMS", 1 << 9)
+
+    @staticmethod
+    def graphs(n):
+        yield _three_group(n, n)
+        for p in (0.05, 0.5, 0.95):
+            yield random_adjacency(np.random.default_rng(n), n, p=p)
+
+    @pytest.mark.parametrize("n", [23, 37, 50])
+    def test_counts(self, n):
+        for a in self.graphs(n):
+            assert np.array_equal(_counts(a), reference.square_counts(a))
+
+    @pytest.mark.parametrize("n", [23, 37, 50])
+    def test_chebyshev_and_top2(self, n):
+        assert _chebyshev_buffer(n, np.int16).size < n * n
+        for a in self.graphs(n):
+            s = _counts(a)
+            t = dense_gaps(s)
+            want_d1, want_g = t.max(axis=2), t.argmax(axis=2)
+            assert np.array_equal(_pairwise_chebyshev(s, _chebyshev_buffer(n, s.dtype)), want_d1)
+            d1, g, d2 = _pairwise_top2(s, _chebyshev_buffer(n, s.dtype))
+            assert np.array_equal(d1, want_d1) and np.array_equal(g, want_g)
+            np.put_along_axis(t, want_g[..., None], 0, axis=2)
+            assert np.array_equal(d2, t.max(axis=2))
+
+    @pytest.mark.parametrize("n", [23, 37, 50])
+    def test_original_estimate(self, n):
+        for a in self.graphs(n):
+            cfg = SmoothingConfig(C=0.5, variant="original")
+            h = cfg.bandwidth(n)
+            nbrs = np.zeros((n, n), dtype=np.int64)
+            for i in range(n):
+                nbrs[i, reference.node_neighborhood(a, i, h)] = 1
+            g = (nbrs @ a.astype(np.int64)) / nbrs.sum(axis=1)[:, None]
+            want = 0.5 * (g + g.T)
+            np.fill_diagonal(want, 0.0)
+            phat, sizes = estimate_original(a, cfg, return_sizes=True)
+            assert phat.tobytes() == want.tobytes()
+            assert np.array_equal(sizes, nbrs.sum(axis=1))
+
+    @pytest.mark.parametrize("n", [23, 37])
+    def test_modified_estimate(self, n):
+        for a in self.graphs(n):
+            cfg = SmoothingConfig(C=0.5)
+            phat, sizes = estimate_modified(a, cfg, return_sizes=True)
+            want_phat, want_sizes = reference.dense_modified_estimate(a, cfg.bandwidth(n))
+            assert phat.tobytes() == want_phat.tobytes()
+            assert np.array_equal(sizes, want_sizes)
+
+
+class TestMemoryBound:
+    def test_original_estimate_peak_within_1_75_of_phat(self):
+        """estimate_original allocates P_hat, n x n float64, and little beside it.
+
+        Contract: the tracemalloc peak of one call is at most 1.75 times
+        P_hat's 8 n^2 bytes. P_hat is the only n x n float64 the call makes;
+        the (n, n) int16 counts and distances and the bool neighborhoods come
+        next, and the count products, the gap buffer and the symmetrization
+        work in blocks of at most _CHUNK_ELEMS values. Measured at n = 1000
+        on a three-group graph.
+        """
+        n = 1000
+        a = _three_group(n, 7)
+        cfg = SmoothingConfig(C=0.1, variant="original")
+        tracemalloc.start()
+        try:
+            estimate_original(a, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} x P_hat"
 
 
 class TestModifiedEstimator:
