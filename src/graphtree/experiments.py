@@ -14,7 +14,9 @@ import logging
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import MISSING, dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -121,27 +123,43 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ValidationError("experiment config must be a JSON object")
-        known = {"graphon", "n_grid", "seeds", "C", "variant", "out_dir", "workers"}
-        extra = set(doc) - known
+        defaults = {f.name: f.default for f in fields(cls)}
+        extra = set(doc) - set(defaults)
         if extra:
             raise ValidationError(f"unknown config keys: {sorted(extra)}")
-        missing = {"graphon", "n_grid", "seeds"} - set(doc)
+        missing = {k for k, v in defaults.items() if v is MISSING} - set(doc)
         if missing:
             raise ValidationError(f"missing config keys: {sorted(missing)}")
-        try:
-            n_grid = tuple(int(n) for n in doc["n_grid"])
-            seeds = tuple(int(s) for s in doc["seeds"])
-        except (TypeError, ValueError):
-            raise ValidationError("n_grid and seeds must be lists of integers") from None
-        return cls(
-            graphon=doc["graphon"],
-            n_grid=n_grid,
-            seeds=seeds,
-            C=float(doc.get("C", 0.1)),
-            variant=str(doc.get("variant", "modified")),
-            out_dir=str(doc.get("out_dir", "results")),
-            workers=int(doc.get("workers", 1)),
-        )
+        values = {**defaults, **doc}
+        for key, (convert, kind) in _CONFIG_VALUES.items():
+            try:
+                values[key] = convert(values[key])
+            except (TypeError, ValueError, OverflowError):
+                raise ValidationError(f"{key} must be {kind}, got {values[key]!r}") from None
+        return cls(**values)
+
+
+def _int_tuple(v) -> tuple:
+    if not isinstance(v, (list, tuple)):
+        raise TypeError(v)
+    return tuple(int(x) for x in v)
+
+
+def _text(v) -> str:
+    if not isinstance(v, str):
+        raise TypeError(v)
+    return v
+
+
+# ExperimentConfig.from_dict's conversions; the graphon is checked on construction
+_CONFIG_VALUES = {
+    "n_grid": (_int_tuple, "a list of integers"),
+    "seeds": (_int_tuple, "a list of integers"),
+    "C": (float, "a number"),
+    "variant": (_text, "a string"),
+    "out_dir": (_text, "a string"),
+    "workers": (int, "an integer"),
+}
 
 
 @dataclass(frozen=True)
@@ -205,13 +223,15 @@ def run_synthetic_experiment(cfg: ExperimentConfig):
     os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, "records.csv")
     records = []
-    with open(csv_path, "w", newline="") as fh:
+    with open(csv_path, "w", newline="") as fh, (
+            ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else nullcontext()) as pool:
         writer = csv.writer(fh)
         writer.writerow(RECORD_HEADER.split(","))
         fh.flush()
-
-        def emit(result, n, seed):
-            record, dendro_json = result
+        ns, seeds = zip(*jobs)
+        results = (pool.map if pool else map)(
+            _single_run, repeat(graphon_doc), ns, seeds, repeat(cfg.C), repeat(cfg.variant))
+        for (n, seed), (record, dendro_json) in zip(jobs, results):
             records.append(record)
             writer.writerow(_record_row(record))
             fh.flush()
@@ -223,18 +243,6 @@ def run_synthetic_experiment(cfg: ExperimentConfig):
                 n, seed, record.merge_distortion, record.max_norm_error,
                 record.wall_time_ms,
             )
-
-        if cfg.workers == 1:
-            for n, seed in jobs:
-                emit(_single_run(graphon_doc, n, seed, cfg.C, cfg.variant), n, seed)
-        else:
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                futures = [
-                    pool.submit(_single_run, graphon_doc, n, seed, cfg.C, cfg.variant)
-                    for n, seed in jobs
-                ]
-                for (n, seed), fut in zip(jobs, futures):
-                    emit(fut.result(), n, seed)
     return records
 
 

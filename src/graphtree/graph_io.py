@@ -7,6 +7,7 @@ actually use (node/edge records with id, label, source, target).
 
 from __future__ import annotations
 
+import itertools
 import re
 import warnings
 from dataclasses import dataclass
@@ -28,82 +29,81 @@ __all__ = [
 ]
 
 
-# One line the fast path of load_edge_list cannot read: anything but a blank
-# line, a "#" comment or two ASCII digit runs split by spaces or tabs. Runs of
-# at most 18 digits stay below 2**63, so int64 cannot wrap. Searched over
-# "\n" + text, so the literal "\n" starts every line, the first included.
-_ODD_EDGE_LINE = re.compile(
-    r"\n(?![ \t]*(?:#|[0-9]{1,18}[ \t]+[0-9]{1,18}[ \t]*(?:\n|\Z)|\n|\Z))")
-_COMMENT = re.compile(r"#[^\n]*")
-
-
 def load_edge_list(path) -> np.ndarray:
     """Parse "u v" lines into a dense adjacency matrix.
 
     Node ids are 0-based; n is one plus the largest id seen, so an isolated
-    trailing node cannot be represented in this format. Blank lines and
-    lines starting with "#" are skipped.
+    trailing node cannot be represented in this format. A "#" starts a
+    comment anywhere on a line, and blank lines are skipped. Ids are what
+    numpy's int64 parser accepts: ASCII digits with an optional sign.
 
-    Two paths, one result. When every line is blank, a comment or two ASCII
-    digit runs of at most 18 digits, the file is read in one pass: one regex
-    search checks the lines, one numpy call parses every id and the edges
-    are scattered into the matrix at once. Any other file, and any file that
-    breaks a rule (a self loop, no edges), is read line by line, which
-    accepts every spelling int() does and names the first bad line.
+    One np.loadtxt pass parses every id. A file that breaks a rule (a line
+    without two integer ids, a negative id, a self loop, no edges) is then
+    scanned with the same parser, and the error names its first bad line.
     """
     try:
-        with open(path) as fh:
-            text = fh.read()
+        with open(path) as fh:  # not the path: np.loadtxt would fetch URLs and unzip .gz
+            edges = _read_ids(fh)
     except OSError as e:
         raise ValidationError(f"cannot read {path}: {e}") from e
-    except UnicodeDecodeError:
-        return _read_edge_lines(path)
-    if _ODD_EDGE_LINE.search("\n" + text):
-        return _read_edge_lines(path)
-    body = _COMMENT.sub("", text) if "#" in text else text
-    if not body.strip():  # np.fromstring would not return an empty array
-        return _read_edge_lines(path)
-    u, v = np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 2).T
-    if np.any(u == v):
-        return _read_edge_lines(path)
-    n = int(max(u.max(), v.max())) + 1
+    except ValueError:  # UnicodeDecodeError included
+        edges = None
+    if edges is None or not _are_edges(edges):
+        _raise_first_bad_line(path)
+    u, v = edges.T
+    n = int(edges.max()) + 1
     a = np.zeros((n, n), dtype=np.int8)
     a[u, v] = 1
     a[v, u] = 1
     return a
 
 
-def _read_edge_lines(path) -> np.ndarray:
-    """load_edge_list one line at a time; every error names its line."""
-    edges = []
-    try:
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
+def _read_ids(source) -> np.ndarray:
+    """One row of int64 ids per data line of an open text file or a list of lines."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(source, dtype=np.int64, comments="#", ndmin=2)
+
+
+def _are_edges(rows: np.ndarray) -> bool:
+    """At least one row, and every row two distinct nonnegative ids."""
+    return (rows.shape[1] == 2 and rows.size > 0 and rows.min() >= 0
+            and not np.any(rows[:, 0] == rows[:, 1]))
+
+
+def _raise_first_bad_line(path):
+    """Raise the ValidationError naming the first line load_edge_list rejects.
+
+    A block of 4096 lines that reads as edges in one _read_ids call is
+    passed over whole; the first other block is read line by line.
+    """
+    lineno = 0
+    with open(path) as fh:
+        for block in iter(lambda: list(itertools.islice(fh, 4096)), []):
+            try:
+                if _are_edges(_read_ids(block)):
+                    lineno += len(block)
                     continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise ValidationError(f"{path}:{lineno}: expected two node ids, got {line!r}")
+            except ValueError:
+                pass
+            for lineno, raw in enumerate(block, start=lineno + 1):
                 try:
-                    u, v = int(parts[0]), int(parts[1])
+                    row = _read_ids([raw])
                 except ValueError:
-                    raise ValidationError(f"{path}:{lineno}: node ids must be integers") from None
-                if u < 0 or v < 0:
+                    row = None
+                if row is not None and not row.size:
+                    continue  # blank or comment
+                # a line that does not parse: its id count picks the message
+                if row is None and len(raw.split("#", 1)[0].split()) == 2:
+                    raise ValidationError(f"{path}:{lineno}: node ids must be integers")
+                if row is None or row.shape[1] != 2:
+                    raise ValidationError(
+                        f"{path}:{lineno}: expected two node ids, got {raw.strip()!r}")
+                if row.min() < 0:
                     raise ValidationError(f"{path}:{lineno}: node ids must be nonnegative")
-                if u == v:
+                if row[0, 0] == row[0, 1]:
                     raise ValidationError(f"{path}:{lineno}: self loops are not allowed")
-                edges.append((u, v))
-    except OSError as e:
-        raise ValidationError(f"cannot read {path}: {e}") from e
-    if not edges:
-        raise ValidationError(f"{path}: no edges found")
-    n = max(max(u, v) for u, v in edges) + 1
-    a = np.zeros((n, n), dtype=np.int8)
-    for u, v in edges:
-        a[u, v] = 1
-        a[v, u] = 1
-    return a
+    raise ValidationError(f"{path}: no edges found")
 
 
 def save_edge_list(dest, a: np.ndarray) -> None:
@@ -113,12 +113,7 @@ def save_edge_list(dest, a: np.ndarray) -> None:
 
 
 def load_adjacency_csv(path) -> np.ndarray:
-    try:
-        a = np.loadtxt(path, delimiter=",", ndmin=2)
-    except OSError as e:
-        raise ValidationError(f"cannot read {path}: {e}") from e
-    except ValueError as e:
-        raise ValidationError(f"{path}: not a numeric CSV matrix: {e}") from e
+    a = load_matrix_csv(path)
     try:
         check_adjacency(a)
     except ValueError as e:

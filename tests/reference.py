@@ -423,9 +423,11 @@ def neighborhood_of_pair(a, i, j, h, sq=None):
 def edge_list_by_lines(path):
     """Adjacency of an edge-list file read one line at a time with int().
 
-    Same rules and messages as graphtree.load_edge_list: blank and "#" lines
-    skipped, two nonnegative distinct ids per line, each error naming its
-    line, n one plus the largest id.
+    Same rules and messages as graphtree.load_edge_list on the grammar both
+    share: blank and "#" lines skipped, two nonnegative distinct ids per
+    line, each error naming its line, n one plus the largest id. Unlike
+    load_edge_list, it reads a "#" after an id as part of the line and
+    accepts every id int() does (1_0, non-ASCII digits, beyond int64).
     """
     edges = []
     try:

@@ -168,8 +168,8 @@ class TestEstimate:
         assert "C must be positive" in res.stderr
 
     def test_both_edge_list_readers_agree(self, runner, tmp_path):
-        # the same graph read line by line (CRLF, comments, blanks, a "+3"
-        # id) and in one pass (the save_edge_list file) gives the same bytes
+        # the same graph written messily (CRLF, comments, blanks, a "+3" id)
+        # and as save_edge_list writes it gives the same bytes
         rng = np.random.default_rng(4)
         a = np.triu(rng.random((30, 30)) < 0.3, 1).astype(np.int8)
         a[0, 29] = a[0, 3] = 1
@@ -196,6 +196,17 @@ class TestEstimate:
         res = runner.invoke(main, ["estimate", "--input", str(p), "--C", "0.5"])
         assert res.exit_code == 2
         assert f"{p}:4: self loops are not allowed" in res.stderr
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("big.edges", "12345678901234567890 1\n", ":1: node ids must be integers"),
+        ("wide.csv", "0,1,0\n1,0,1\n", "matrix must be square, got (2, 3)"),
+    ])
+    def test_bad_input_exits_2(self, runner, tmp_path, name, text, message):
+        p = tmp_path / name
+        p.write_text(text)
+        res = runner.invoke(main, ["estimate", "--input", str(p), "--C", "0.5"])
+        assert res.exit_code == 2
+        assert message in res.stderr
 
     def test_original_variant(self, runner, tmp_path):
         p = tmp_path / "tiny.edges"
@@ -332,6 +343,17 @@ class TestExperiment:
         assert res.exit_code == 2
         assert "needs >= 4 nodes, got 3" in res.stderr
         assert (out / "records.csv").read_bytes() == before
+
+    @pytest.mark.parametrize("extra", [{"C": "abc"}, {"workers": "x"}, {"out_dir": None}])
+    def test_bad_config_value(self, runner, tmp_path, extra):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"graphon": "three-group", "n_grid": [8], "seeds": [1],
+                                   **extra}))
+        res = runner.invoke(main, ["experiment", "synthetic", "--config", str(cfg),
+                                   "--out-dir", str(tmp_path / "out")])
+        assert res.exit_code == 2
+        assert f"{next(iter(extra))} must be" in res.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_unparsable_config(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -96,6 +96,13 @@ class TestExperimentConfig:
             {"graphon": "nope", "n_grid": [8], "seeds": [1]},
             {"graphon": "three-group", "n_grid": None, "seeds": [1]},
             {"graphon": "three-group", "n_grid": ["a"], "seeds": [1]},
+            {"graphon": "three-group", "n_grid": "12", "seeds": [1]},
+            {"graphon": "three-group", "n_grid": [8], "seeds": [1], "C": "abc"},
+            {"graphon": "three-group", "n_grid": [8], "seeds": [1], "C": None},
+            {"graphon": "three-group", "n_grid": [8], "seeds": [1], "variant": ["modified"]},
+            {"graphon": "three-group", "n_grid": [8], "seeds": [1], "workers": "x"},
+            {"graphon": "three-group", "n_grid": [8], "seeds": [1], "workers": 1e400},
+            {"graphon": "three-group", "n_grid": [8], "seeds": [1], "out_dir": None},
         ],
     )
     def test_bad_documents(self, doc):
