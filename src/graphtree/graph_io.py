@@ -39,7 +39,8 @@ def load_edge_list(path) -> np.ndarray:
 
     One np.loadtxt pass parses every id. A file that breaks a rule (a line
     without two integer ids, a negative id, a self loop, no edges) is then
-    scanned with the same parser, and the error names its first bad line.
+    scanned with the same parser, and the error names its first bad line. A
+    largest id whose n x n matrix cannot be allocated is an error too.
     """
     try:
         with open(path) as fh:  # not the path: np.loadtxt would fetch URLs and unzip .gz
@@ -52,7 +53,12 @@ def load_edge_list(path) -> np.ndarray:
         _raise_first_bad_line(path)
     u, v = edges.T
     n = int(edges.max()) + 1
-    a = np.zeros((n, n), dtype=np.int8)
+    try:
+        a = np.zeros((n, n), dtype=np.int8)
+    except (ValueError, MemoryError):  # "array is too big" / "Unable to allocate"
+        raise ValidationError(
+            f"{path}: largest node id {n - 1} needs a {n} x {n} adjacency matrix, "
+            "too large to allocate") from None
     a[u, v] = 1
     a[v, u] = 1
     return a

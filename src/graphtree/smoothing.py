@@ -18,21 +18,22 @@ Neighborhoods are thus the exact distance quantiles of Zhang, Levina & Zhu
 (Biometrika 2017).
 
 The modified variant does not compute every d_j(i, i'). One pass over the
-pairs (i, i') finds the top gap D1 of S[i] - S[i'], its argmax g and the
-second gap D2. Deleting j moves each term by at most one, so d_j(i, i') is
-exactly M (D2 when g is the unique argmax and j == g, else D1) wherever
-A[i,j] == A[i',j], and lies in [M - 1, M + 1] elsewhere. Per (i, j), the
-rank-th smallest upper bound caps the threshold; candidates whose lower
-bound stays above it for every j are dropped up front, and an exact gap is
-computed only where A[i,j] != A[i',j] and the lower bound is at or below the
-cap. The unique argmax settles such an entry in O(1) when j != g and the
-term at g decides the maximum; a scan over k settles the rest. This is the
-bound-then-verify nearest-neighbour search of Fukunaga & Narendra (1975).
-The result, tie rule included, is bit for bit that of the dense pass over
-all (i, j, i'). On the three-group graphon 3.8% of the entries need an
-exact gap at n=128 and 1.0% at n=1024, and the O(1) rule settles a third to
-a half of those; a graph whose bounds all straddle the cap still costs
-O(n^4).
+pairs (i, i') keeps, apart for each sign, the top two levels of
+B = S[i] - S[i']: P1, its first argmax and P2 of B, and N1, its argmax and
+N2 of -B. Deleting j drops term j and moves every other term by at most
+one, in the direction that the sign of A[i,j] - A[i',j] sets, so d_j(i, i')
+is exact wherever A[i,j] == A[i',j] and lies in an interval of width one
+elsewhere. Per (i, j), the rank-th smallest upper end caps the threshold;
+candidates whose lower end stays above it for every j are dropped up front,
+and an entry is settled exactly only where A[i,j] != A[i',j] and its lower
+end is at or below the cap. The gap is then the upper end exactly when a
+side that reaches it has a column of its top level set that moves outward,
+which one AND of packed bitsets per side decides: O(n / 64) per entry, plus
+O(n) to pack the level sets of each pair that holds such an entry. No row is
+scanned. This is the bound-then-verify nearest-neighbour search of Fukunaga
+& Narendra (1975). The result, tie rule included, is bit for bit that of the
+dense pass over all (i, j, i'). On the three-group graphon 2.8% of the
+entries need settling at n=128 and 1.0% at n=512.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ __all__ = [
 # 1 << 18 int16 values (512 KiB) stays in cache across its passes
 _CHUNK_ELEMS = 1 << 18
 
-# budget for the modified estimator's (i, j, i') blocks and row scans
+# budget for the modified estimator's (i, j, i') blocks
 _BLOCK_ELEMS = 1 << 16
 
 
@@ -178,19 +179,22 @@ def _chebyshev_buffer(n: int, dtype) -> np.ndarray:
     return np.empty(_tile_step(n) * n, dtype=dtype)
 
 
-def _gap_blocks(x: np.ndarray, buf: np.ndarray):
+def _gap_blocks(x: np.ndarray, buf: np.ndarray, *, signed: bool = False):
     """Yield (lo, hi, c0, c1, t): t[b, m, k] = |x[lo + b, k] - x[c0 + m, k]|.
 
     t is 0 at k in {lo + b, c0 + m}: the excluded columns are neutralized by
     zeroing their differences, which is safe because every candidate
-    difference is nonnegative. Blocks of rows i are compared only with rows
-    i2 from the block start on, in runs [c0, c1) that fit buf, so callers
-    mirror the rest once c1 == n and compute about half the pairs. x is an
-    integer matrix; t lives in buf, which comes from _chebyshev_buffer and is
-    reused.
+    difference is nonnegative. With signed, t holds x[lo + b, k] - x[c0 + m, k]
+    itself and the excluded columns hold the dtype's minimum, which no
+    difference reaches and which negation keeps. Blocks of rows i are
+    compared only with rows i2 from the block start on, in runs [c0, c1) that
+    fit buf, so callers mirror the rest once c1 == n and compute about half
+    the pairs. x is an integer matrix; t lives in buf, which comes from
+    _chebyshev_buffer and is reused.
     """
     n = x.shape[0]
     idx = np.arange(n)
+    fill = np.iinfo(x.dtype).min if signed else 0
     pairs = buf.size // n  # (i, i2) pairs that fit buf
     rows, cols = max(1, pairs // n), min(n, pairs)
     for lo in range(0, n, rows):
@@ -201,9 +205,10 @@ def _gap_blocks(x: np.ndarray, buf: np.ndarray):
             m = c1 - c0
             t = buf[: b * m * n].reshape(b, m, n)
             np.subtract(x[lo:hi, None, :], x[None, c0:c1, :], out=t)
-            np.abs(t, out=t)
-            t[idx[:b], :, idx[lo:hi]] = 0  # k == i
-            t[:, idx[:m], idx[c0:c1]] = 0  # k == i2
+            if not signed:
+                np.abs(t, out=t)
+            t[idx[:b], :, idx[lo:hi]] = fill  # k == i
+            t[:, idx[:m], idx[c0:c1]] = fill  # k == i2
             yield lo, hi, c0, c1, t
 
 
@@ -218,26 +223,34 @@ def _pairwise_chebyshev(x: np.ndarray, buf: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pairwise_top2(x: np.ndarray, buf: np.ndarray):
-    """(d1, g, d2) of the gaps |x[i, k] - x[i2, k]| over k not in {i, i2}.
+def _pairwise_sides(x: np.ndarray, buf: np.ndarray):
+    """(p1, gp, p2, n1, gn, n2): the top levels of B = x[i] - x[i2] and of -B.
 
-    d1[i, i2] is the largest gap and g[i, i2] its first argmax; d2[i, i2] is
-    the largest gap with k = g left out, so d2 < d1 exactly when the argmax is
-    unique. All three are symmetric and share x's dtype, which holds +-n.
+    Over k not in {i, i2}, p1[i, i2] is the largest B_k, gp[i, i2] its first
+    argmax and p2[i, i2] the largest B_k with k = gp left out, so p2 < p1
+    exactly when the argmax is unique; n1, gn and n2 are the same for -B.
+    The pair (i2, i) has -B, so the mirror swaps the two sides. All six share
+    x's dtype, which holds +-n.
     """
     n = x.shape[0]
-    d1, g, d2 = (np.empty((n, n), dtype=x.dtype) for _ in range(3))
-    for lo, hi, c0, c1, t in _gap_blocks(x, buf):
+    lowest = np.iinfo(x.dtype).min
+    p1, gp, p2, n1, gn, n2 = (np.empty((n, n), dtype=x.dtype) for _ in range(6))
+    for lo, hi, c0, c1, t in _gap_blocks(x, buf, signed=True):
         bi, mi = np.ogrid[: t.shape[0], : t.shape[1]]
-        top = t.argmax(axis=2)
-        g[lo:hi, c0:c1] = top
-        d1[lo:hi, c0:c1] = t[bi, mi, top]
-        t[bi, mi, top] = 0
-        t.max(axis=2, out=d2[lo:hi, c0:c1])
+        for first, arg, second in ((p1, gp, p2), (n1, gn, n2)):
+            v = t.max(axis=2)
+            g = (t == v[..., None]).argmax(axis=2)  # faster than t.argmax
+            arg[lo:hi, c0:c1] = g
+            first[lo:hi, c0:c1] = v
+            t[bi, mi, g] = lowest
+            t.max(axis=2, out=second[lo:hi, c0:c1])
+            t[bi, mi, g] = v
+            np.negative(t, out=t)  # -B for the other side
         if c1 == n:
-            for out in (d1, g, d2):
-                out[hi:, lo:hi] = out[lo:hi, hi:].T
-    return d1, g, d2
+            for pos, neg in ((p1, n1), (gp, gn), (p2, n2)):
+                pos[hi:, lo:hi] = neg[lo:hi, hi:].T
+                neg[hi:, lo:hi] = pos[lo:hi, hi:].T
+    return p1, gp, p2, n1, gn, n2
 
 
 def _within_rank(d: np.ndarray, rank: int) -> np.ndarray:
@@ -270,56 +283,89 @@ def estimate_modified(a: np.ndarray, config: SmoothingConfig, *, return_sizes: b
     h = config.bandwidth(n)
     sizes, hits = _pair_neighborhoods(_counts(a), a, quantile_rank(h, n - 2))
     f = hits / sizes
-    phat = 0.5 * (f + f.T)
+    del hits
+    phat = f + f.T
+    phat *= 0.5
     np.fill_diagonal(phat, 0.0)
+    if not return_sizes:
+        return phat
+    sizes = sizes.astype(int)
     np.fill_diagonal(sizes, 0)
-    return (phat, sizes) if return_sizes else phat
+    return phat, sizes
 
 
 def _pair_neighborhoods(s: np.ndarray, a: np.ndarray, rank: int):
     """(sizes, hits) of N(i, j) for every ordered pair, in one exact pass.
 
     sizes[i, j] = |N(i, j)| and hits[i, j] counts its members i' with
-    A[i', j] = 1; entries i == j are meaningless. s = A @ A in the count dtype.
+    A[i', j] = 1, both in s's dtype; entries i == j are meaningless. s = A @ A
+    in the count dtype.
 
-    For the pair (i, i2), B = S[i] - S[i2] has top gap D1 at the unique or
-    first argmax g and second gap D2 (_pairwise_top2). Deleting j changes
-    term k of B by (A[i, j] - A[i2, j]) * A[j, k] and drops term j, so with
-    M = D2 if D2 < D1 and j == g, else D1, d_j(i, i2) is M exactly when
-    A[i, j] == A[i2, j] and lies in [M - 1, M + 1] otherwise. Per (i, j), the
-    rank-th smallest upper bound caps the threshold; only entries whose A
-    values differ and whose lower bound is at or below that cap need their
-    exact gap (_exact_gaps). Every other entry keeps M, which is either exact
-    or above the cap, so the threshold and membership stay as they are. One
-    partition then ranks the block, ties included.
+    For the pair (i, i2), B = S[i] - S[i2] over k not in {i, i2} has top
+    levels P1 >= P2 on its positive side and N1, N2 on its negative side
+    (_pairwise_sides). Deleting j drops term j and moves term k of B by
+    -delta * A[j, k], delta = A[i, j] - A[i2, j]. With P' and N' the side
+    levels once column j is gone (P2 where j is the first argmax of B, else
+    P1; N' likewise), d_j(i, i2) is max(P', N') when delta == 0 and lies in
+    [U - 1, U] otherwise, U = max(P' + [delta < 0], N' + [delta > 0]). Per
+    (i, j), the rank-th smallest U caps the threshold; only entries with
+    delta != 0 and U - 1 at or below that cap need their exact gap. It is U
+    exactly when a side that reaches U has a column k not in {i, i2, j} in
+    its top level set {k : B_k == P'} (or -B_k == N') that moves outward:
+    A[j, k] == 1 on the side that delta raises, A[j, k] == 0 on the other.
+    _reaches_upper tests that on bitsets of the level sets and of the rows
+    of A, in O(n / 64) per entry. Every other entry keeps U, which is either
+    exact or above the cap, so the threshold and membership stay as they
+    are. One partition then ranks the block, ties included.
     """
     n = s.shape[0]
-    ai = a.astype(s.dtype)
     ab = a.astype(bool)
     big = np.iinfo(s.dtype).max
-    top = _pairwise_top2(s, _chebyshev_buffer(n, s.dtype))
-    sizes = np.empty((n, n), dtype=int)
-    hits = np.empty((n, n), dtype=int)
+    top = _pairwise_sides(s, _chebyshev_buffer(n, s.dtype))
+    p1, gp, p2, n1, gn, n2 = top
+    rows_a = _row_bitsets(ab)
+    sizes = np.empty((n, n), dtype=s.dtype)
+    hits = np.empty((n, n), dtype=s.dtype)
+    flags = levels = np.empty((0, 0))
     for lo, hi, cand in _candidate_blocks(top, rank):
         # entries are laid out [i - lo, j, c] for the candidate i' = cand[i - lo, c]
         b, w = cand.shape
+        size = b * n * w
+        if size > levels.shape[1]:  # work space, reused by every block that fits
+            flags = np.empty((3, size), dtype=bool)
+            levels = np.empty((2, size), dtype=s.dtype)
+        rise_p, rise_n, nbrs = (x[:size].reshape(b, n, w) for x in flags)
+        u, v = (x[:size].reshape(b, n, w) for x in levels)
         rows, cols = np.ogrid[:b, :w]
+        i = lo + rows
         into_j = ab[:, cand].transpose(1, 0, 2)  # A[i', j] = A[j, i']
-        delta = ai[lo:hi, :, None] - into_j
-        m = _bound_centers(top, lo + rows, cand)
-        pb, pc = np.nonzero(cand == lo + rows)
-        for x, v in ((m, big), (delta, 0)):
-            x[pb, :, pc] = v  # padding: i' == i
-            x[rows, cand, cols] = v  # i' == j
-            x[rows, lo + rows] = v  # j == i, never read
-        off = delta != 0
-        cap = _kth_smallest(m + off, rank)
-        need = np.flatnonzero(off & (m - off <= cap[..., None]))
+        from_i = ab[lo:hi, :, None]
+        np.greater(into_j, from_i, out=rise_p)  # delta < 0: term k of B rises by A[j, k]
+        np.greater(from_i, into_j, out=rise_n)  # delta > 0: term k of -B rises
+        np.add(p1[i, cand][:, None, :], rise_p, out=u)
+        u[rows, gp[i, cand], cols] += p2[i, cand] - p1[i, cand]
+        np.add(n1[i, cand][:, None, :], rise_n, out=v)
+        v[rows, gn[i, cand], cols] += n2[i, cand] - n1[i, cand]
+        np.maximum(u, v, out=u)
+        off = np.logical_or(rise_p, rise_n, out=rise_n)
+        pb, pc = np.nonzero(cand == i)
+        for x, fill in ((u, big), (off, False)):
+            x[pb, :, pc] = fill  # padding: i' == i
+            x[rows, cand, cols] = fill  # i' == j
+            x[rows, i] = fill  # j == i, never read
+        cap = _kth_smallest(u, rank)
+        np.minimum(cap, big - 1, out=cap)  # rows j == i hold big
+        cap += 1
+        np.less_equal(u, cap[..., None], out=nbrs)  # U - 1 <= cap
+        nbrs &= off
+        need = np.flatnonzero(nbrs)
         if need.size:
             bi, jk = np.divmod(need, n * w)
             j, c = np.divmod(jk, w)
-            m.reshape(-1)[need] = _exact_gaps(s, ai, top, lo + bi, cand[bi, c], j)
-        nbrs = m <= _kth_smallest(m, rank)[..., None]
+            flat = u.reshape(-1)
+            flat[need] -= ~_reaches_upper(s, top, rows_a, lo, cand, bi, c, j,
+                                           rise_p.reshape(-1)[need], flat[need])
+        np.less_equal(u, _kth_smallest(u, rank)[..., None], out=nbrs)
         sizes[lo:hi] = nbrs.view(np.int8).sum(axis=2, dtype=s.dtype)
         nbrs &= into_j
         hits[lo:hi] = nbrs.view(np.int8).sum(axis=2, dtype=s.dtype)
@@ -329,18 +375,25 @@ def _pair_neighborhoods(s: np.ndarray, a: np.ndarray, rank: int):
 def _candidate_blocks(top, rank: int):
     """Yield (lo, hi, cand): rows i in [lo, hi) and the candidates i' each must rank.
 
-    For every j, d_j(i, i') >= D2 - 1, and the rank-th smallest upper bound
-    of row i is at most t + 1, with t the (rank+1)-th smallest D1 of the row
-    (dropping i' == j removes at most one value). So i' with D2 > t + 2 never
-    ranks for any j and is left out. Rows are padded to a common width with i
+    The top gap of the pair is D1 = max(P1, N1) and the largest with its
+    column left out is D2 = max(min(P1, N1), P2, N2). For every j,
+    d_j(i, i') >= D2 - 1, and the rank-th smallest upper bound of row i is
+    at most t + 1, with t the (rank+1)-th smallest D1 of the row (dropping
+    i' == j removes at most one value). So i' with D2 > t + 2 never ranks
+    for any j and is left out. Rows are padded to a common width with i
     itself; a block holds at most _BLOCK_ELEMS (i, j, i') entries unless one
     row alone is larger.
     """
-    d1, _, d2 = top
-    n = d1.shape[0]
-    e = d1.copy()
-    np.fill_diagonal(e, np.iinfo(e.dtype).max)
-    keep = d2 <= (_kth_smallest(e, rank + 1) + 2)[:, None]
+    p1, _, p2, n1, _, n2 = top
+    n = p1.shape[0]
+    d = np.maximum(p1, n1)
+    np.fill_diagonal(d, np.iinfo(d.dtype).max)
+    cut = _kth_smallest(d, rank + 1) + 2
+    np.minimum(p1, n1, out=d)
+    np.maximum(d, p2, out=d)
+    np.maximum(d, n2, out=d)
+    keep = d <= cut[:, None]
+    del d
     np.fill_diagonal(keep, False)
     width = keep.sum(axis=1)
     lo = 0
@@ -356,45 +409,74 @@ def _candidate_blocks(top, rank: int):
         lo = hi
 
 
-def _bound_centers(top, i: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """M for every (i, j, i' = cand): D2 where j is the unique argmax, D1 elsewhere."""
-    d1, g, d2 = (x[i, cand] for x in top)
-    m = np.repeat(d1[:, None, :], top[0].shape[0], axis=1)
-    ub, uc = np.nonzero(d2 < d1)
-    m[ub, g[ub, uc], uc] = d2[ub, uc]
-    return m
+def _words(flags: np.ndarray) -> np.ndarray:
+    """Bitsets of bool rows whose width is a multiple of 64, as a (words, rows) uint64 view.
 
-
-def _exact_gaps(s: np.ndarray, ai: np.ndarray, top, i, i2, j) -> np.ndarray:
-    """n * d_j(i, i2) for arrays of pairwise distinct (i, i2, j).
-
-    A unique argmax g != j settles the gap in O(1): the term at g becomes v,
-    one of D1 + 1, D1 and D1 - 1, and every other term is at most D2 + 1 <= D1.
-    So the gap is v when v >= D1, or when D2 <= D1 - 2. Every other entry,
-    including D2 == D1 - 1 with v == D1 - 1, is settled by a row scan.
+    Word w of row r holds flags[r, 64 w : 64 w + 64]. One row per column, so
+    that gathering many rows reads each word as one 1-D take.
     """
-    d1, g, d2 = (x[i, i2] for x in top)
-    delta = ai[i, j] - ai[i2, j]
-    v = np.abs(s[i, g] - s[i2, g] - delta * ai[j, g])
-    scan = np.flatnonzero((d2 == d1) | (g == j) | ((v < d1) & (d2 > d1 - 2)))
-    v[scan] = _scan_gaps(s, ai, i[scan], i2[scan], j[scan], delta[scan])
-    return v
+    return np.packbits(flags, axis=1, bitorder="little").view(np.uint64).T
 
 
-def _scan_gaps(s: np.ndarray, ai: np.ndarray, i, i2, j, delta) -> np.ndarray:
-    """max over k not in {i, i2, j} of |S[i, k] - S[i2, k] - delta * A[j, k]|, in chunks."""
-    out = np.empty(i.size, dtype=s.dtype)
-    step = max(1, _BLOCK_ELEMS // s.shape[0])
-    for lo in range(0, i.size, step):
-        sl = slice(lo, lo + step)
-        t = s[i[sl]] - s[i2[sl]]
-        t -= delta[sl, None] * ai[j[sl]]
-        np.abs(t, out=t)
-        rows = np.arange(t.shape[0])
-        for k in (i, i2, j):
-            t[rows, k[sl]] = 0
-        t.max(axis=1, out=out[sl])
-    return out
+def _row_bitsets(ab: np.ndarray) -> np.ndarray:
+    """(words, 2n) bitsets: column j holds the ones of A[j], column n + j its zeros off k == j."""
+    n = ab.shape[0]
+    width = -(-n // 64) * 64
+    bits = np.zeros((2, n, width), dtype=bool)
+    bits[0, :, :n] = ab
+    np.logical_not(ab, out=bits[1, :, :n])
+    bits[1, np.arange(n), np.arange(n)] = False
+    return np.ascontiguousarray(_words(bits.reshape(2 * n, width)))
+
+
+def _reaches_upper(s: np.ndarray, top, rows_a: np.ndarray, lo: int, cand: np.ndarray,
+                   bi, c, j, rise_p, upper):
+    """Whether d_j(i, i2) == upper for the block entries (i = lo + bi, j, i2 = cand[bi, c]).
+
+    Every entry has delta != 0 and upper = U. The side of B that delta
+    raises (P where rise_p, else N) reaches its level + 1 where its top
+    level set meets the ones of A[j]; the other side keeps its level where
+    its set meets the zeros of A[j] off k == j (rows_a, from _row_bitsets).
+    A side that cannot reach U reads an empty set.
+    The level sets {k : B_k == P1}, {k : B_k == P2}, {k : -B_k == N1} and
+    {k : -B_k == N2} leave out k in {i, i2}, which hold the sentinel of
+    _gap_blocks, and are packed once per pair: O(n) per pair and O(n / 64)
+    per entry.
+    """
+    n = s.shape[0]
+    lowest = np.iinfo(s.dtype).min
+    seen = np.zeros(cand.size, dtype=bool)
+    pair = bi * cand.shape[1] + c
+    seen[pair] = True
+    uniq = np.flatnonzero(seen)
+    at = np.empty(cand.size, dtype=np.intp)
+    at[uniq] = np.arange(uniq.size)
+    pos = at[pair]
+    ub, uc = np.divmod(uniq, cand.shape[1])
+    iu, i2u = lo + ub, cand[ub, uc]
+    p1, gp, p2, n1, gn, n2 = (x[iu, i2u] for x in top)
+    diff = np.full((uniq.size, 1, rows_a.shape[0] * 64), lowest, dtype=s.dtype)
+    np.subtract(s[iu], s[i2u], out=diff[:, 0, :n])
+    r = np.arange(uniq.size)
+    diff[r, 0, iu] = lowest
+    diff[r, 0, i2u] = lowest
+    levels = np.stack([p1, p2, -n1, -n2], axis=1)[..., None]
+    sets = np.zeros((rows_a.shape[0], 4 * uniq.size + 1), dtype=np.uint64)  # last: empty
+    sets[:, :-1] = _words((diff == levels).reshape(4 * uniq.size, -1))
+    on_p, on_n = j == gp[pos], j == gn[pos]
+    lp = np.where(on_p, p2[pos], p1[pos])
+    ln = np.where(on_n, n2[pos], n1[pos])
+    fall_p = ~rise_p
+    empty = sets.shape[1] - 1
+    set_p = np.where(lp + rise_p == upper, 4 * pos + on_p, empty)
+    set_n = np.where(ln + fall_p == upper, 4 * pos + 2 + on_n, empty)
+    row_p = j + n * fall_p
+    row_n = j + n * rise_p
+    hit = np.zeros(j.size, dtype=np.uint64)
+    for word, bits in zip(sets, rows_a):
+        hit |= word[set_p] & bits[row_p]
+        hit |= word[set_n] & bits[row_n]
+    return hit != 0
 
 
 def estimate_original(a: np.ndarray, config: SmoothingConfig, *, return_sizes: bool = False):

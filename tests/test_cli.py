@@ -199,6 +199,8 @@ class TestEstimate:
 
     @pytest.mark.parametrize("name, text, message", [
         ("big.edges", "12345678901234567890 1\n", ":1: node ids must be integers"),
+        # the id parses, but an n x n matrix of that side cannot exist
+        ("huge.edges", "0 1\n1 1234567890123456789\n", "largest node id 1234567890123456789"),
         ("wide.csv", "0,1,0\n1,0,1\n", "matrix must be square, got (2, 3)"),
     ])
     def test_bad_input_exits_2(self, runner, tmp_path, name, text, message):

@@ -26,10 +26,11 @@ from graphtree.smoothing import (
     _chebyshev_buffer,
     _count_dtype,
     _counts,
-    _exact_gaps,
     _pair_neighborhoods,
     _pairwise_chebyshev,
-    _pairwise_top2,
+    _pairwise_sides,
+    _reaches_upper,
+    _row_bitsets,
     quantile_rank,
 )
 import graphtree.smoothing as smoothing
@@ -386,6 +387,23 @@ def dense_gaps(x):
     return t
 
 
+def dense_sides(x):
+    """(p1, gp, p2, n1, gn, n2) of B = x[i] - x[i2] and of -B over k not in {i, i2}, in int64."""
+    x = x.astype(np.int64)
+    idx = np.arange(x.shape[0])
+    lowest = np.iinfo(np.int64).min
+    out = []
+    for sign in (1, -1):
+        t = sign * (x[:, None, :] - x[None, :, :])
+        t[idx, :, idx] = lowest
+        t[:, idx, idx] = lowest
+        g = t.argmax(axis=2)
+        first = t.max(axis=2)
+        np.put_along_axis(t, g[..., None], lowest, axis=2)
+        out += [first, g, t.max(axis=2)]
+    return out
+
+
 class TestBlockBoundaries:
     """Every tiled stage equals its dense oracle where tiles and i2 runs split.
 
@@ -411,16 +429,15 @@ class TestBlockBoundaries:
 
     @pytest.mark.parametrize("n", [23, 37, 50])
     def test_chebyshev_and_top2(self, n):
+        # the top two levels of each sign of B, mirrored across ragged i2 runs
         assert _chebyshev_buffer(n, np.int16).size < n * n
         for a in self.graphs(n):
             s = _counts(a)
-            t = dense_gaps(s)
-            want_d1, want_g = t.max(axis=2), t.argmax(axis=2)
-            assert np.array_equal(_pairwise_chebyshev(s, _chebyshev_buffer(n, s.dtype)), want_d1)
-            d1, g, d2 = _pairwise_top2(s, _chebyshev_buffer(n, s.dtype))
-            assert np.array_equal(d1, want_d1) and np.array_equal(g, want_g)
-            np.put_along_axis(t, want_g[..., None], 0, axis=2)
-            assert np.array_equal(d2, t.max(axis=2))
+            assert np.array_equal(_pairwise_chebyshev(s, _chebyshev_buffer(n, s.dtype)),
+                                  dense_gaps(s).max(axis=2))
+            got = _pairwise_sides(s, _chebyshev_buffer(n, s.dtype))
+            for x, want in zip(got, dense_sides(s)):
+                assert x.dtype == s.dtype and np.array_equal(x, want)
 
     @pytest.mark.parametrize("n", [23, 37, 50])
     def test_original_estimate(self, n):
@@ -468,6 +485,28 @@ class TestMemoryBound:
         finally:
             tracemalloc.stop()
         assert peak <= 1.75 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} x P_hat"
+
+
+    def test_modified_estimate_peak_within_4_75_of_phat(self):
+        """estimate_modified allocates P_hat and one n x n float64 beside it.
+
+        Contract: the tracemalloc peak of one pass is at most 4.75 times
+        P_hat's 8 n^2 bytes. Besides P_hat and the ratio it is averaged from,
+        the pass holds n x n arrays in the count dtype only (the counts, the
+        six side levels, the sizes and the hit counts) and block work space
+        of at most _BLOCK_ELEMS entries. Measured at n = 512 on a three-group
+        graph.
+        """
+        n = 512
+        a = _three_group(n, 1)
+        cfg = SmoothingConfig(C=0.1)
+        tracemalloc.start()
+        try:
+            estimate_modified(a, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.75 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} x P_hat"
 
 
 class TestModifiedEstimator:
@@ -610,7 +649,7 @@ def _three_group(n, seed):
 class TestBoundThenVerify:
     """The pruned modified pass against the dense per-j pass and the loop oracle."""
 
-    @pytest.mark.parametrize("n", [97, 115, 128, 200, 256])
+    @pytest.mark.parametrize("n", [64, 65, 97, 115, 128, 129, 200, 256])
     @pytest.mark.parametrize("graph", [_three_group, _planted_partition])
     def test_matches_dense_pass_bitwise(self, n, graph):
         a = graph(n, 20 + n)
@@ -628,107 +667,79 @@ class TestBoundThenVerify:
                               reference.modified_estimate(a, cfg.bandwidth(a.shape[0])))
 
     def test_top2_matches_loops(self):
+        # the top two levels of B and of -B, with their first argmaxes
         rng = np.random.default_rng(16)
         n = 9
         x = rng.integers(0, 4, size=(n, n)).astype(np.int16)
+        # rows < n splits the upper triangle and mirrors the rest with the sides swapped
         for rows in (1, 4, 9):
-            d1, g, d2 = _pairwise_top2(x, np.empty(rows * n * n, dtype=np.int16))
+            p1, gp, p2, n1, gn, n2 = _pairwise_sides(x, np.empty(rows * n * n, dtype=np.int16))
             for i in range(n):
                 for i2 in range(n):
                     ks = [k for k in range(n) if k not in (i, i2)]
-                    gaps = [abs(int(x[i, k]) - int(x[i2, k])) for k in ks]
-                    assert d1[i, i2] == max(gaps, default=0)
-                    if d1[i, i2] > 0:
-                        assert g[i, i2] == ks[gaps.index(d1[i, i2])]
-                        rest = [gap for k, gap in zip(ks, gaps) if k != g[i, i2]]
-                        assert d2[i, i2] == max(rest, default=0)
-                    else:
-                        assert d2[i, i2] == 0
+                    b = [int(x[i, k]) - int(x[i2, k]) for k in ks]
+                    for sign, (first, arg, second) in ((1, (p1, gp, p2)), (-1, (n1, gn, n2))):
+                        terms = [sign * v for v in b]
+                        top = max(terms)
+                        g = ks[terms.index(top)]
+                        assert (first[i, i2], arg[i, i2]) == (top, g)
+                        assert second[i, i2] == max(t for k, t in zip(ks, terms) if k != g)
 
     @staticmethod
-    def _entries(branch, monkeypatch):
-        """Every (i, i2, j) of small seeded graphs where branch holds, checked with the scan spied.
+    def _triples(seeds=range(12), n=8):
+        """Every (i, i2, j) of small seeded graphs with its side levels and the reference gap.
 
-        branch(d1, g, d2, v, delta, j) is evaluated on all triples at once,
-        where v is the argmax term |B[g] - delta * A[j, g]|. Returns the
-        number of matching entries and how many _exact_gaps sent to the scan.
+        Yields (a, s, top, i, i2, j, lp, ln, delta, gap) with arrays over the
+        pairwise distinct triples; lp and ln are the side levels with column j
+        left out. Nodes 0 and 1 share their neighbours apart from 0 ~ 2 and
+        1 ~ 3, and 2 and 3 share theirs apart from those two edges, so the
+        rows 0 and 1 of A @ A are identical off {0, 1} (B is 0) while A[0, 2]
+        and A[1, 2] differ.
         """
-        scanned = []
-        scan = smoothing._scan_gaps
-
-        def spy(s, ai, i, *rest):
-            scanned.append(i.size)
-            return scan(s, ai, i, *rest)
-
-        monkeypatch.setattr(smoothing, "_scan_gaps", spy)
-        found = 0
-        for seed in range(20):
+        for seed in seeds:
             rng = np.random.default_rng(seed)
-            n = 8
             a = random_adjacency(rng, n, p=float(rng.uniform(0.2, 0.8)))
+            a[:4] = a[:, :4] = 0
+            for u, v in ((0, 1), (2, 3)):
+                shared = np.flatnonzero(rng.random(n - 4) < 0.5) + 4
+                a[[u, v], shared[:, None]] = a[shared[:, None], [u, v]] = 1
+            a[0, 2] = a[2, 0] = a[1, 3] = a[3, 1] = 1
             s = _counts(a)
-            ai = a.astype(s.dtype)
-            top = _pairwise_top2(s, _chebyshev_buffer(n, s.dtype))
+            top = p1, gp, p2, n1, gn, n2 = _pairwise_sides(s, _chebyshev_buffer(n, s.dtype))
             i, i2, j = (t.ravel() for t in np.meshgrid(*[np.arange(n)] * 3, indexing="ij"))
             ok = (i != i2) & (i != j) & (i2 != j)
             i, i2, j = i[ok], i2[ok], j[ok]
-            d1, g, d2 = (t[i, i2].astype(int) for t in top)
-            delta = ai[i, j].astype(int) - ai[i2, j]
-            v = np.abs(s[i, g].astype(int) - s[i2, g] - delta * ai[j, g])
-            sel = np.flatnonzero(branch(d1, g, d2, v, delta, j))
-            if not sel.size:
-                continue
-            found += sel.size
-            got = _exact_gaps(s, ai, top, i[sel], i2[sel], j[sel])
-            want = [reference.pair_gap(a, *map(int, e)) for e in zip(i[sel], i2[sel], j[sel])]
-            assert got.tolist() == want
-        return found, sum(scanned)
+            lp = np.where(j == gp[i, i2], p2[i, i2], p1[i, i2]).astype(int)
+            ln = np.where(j == gn[i, i2], n2[i, i2], n1[i, i2]).astype(int)
+            delta = a[i, j].astype(int) - a[i2, j]
+            gap = np.array([reference.pair_gap(a, *map(int, e)) for e in zip(i, i2, j)])
+            yield a, s, top, i, i2, j, lp, ln, delta, gap
 
-    def test_unique_argmax_is_deleted_column(self, monkeypatch):
-        # j == g: M = D2, exact when A[i, j] == A[i2, j], within one otherwise
-        for same in (True, False):
-            found, scanned = self._entries(
-                lambda d1, g, d2, v, delta, j: (d2 < d1) & (g == j) & ((delta == 0) == same),
-                monkeypatch)
-            assert found and scanned == found
-        rng = np.random.default_rng(4)
-        a = random_adjacency(rng, 8)
-        s = _counts(a)
-        top = d1, g, d2 = _pairwise_top2(s, _chebyshev_buffer(8, s.dtype))
-        m = smoothing._bound_centers(top, np.arange(8)[:, None], np.tile(np.arange(8), (8, 1)))
-        for i in range(8):
-            for i2 in range(8):
-                for j in range(8):
-                    if len({i, i2, j}) < 3:
-                        continue
-                    centre = d2[i, i2] if d2[i, i2] < d1[i, i2] and g[i, i2] == j else d1[i, i2]
-                    assert m[i, j, i2] == centre
-                    gap = reference.pair_gap(a, i, i2, j)
-                    if a[i, j] == a[i2, j]:
-                        assert gap == centre
-                    else:
-                        assert centre - 1 <= gap <= centre + 1
+    def test_interval_holds_gap(self):
+        # d_j lies in [max(P' - [delta > 0], N' - [delta < 0]), max(P' + [delta < 0], N' + [delta > 0])]
+        for _, _, _, _, _, _, lp, ln, delta, gap in self._triples():
+            low = np.maximum(lp - (delta > 0), ln - (delta < 0))
+            high = np.maximum(lp + (delta < 0), ln + (delta > 0))
+            assert np.all((low <= gap) & (gap <= high))
+            assert np.array_equal(high - low, (delta != 0).astype(int))
 
-    @pytest.mark.parametrize("step", [1, 0, -1])
-    def test_unique_argmax_settles_in_constant_time(self, monkeypatch, step):
-        # v is M + 1, M or M - 1 (the last only with D2 <= M - 2): no scan
-        found, scanned = self._entries(
-            lambda d1, g, d2, v, delta, j: (d2 < d1) & (g != j) & (v == d1 + step)
-            & ((step >= 0) | (d2 <= d1 - 2)),
-            monkeypatch)
-        assert found and scanned == 0
-
-    def test_second_gap_one_below_falls_through_to_scan(self, monkeypatch):
-        found, scanned = self._entries(
-            lambda d1, g, d2, v, delta, j: (d2 == d1 - 1) & (g != j) & (v == d1 - 1),
-            monkeypatch)
-        assert found and scanned == found
-
-    def test_identical_rows_are_scanned(self, monkeypatch):
-        # D1 = 0: no unique argmax; the gap is 1 exactly when A[i, j] != A[i2, j]
-        # and j has a neighbour outside {i, i2}
-        found, scanned = self._entries(lambda d1, g, d2, v, delta, j: d1 == 0, monkeypatch)
-        assert found and scanned == found
+    def test_level_sets_settle_every_gap(self):
+        # every entry with delta != 0, a superset of the entries a pass settles
+        unique_argmax = identical_rows = 0
+        for a, s, top, i, i2, j, lp, ln, delta, gap in self._triples():
+            p1, gp, p2, n1, gn, n2 = top
+            e = delta != 0
+            i, i2, j, rise_p = i[e], i2[e], j[e], delta[e] < 0
+            upper = np.maximum(lp[e] + rise_p, ln[e] + ~rise_p).astype(s.dtype)
+            n = a.shape[0]
+            reached = _reaches_upper(s, top, _row_bitsets(a.astype(bool)), 0,
+                                     np.tile(np.arange(n), (n, 1)), i, i2, j, rise_p, upper)
+            assert np.array_equal(upper - ~reached, gap[e])
+            unique_argmax += np.count_nonzero(
+                ((j == gp[i, i2]) & (p2[i, i2] < p1[i, i2]))
+                | ((j == gn[i, i2]) & (n2[i, i2] < n1[i, i2])))
+            identical_rows += np.count_nonzero((p1[i, i2] == 0) & (n1[i, i2] == 0))
+        assert unique_argmax and identical_rows
 
 
 class TestOriginalEstimator:
