@@ -1,9 +1,9 @@
 """Graphon-based hierarchical graph clustering.
 
-Core pieces: step graphons and measure preserving maps (graphon), exact
-mergeons and cluster trees (mergeon), W-random graph sampling (sampling),
-neighborhood smoothing estimators (smoothing), single linkage (linkage),
-file formats (graph_io), and the experiment harness (experiments).
+Core pieces: step graphons (graphon), exact mergeons and cluster trees
+(mergeon), W-random graph sampling (sampling), neighborhood smoothing
+estimators (smoothing), single linkage (linkage), file formats (graph_io),
+and the experiment harness (experiments).
 """
 
 from .errors import ValidationError
@@ -31,7 +31,6 @@ from .graph_io import (
 )
 from .graphon import (
     BlockPartition,
-    MeasurePreservingMap,
     StepGraphon,
     load_step_graphon,
     save_step_graphon,
@@ -47,7 +46,6 @@ from .mergeon import (
     BlockMergeMatrix,
     ClusterTree,
     cluster_tree_of,
-    discretization_oracle,
     merge_distortion,
     mergeon_eval_matrix,
     step_mergeon,
@@ -56,8 +54,6 @@ from .sampling import (
     LatentSample,
     derive_seed,
     edge_probabilities,
-    exact_graph_probability,
-    rho_dense_check,
     sample_graph,
     sample_latents,
 )
@@ -76,7 +72,6 @@ __all__ = [
     "ValidationError",
     "BlockPartition",
     "StepGraphon",
-    "MeasurePreservingMap",
     "load_step_graphon",
     "save_step_graphon",
     "step_graphon_from_dict",
@@ -84,7 +79,6 @@ __all__ = [
     "BlockMergeMatrix",
     "ClusterTree",
     "step_mergeon",
-    "discretization_oracle",
     "cluster_tree_of",
     "mergeon_eval_matrix",
     "merge_distortion",
@@ -93,8 +87,6 @@ __all__ = [
     "sample_latents",
     "edge_probabilities",
     "sample_graph",
-    "exact_graph_probability",
-    "rho_dense_check",
     "SmoothingConfig",
     "estimate_modified",
     "estimate_original",

@@ -38,9 +38,10 @@ def load_edge_list(path) -> np.ndarray:
     numpy's int64 parser accepts: ASCII digits with an optional sign.
 
     One np.loadtxt pass parses every id. A file that breaks a rule (a line
-    without two integer ids, a negative id, a self loop, no edges) is then
-    scanned with the same parser, and the error names its first bad line. A
-    largest id whose n x n matrix cannot be allocated is an error too.
+    without two integer ids, a negative id, a self loop, a byte the file's
+    encoding cannot decode, no edges) is then scanned with the same parser,
+    and the error names its first bad line. A largest id whose n x n matrix
+    cannot be allocated is an error too.
     """
     try:
         with open(path) as fh:  # not the path: np.loadtxt would fetch URLs and unzip .gz
@@ -77,22 +78,31 @@ def _are_edges(rows: np.ndarray) -> bool:
             and not np.any(rows[:, 0] == rows[:, 1]))
 
 
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
 def _raise_first_bad_line(path):
     """Raise the ValidationError naming the first line load_edge_list rejects.
 
-    A block of 4096 lines that reads as edges in one _read_ids call is
-    passed over whole; the first other block is read line by line.
+    A block of 4096 lines that decodes and reads as edges in one _read_ids
+    call is passed over whole; the first other block is read line by line.
+    Bytes the file's encoding cannot decode are read as the surrogates
+    U+DC80..U+DCFF, and the first line that holds one is the bad line.
     """
     lineno = 0
-    with open(path) as fh:
+    with open(path, errors="surrogateescape") as fh:
         for block in iter(lambda: list(itertools.islice(fh, 4096)), []):
             try:
-                if _are_edges(_read_ids(block)):
+                if _are_edges(_read_ids(block)) and not _UNDECODED.search("".join(block)):
                     lineno += len(block)
                     continue
             except ValueError:
                 pass
             for lineno, raw in enumerate(block, start=lineno + 1):
+                bad = _UNDECODED.search(raw)
+                if bad:
+                    raise ValidationError(f"{path}:{lineno}: cannot decode byte "
+                                          f"0x{ord(bad[0]) - 0xDC00:02x} as {fh.encoding}")
                 try:
                     row = _read_ids([raw])
                 except ValueError:
@@ -135,6 +145,9 @@ def save_adjacency_csv(dest, a: np.ndarray) -> None:
 
 def load_matrix_csv(path) -> np.ndarray:
     try:
+        # np.loadtxt parses a path faster than an open file, but where no file
+        # has that name it would read name.gz instead or fetch a URL
+        open(path).close()
         m = np.loadtxt(path, delimiter=",", ndmin=2)
     except OSError as e:
         raise ValidationError(f"cannot read {path}: {e}") from e

@@ -1,4 +1,4 @@
-"""Step graphons on [0,1]: block partitions, refinements, and measure preserving relabelings.
+"""Step graphons on [0,1]: block partitions, evaluation and JSON (de)serialization.
 
 A step graphon is constant on the products of finitely many interval blocks.
 Blocks follow a single convention: block i is [b_i, b_{i+1}), except the last
@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import bisect
 import json
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -23,7 +21,6 @@ from .errors import ValidationError
 __all__ = [
     "BlockPartition",
     "StepGraphon",
-    "MeasurePreservingMap",
     "step_graphon_from_dict",
     "step_graphon_to_dict",
     "load_step_graphon",
@@ -79,28 +76,6 @@ class BlockPartition:
         idx = np.searchsorted(self.breakpoints, xs, side="right") - 1
         return np.where(xs == 1.0, self.k - 1, idx).astype(int)
 
-    def refine(self, delta: float) -> "BlockPartition":
-        """Split every block into equal pieces of length between delta and 2*delta.
-
-        Each block of length L is cut into m = max(1, ceil(L / (2*delta)))
-        equal pieces; every piece then lies inside exactly one original block.
-        Infeasible when some block is already shorter than delta.
-        """
-        if delta <= 0:
-            raise ValueError("delta must be positive")
-        new = [0.0]
-        for a, b in zip(self.breakpoints, self.breakpoints[1:]):
-            length = b - a
-            if length < delta:
-                raise ValueError(
-                    f"block [{a}, {b}) has length {length} < delta={delta}; refinement infeasible"
-                )
-            m = max(1, math.ceil(length / (2.0 * delta)))
-            for t in range(1, m):
-                new.append(a + t * length / m)
-            new.append(b)
-        return BlockPartition(tuple(new))
-
 
 @dataclass(frozen=True, eq=False)
 class StepGraphon:
@@ -134,81 +109,6 @@ class StepGraphon:
         ix = self.partition.locate_many(xs)
         iy = self.partition.locate_many(ys)
         return self.values[ix, iy]
-
-    def pullback(self, phi: "MeasurePreservingMap") -> "StepGraphon":
-        """The relabeled graphon W^phi with W^phi(x, y) = W(phi(x), phi(y)).
-
-        For stretch_mod(m) the new partition is the common refinement of the
-        phi-preimages of the original breakpoints; each new block takes the
-        value of the original block its image falls in. The identity map
-        returns self unchanged.
-        """
-        if phi.kind == "identity":
-            return self
-        m = phi.multiplier
-        pre = {(b + t) / m for b in self.partition.breakpoints[:-1] for t in range(m)}
-        pre.add(1.0)
-        part = BlockPartition(tuple(sorted(pre)))
-        orig = self.partition.locate_many(phi.apply_many(part.midpoints()))
-        return StepGraphon(part, self.values[np.ix_(orig, orig)])
-
-
-@dataclass(frozen=True)
-class MeasurePreservingMap:
-    """A measure preserving transformation of [0,1].
-
-    Supported kinds: "identity" and "stretch_mod" (x -> (m*x) mod 1). The tag
-    is extensible; every kind must preserve interval measure exactly.
-    """
-
-    kind: str
-    multiplier: int = 1
-
-    def __post_init__(self):
-        if self.kind not in ("identity", "stretch_mod"):
-            raise ValidationError(f"unknown map kind {self.kind!r}")
-        if not isinstance(self.multiplier, int) or self.multiplier < 1:
-            raise ValidationError("multiplier must be a positive integer")
-        if self.kind == "identity" and self.multiplier != 1:
-            raise ValidationError("identity map has no multiplier")
-
-    @classmethod
-    def identity(cls) -> "MeasurePreservingMap":
-        return cls("identity")
-
-    @classmethod
-    def stretch_mod(cls, m: int) -> "MeasurePreservingMap":
-        return cls("stretch_mod", m)
-
-    def apply(self, x: float) -> float:
-        # x = 1 maps to 1, not 0: the point 1 belongs to the last block
-        # everywhere in this package, and the wrap would break the pointwise
-        # pullback identity there (a null set, but cheap to get right)
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"point {x!r} outside [0, 1]")
-        if self.kind == "identity" or x == 1.0:
-            return x
-        return (self.multiplier * x) % 1.0
-
-    def apply_many(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if self.kind == "identity":
-            return xs
-        return np.where(xs == 1.0, 1.0, np.mod(self.multiplier * xs, 1.0))
-
-    def preimage_intervals(self, a, b):
-        """Preimage of [a, b) as a list of disjoint (lo, hi) Fractions.
-
-        Exact rational arithmetic; the total preimage length equals b - a,
-        which is the measure preservation property tests rely on.
-        """
-        a, b = Fraction(a), Fraction(b)
-        if not 0 <= a < b <= 1:
-            raise ValueError("need 0 <= a < b <= 1")
-        if self.kind == "identity":
-            return [(a, b)]
-        m = self.multiplier
-        return [((a + t) / m, (b + t) / m) for t in range(m)]
 
 
 def step_graphon_to_dict(w: StepGraphon) -> dict:

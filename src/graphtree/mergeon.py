@@ -1,10 +1,7 @@
 """Exact cluster trees and mergeons of step graphons.
 
 The merge level of two blocks is the widest bottleneck over block paths; the
-within-block level additionally accounts for the block's own value. Neither
-formula is taken on faith: discretization_oracle recomputes merge heights from
-a finite single-linkage construction on split-up atoms, and the two must agree
-exactly for every input.
+within-block level additionally accounts for the block's own value.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ __all__ = [
     "ClusterTree",
     "TreeLevel",
     "step_mergeon",
-    "discretization_oracle",
     "cluster_tree_of",
     "mergeon_eval_matrix",
     "merge_distortion",
@@ -90,44 +86,11 @@ def step_mergeon(w: StepGraphon) -> BlockMergeMatrix:
     is single linkage of the block values. Diagonal (a, a): the row maximum
     of the values, max(values[a][a], max over c != a of values[a][c]), since
     points of a block join either inside the block or through any neighbor.
-    Gated by exact equality with discretization_oracle for every input.
     """
     v = w.values
     levels = dendrogram_merge_matrix(single_linkage(v))
     np.fill_diagonal(levels, v.max(axis=1))
     return BlockMergeMatrix(w.partition, levels)
-
-
-def discretization_oracle(w: StepGraphon, m: int) -> BlockMergeMatrix:
-    """Merge levels recovered from a finite single-linkage construction.
-
-    Splits every block into m equal atoms, builds the complete weighted graph
-    on atoms with weights evaluated at atom midpoints, single-links it, and
-    collapses the atom-level merge heights back to block level. The result
-    must not depend on m; step_mergeon must reproduce it exactly.
-    """
-    if m < 2:
-        raise ValueError("need at least two atoms per block")
-    part = w.partition
-    k = part.k
-    atom_bps = [0.0]
-    for a, b in zip(part.breakpoints, part.breakpoints[1:]):
-        for t in range(1, m):
-            atom_bps.append(a + t * (b - a) / m)
-        atom_bps.append(b)
-    atoms = BlockPartition(tuple(atom_bps))
-    reps = atoms.midpoints()
-    n = k * m
-    weights = w.eval_many(np.repeat(reps, n), np.tile(reps, n)).reshape(n, n)
-
-    heights = dendrogram_merge_matrix(single_linkage(weights))
-
-    levels = np.empty((k, k))
-    for a in range(k):
-        levels[a, a] = heights[a * m, a * m + 1]
-        for b in range(a + 1, k):
-            levels[a, b] = levels[b, a] = heights[a * m, b * m]
-    return BlockMergeMatrix(part, levels)
 
 
 def cluster_tree_of(merge: BlockMergeMatrix) -> ClusterTree:

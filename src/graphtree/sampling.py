@@ -1,4 +1,4 @@
-"""Sampling of graphs from step graphons, exact tiny-graph probabilities, density checks.
+"""Sampling of graphs from step graphons, and the checks of their matrices.
 
 All randomness flows through numpy's default_rng (PCG64). Seeds are plain
 integers; derive_seed folds several integers into one stream id so that
@@ -11,22 +11,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphon import BlockPartition, StepGraphon
+from .graphon import StepGraphon
 
 __all__ = [
     "LatentSample",
     "sample_latents",
     "edge_probabilities",
     "sample_graph",
-    "exact_graph_probability",
-    "rho_dense_check",
     "check_adjacency",
     "check_edge_probabilities",
     "derive_seed",
 ]
-
-MAX_EXACT_NODES = 8
-
 
 @dataclass(frozen=True, eq=False)
 class LatentSample:
@@ -109,45 +104,3 @@ def sample_graph(p: np.ndarray, seed: int) -> np.ndarray:
     a = np.zeros((n, n), dtype=np.int8)
     a[iu[0][hits], iu[1][hits]] = 1
     return a | a.T
-
-
-def exact_graph_probability(w: StepGraphon, a: np.ndarray) -> float:
-    """Probability of the labeled graph under the step graphon model.
-
-    The defining integral factorizes over block assignments: sum over all k^n
-    assignments of (product of block measures) * (product over unordered
-    pairs of V or 1-V according to edge presence). Exact for step graphons;
-    guarded to n <= MAX_EXACT_NODES since the sum has k^n terms.
-    """
-    check_adjacency(a)
-    n = a.shape[0]
-    if n > MAX_EXACT_NODES:
-        raise ValueError(f"exact probability limited to n <= {MAX_EXACT_NODES}, got {n}")
-    k = w.k
-    lengths = w.partition.lengths
-    v = w.values
-    one_minus = 1.0 - v
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    total = 0.0
-    span = k**n
-    chunk = 1 << 16
-    for lo in range(0, span, chunk):
-        flat = np.arange(lo, min(lo + chunk, span))
-        assign = np.unravel_index(flat, (k,) * n)
-        weight = lengths[assign[0]].copy()
-        for d in range(1, n):
-            weight *= lengths[assign[d]]
-        like = np.ones_like(weight)
-        for i, j in pairs:
-            m = v if a[i, j] else one_minus
-            like *= m[assign[i], assign[j]]
-        total += float(np.sum(weight * like))
-    return total
-
-
-def rho_dense_check(latents: LatentSample, partition: BlockPartition, rho: float) -> bool:
-    """True iff every block B holds strictly more than (1 - rho) * |B| of the sample."""
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must lie in (0, 1)")
-    counts = np.bincount(partition.locate_many(latents.points), minlength=partition.k)
-    return bool(np.all(counts / latents.n > (1.0 - rho) * partition.lengths))

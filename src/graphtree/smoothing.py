@@ -282,11 +282,7 @@ def estimate_modified(a: np.ndarray, config: SmoothingConfig, *, return_sizes: b
     n = a.shape[0]
     h = config.bandwidth(n)
     sizes, hits = _pair_neighborhoods(_counts(a), a, quantile_rank(h, n - 2))
-    f = hits / sizes
-    del hits
-    phat = f + f.T
-    phat *= 0.5
-    np.fill_diagonal(phat, 0.0)
+    phat = _average_halves(hits / sizes)
     if not return_sizes:
         return phat
     sizes = sizes.astype(int)
@@ -491,10 +487,7 @@ def estimate_original(a: np.ndarray, config: SmoothingConfig, *, return_sizes: b
     works in blocks of at most _CHUNK_ELEMS values besides the int16 and bool
     (n, n) arrays of the distance pass. The hit counts nbrs @ A are filled
     into P_hat tile by tile in float32 BLAS, exact while n <= 2**24 as in
-    _counts, then divided in place, and the halves are averaged block by
-    block: each entry takes the same two float operations as
-    0.5 * (g + g.T), so the estimate is that of the float64 product bit for
-    bit.
+    _counts, then divided and averaged in place.
     """
     check_adjacency(a)
     if config.variant != "original":
@@ -504,14 +497,21 @@ def estimate_original(a: np.ndarray, config: SmoothingConfig, *, return_sizes: b
     sizes = nbrs.sum(axis=1)
     phat = _tiled_product(nbrs, a, np.empty((n, n)))
     phat /= sizes[:, None]
+    _average_halves(phat)
+    return (phat, sizes) if return_sizes else phat
+
+
+def _average_halves(g: np.ndarray) -> np.ndarray:
+    """g <- 0.5 * (g + g.T) with a zero diagonal, in place by tiles, bit for bit."""
+    n = g.shape[0]
     step = _tile_step(n)
     for r in range(0, n, step):
         for c in range(r, n, step):
-            t = 0.5 * (phat[r:r + step, c:c + step] + phat[c:c + step, r:r + step].T)
-            phat[r:r + step, c:c + step] = t
-            phat[c:c + step, r:r + step] = t.T
-    np.fill_diagonal(phat, 0.0)
-    return (phat, sizes) if return_sizes else phat
+            t = 0.5 * (g[r:r + step, c:c + step] + g[c:c + step, r:r + step].T)
+            g[r:r + step, c:c + step] = t
+            g[c:c + step, r:r + step] = t.T
+    np.fill_diagonal(g, 0.0)
+    return g
 
 
 def _node_neighborhoods(a: np.ndarray, h: float) -> np.ndarray:

@@ -6,14 +6,26 @@ line at a time. The fast package code is gated against these; apart from the
 dense modified pass and the per-entry views, nothing here imports the modules
 it checks (the edge-list oracle raises graphtree's ValidationError, so that
 messages compare).
+
+The last section holds the oracles behind the paper's claims (C1, C4, C5,
+C7): measure preserving maps and pullbacks, partition refinement, exact
+tiny-graph probabilities, the rho-density check and the discretization
+oracle of the mergeon. No pipeline stage runs them, so they live here; they
+build on the package's graphon types and single linkage.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from graphtree.errors import ValidationError
+from graphtree.graphon import BlockPartition, StepGraphon
+from graphtree.linkage import dendrogram_merge_matrix, single_linkage
+from graphtree.mergeon import BlockMergeMatrix
+from graphtree.sampling import LatentSample, check_adjacency
 from graphtree.smoothing import (
     _chebyshev_buffer,
     _count_dtype,
@@ -425,14 +437,19 @@ def edge_list_by_lines(path):
 
     Same rules and messages as graphtree.load_edge_list on the grammar both
     share: blank and "#" lines skipped, two nonnegative distinct ids per
-    line, each error naming its line, n one plus the largest id. Unlike
-    load_edge_list, it reads a "#" after an id as part of the line and
-    accepts every id int() does (1_0, non-ASCII digits, beyond int64).
+    line, each error naming its line, n one plus the largest id. A line
+    with a byte the file's encoding cannot decode is an error, wherever the
+    byte is. Unlike load_edge_list, it reads a "#" after an id as part of the
+    line and accepts every id int() does (1_0, non-ASCII digits, beyond int64).
     """
     edges = []
     try:
-        with open(path) as fh:
+        with open(path, errors="surrogateescape") as fh:
             for lineno, raw in enumerate(fh, start=1):
+                for ch in raw:
+                    if "\udc80" <= ch <= "\udcff":  # an undecodable byte
+                        raise ValidationError(f"{path}:{lineno}: cannot decode byte "
+                                              f"0x{ord(ch) - 0xDC00:02x} as {fh.encoding}")
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
@@ -458,3 +475,183 @@ def edge_list_by_lines(path):
         a[u, v] = 1
         a[v, u] = 1
     return a
+
+
+# Paper-claim oracles: relabelings of [0, 1], refinement, exact tiny-graph
+# probabilities, the rho-density check and the discretization oracle.
+
+
+@dataclass(frozen=True)
+class MeasurePreservingMap:
+    """A measure preserving transformation of [0,1].
+
+    Supported kinds: "identity" and "stretch_mod" (x -> (m*x) mod 1). The tag
+    is extensible; every kind must preserve interval measure exactly.
+    """
+
+    kind: str
+    multiplier: int = 1
+
+    def __post_init__(self):
+        if self.kind not in ("identity", "stretch_mod"):
+            raise ValidationError(f"unknown map kind {self.kind!r}")
+        if not isinstance(self.multiplier, int) or self.multiplier < 1:
+            raise ValidationError("multiplier must be a positive integer")
+        if self.kind == "identity" and self.multiplier != 1:
+            raise ValidationError("identity map has no multiplier")
+
+    @classmethod
+    def identity(cls) -> "MeasurePreservingMap":
+        return cls("identity")
+
+    @classmethod
+    def stretch_mod(cls, m: int) -> "MeasurePreservingMap":
+        return cls("stretch_mod", m)
+
+    def apply(self, x: float) -> float:
+        # x = 1 maps to 1, not 0: the point 1 belongs to the last block
+        # everywhere in the package, and the wrap would break the pointwise
+        # pullback identity there (a null set, but cheap to get right)
+        if not 0.0 <= x <= 1.0:
+            raise ValueError(f"point {x!r} outside [0, 1]")
+        if self.kind == "identity" or x == 1.0:
+            return x
+        return (self.multiplier * x) % 1.0
+
+    def apply_many(self, xs) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        if self.kind == "identity":
+            return xs
+        return np.where(xs == 1.0, 1.0, np.mod(self.multiplier * xs, 1.0))
+
+    def preimage_intervals(self, a, b):
+        """Preimage of [a, b) as a list of disjoint (lo, hi) Fractions.
+
+        Exact rational arithmetic; the total preimage length equals b - a,
+        which is the measure preservation property tests rely on.
+        """
+        a, b = Fraction(a), Fraction(b)
+        if not 0 <= a < b <= 1:
+            raise ValueError("need 0 <= a < b <= 1")
+        if self.kind == "identity":
+            return [(a, b)]
+        m = self.multiplier
+        return [((a + t) / m, (b + t) / m) for t in range(m)]
+
+
+def pullback(w: StepGraphon, phi: MeasurePreservingMap) -> StepGraphon:
+    """The relabeled graphon W^phi with W^phi(x, y) = W(phi(x), phi(y)).
+
+    For stretch_mod(m) the new partition is the common refinement of the
+    phi-preimages of the original breakpoints; each new block takes the
+    value of the original block its image falls in. The identity map
+    returns w unchanged.
+    """
+    if phi.kind == "identity":
+        return w
+    m = phi.multiplier
+    pre = {(b + t) / m for b in w.partition.breakpoints[:-1] for t in range(m)}
+    pre.add(1.0)
+    part = BlockPartition(tuple(sorted(pre)))
+    orig = w.partition.locate_many(phi.apply_many(part.midpoints()))
+    return StepGraphon(part, w.values[np.ix_(orig, orig)])
+
+
+def refine(partition: BlockPartition, delta: float) -> BlockPartition:
+    """Split every block into equal pieces of length between delta and 2*delta.
+
+    Each block of length L is cut into m = max(1, ceil(L / (2*delta)))
+    equal pieces; every piece then lies inside exactly one original block.
+    Infeasible when some block is already shorter than delta.
+    """
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    new = [0.0]
+    for a, b in zip(partition.breakpoints, partition.breakpoints[1:]):
+        length = b - a
+        if length < delta:
+            raise ValueError(
+                f"block [{a}, {b}) has length {length} < delta={delta}; refinement infeasible"
+            )
+        m = max(1, math.ceil(length / (2.0 * delta)))
+        for t in range(1, m):
+            new.append(a + t * length / m)
+        new.append(b)
+    return BlockPartition(tuple(new))
+
+
+MAX_EXACT_NODES = 8
+
+
+def exact_graph_probability(w: StepGraphon, a: np.ndarray) -> float:
+    """Probability of the labeled graph under the step graphon model.
+
+    The defining integral factorizes over block assignments: sum over all k^n
+    assignments of (product of block measures) * (product over unordered
+    pairs of V or 1-V according to edge presence). Exact for step graphons;
+    guarded to n <= MAX_EXACT_NODES since the sum has k^n terms.
+    """
+    check_adjacency(a)
+    n = a.shape[0]
+    if n > MAX_EXACT_NODES:
+        raise ValueError(f"exact probability limited to n <= {MAX_EXACT_NODES}, got {n}")
+    k = w.k
+    lengths = w.partition.lengths
+    v = w.values
+    one_minus = 1.0 - v
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    total = 0.0
+    span = k**n
+    chunk = 1 << 16
+    for lo in range(0, span, chunk):
+        flat = np.arange(lo, min(lo + chunk, span))
+        assign = np.unravel_index(flat, (k,) * n)
+        weight = lengths[assign[0]].copy()
+        for d in range(1, n):
+            weight *= lengths[assign[d]]
+        like = np.ones_like(weight)
+        for i, j in pairs:
+            m = v if a[i, j] else one_minus
+            like *= m[assign[i], assign[j]]
+        total += float(np.sum(weight * like))
+    return total
+
+
+def rho_dense_check(latents: LatentSample, partition: BlockPartition, rho: float) -> bool:
+    """True iff every block B holds strictly more than (1 - rho) * |B| of the sample."""
+    if not 0.0 < rho < 1.0:
+        raise ValueError("rho must lie in (0, 1)")
+    counts = np.bincount(partition.locate_many(latents.points), minlength=partition.k)
+    return bool(np.all(counts / latents.n > (1.0 - rho) * partition.lengths))
+
+
+def discretization_oracle(w: StepGraphon, m: int) -> BlockMergeMatrix:
+    """Merge levels recovered from a finite single-linkage construction.
+
+    Splits every block into m equal atoms, builds the complete weighted graph
+    on atoms with weights evaluated at atom midpoints, single-links it, and
+    collapses the atom-level merge heights back to block level. The result
+    must not depend on m; step_mergeon must reproduce it exactly.
+    """
+    if m < 2:
+        raise ValueError("need at least two atoms per block")
+    part = w.partition
+    k = part.k
+    atom_bps = [0.0]
+    for a, b in zip(part.breakpoints, part.breakpoints[1:]):
+        for t in range(1, m):
+            atom_bps.append(a + t * (b - a) / m)
+        atom_bps.append(b)
+    atoms = BlockPartition(tuple(atom_bps))
+    reps = atoms.midpoints()
+    n = k * m
+    weights = w.eval_many(np.repeat(reps, n), np.tile(reps, n)).reshape(n, n)
+
+    heights = dendrogram_merge_matrix(single_linkage(weights))
+
+    levels = np.empty((k, k))
+    for a in range(k):
+        levels[a, a] = heights[a * m, a * m + 1]
+        for b in range(a + 1, k):
+            levels[a, b] = levels[b, a] = heights[a * m, b * m]
+    return BlockMergeMatrix(part, levels)

@@ -197,15 +197,16 @@ class TestEstimate:
         assert res.exit_code == 2
         assert f"{p}:4: self loops are not allowed" in res.stderr
 
-    @pytest.mark.parametrize("name, text, message", [
-        ("big.edges", "12345678901234567890 1\n", ":1: node ids must be integers"),
+    @pytest.mark.parametrize("name, data, message", [
+        ("big.edges", b"12345678901234567890 1\n", ":1: node ids must be integers"),
         # the id parses, but an n x n matrix of that side cannot exist
-        ("huge.edges", "0 1\n1 1234567890123456789\n", "largest node id 1234567890123456789"),
-        ("wide.csv", "0,1,0\n1,0,1\n", "matrix must be square, got (2, 3)"),
+        ("huge.edges", b"0 1\n1 1234567890123456789\n", "largest node id 1234567890123456789"),
+        ("wide.csv", b"0,1,0\n1,0,1\n", "matrix must be square, got (2, 3)"),
+        ("text.edges", b"0 1\n1 2\n\xff\n", ":3: cannot decode byte 0xff"),
     ])
-    def test_bad_input_exits_2(self, runner, tmp_path, name, text, message):
+    def test_bad_input_exits_2(self, runner, tmp_path, name, data, message):
         p = tmp_path / name
-        p.write_text(text)
+        p.write_bytes(data)
         res = runner.invoke(main, ["estimate", "--input", str(p), "--C", "0.5"])
         assert res.exit_code == 2
         assert message in res.stderr

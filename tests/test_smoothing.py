@@ -488,14 +488,14 @@ class TestMemoryBound:
 
 
     def test_modified_estimate_peak_within_4_75_of_phat(self):
-        """estimate_modified allocates P_hat and one n x n float64 beside it.
+        """estimate_modified allocates P_hat as its one n x n float64.
 
         Contract: the tracemalloc peak of one pass is at most 4.75 times
-        P_hat's 8 n^2 bytes. Besides P_hat and the ratio it is averaged from,
-        the pass holds n x n arrays in the count dtype only (the counts, the
-        six side levels, the sizes and the hit counts) and block work space
-        of at most _BLOCK_ELEMS entries. Measured at n = 512 on a three-group
-        graph.
+        P_hat's 8 n^2 bytes. Besides P_hat, whose halves are averaged in
+        place, the pass holds n x n arrays in the count dtype only (the
+        counts, the six side levels, the sizes and the hit counts) and block
+        work space of at most _BLOCK_ELEMS entries. Measured at n = 512 on a
+        three-group graph.
         """
         n = 512
         a = _three_group(n, 1)

@@ -1,4 +1,4 @@
-"""Every package module parses under the oldest Python that pyproject.toml allows."""
+"""Package modules and test oracles parse under the oldest Python pyproject.toml allows."""
 
 import ast
 import re
@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "graphtree").glob("*.py"))
+MODULES = sorted((ROOT / "src" / "graphtree").glob("*.py")) + [ROOT / "tests" / "reference.py"]
 
 
 def _oldest_python():
