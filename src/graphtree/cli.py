@@ -72,6 +72,8 @@ def _load_square_csv(path) -> np.ndarray:
     m = load_matrix_csv(path)
     if not np.array_equal(m, m.T):
         raise ValidationError(f"{path}: matrix must be symmetric")
+    if m.shape[0] < 2:
+        raise ValidationError(f"{path}: need at least two rows, got {m.shape[0]}")
     return m
 
 
@@ -140,8 +142,6 @@ def estimate(path, c, variant, out):
 def cluster(path, tree, newick):
     """Single-linkage dendrogram of a similarity matrix."""
     m = _load_square_csv(path)
-    if m.shape[0] < 2:
-        raise ValidationError("need at least two nodes to cluster")
     dendro = single_linkage(m)
     _write_text(dendro.to_json() + "\n", tree)
     if newick is not None:

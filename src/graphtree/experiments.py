@@ -15,7 +15,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, astuple, dataclass, fields
 from itertools import repeat
 
 import numpy as np
@@ -172,7 +172,7 @@ class RunRecord:
     wall_time_ms: int
 
 
-RECORD_HEADER = "n,seed,merge_distortion,max_norm_error,mse,wall_time_ms"
+RECORD_HEADER = ",".join(f.name for f in fields(RunRecord))
 
 
 def _single_run(graphon_doc: dict, n: int, seed: int, c: float, variant: str):
@@ -199,14 +199,8 @@ def _single_run(graphon_doc: dict, n: int, seed: int, c: float, variant: str):
 
 
 def _record_row(r: RunRecord) -> list:
-    return [
-        str(r.n),
-        str(r.seed),
-        "%.12g" % r.merge_distortion,
-        "%.12g" % r.max_norm_error,
-        "%.12g" % r.mse,
-        str(r.wall_time_ms),
-    ]
+    """Floats at %.12g, ints in full."""
+    return ["%.12g" % v if isinstance(v, float) else str(v) for v in astuple(r)]
 
 
 def run_synthetic_experiment(cfg: ExperimentConfig):

@@ -65,11 +65,16 @@ def load_edge_list(path) -> np.ndarray:
     return a
 
 
-def _read_ids(source) -> np.ndarray:
-    """One row of int64 ids per data line of an open text file or a list of lines."""
+def _loadtxt(source, **kwargs) -> np.ndarray:
+    """np.loadtxt as a 2-d array, without its warning on input that holds no data."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(source, dtype=np.int64, comments="#", ndmin=2)
+        return np.loadtxt(source, ndmin=2, **kwargs)
+
+
+def _read_ids(source) -> np.ndarray:
+    """One row of int64 ids per data line of an open text file or a list of lines."""
+    return _loadtxt(source, dtype=np.int64, comments="#")
 
 
 def _are_edges(rows: np.ndarray) -> bool:
@@ -148,11 +153,13 @@ def load_matrix_csv(path) -> np.ndarray:
         # np.loadtxt parses a path faster than an open file, but where no file
         # has that name it would read name.gz instead or fetch a URL
         open(path).close()
-        m = np.loadtxt(path, delimiter=",", ndmin=2)
+        m = _loadtxt(path, delimiter=",")
     except OSError as e:
         raise ValidationError(f"cannot read {path}: {e}") from e
     except ValueError as e:
         raise ValidationError(f"{path}: not a numeric CSV matrix: {e}") from e
+    if not m.size:
+        raise ValidationError(f"{path}: no rows")
     if m.shape[0] != m.shape[1]:
         raise ValidationError(f"{path}: matrix must be square, got {m.shape}")
     return m
@@ -180,8 +187,9 @@ def load_gml_subset(path) -> GmlGraph:
 
     Supports the common flat structure: a graph block containing node blocks
     with id (and optional label) and edge blocks with source/target. Other
-    attributes are skipped. Duplicate edges, including the reversed copies a
-    directed file carries, collapse to one undirected edge with a warning.
+    attributes, nested blocks such as graphics [...] included, are skipped.
+    Duplicate edges, including the reversed copies a directed file carries,
+    collapse to one undirected edge with a warning.
     """
     try:
         with open(path) as fh:
@@ -193,13 +201,12 @@ def load_gml_subset(path) -> GmlGraph:
     ids = []
     labels = {}
     raw_edges = []
-    stack = []  # nesting path of keys, e.g. ["graph", "node"]
-    cur = {}
+    stack = []  # (key, fields) of each open block, e.g. ("graph", {}), ("node", {"id": 0})
     i = 0
     while i < len(tokens):
         tok = tokens[i]
         if tok == "]":
-            closed = stack.pop() if stack else None
+            closed, cur = stack.pop() if stack else (None, {})
             if closed == "node":
                 if "id" not in cur:
                     raise ValidationError(f"{path}: node record without id")
@@ -212,7 +219,6 @@ def load_gml_subset(path) -> GmlGraph:
                 if "source" not in cur or "target" not in cur:
                     raise ValidationError(f"{path}: edge record without source/target")
                 raw_edges.append((cur["source"], cur["target"]))
-            cur = {}
             i += 1
             continue
         key = tok
@@ -221,12 +227,12 @@ def load_gml_subset(path) -> GmlGraph:
             raise ValidationError(f"{path}: dangling key {key!r}")
         val = tokens[i]
         if val == "[":
-            stack.append(key)
-            cur = {}
+            stack.append((key, {}))
             i += 1
             continue
         i += 1
-        if stack and stack[-1] in ("node", "edge"):
+        if stack and stack[-1][0] in ("node", "edge"):
+            cur = stack[-1][1]
             if key in ("id", "source", "target"):
                 try:
                     cur[key] = int(val)

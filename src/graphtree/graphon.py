@@ -10,7 +10,6 @@ boundary are a null set and never affect measure-level quantities.
 
 from __future__ import annotations
 
-import bisect
 import json
 from dataclasses import dataclass, field
 
@@ -62,16 +61,12 @@ class BlockPartition:
 
         Blocks are half open [b_i, b_{i+1}); x = 1 belongs to the last block.
         """
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"point {x!r} outside [0, 1]")
-        if x == 1.0:
-            return self.k - 1
-        return bisect.bisect_right(self.breakpoints, x) - 1
+        return int(self.locate_many([x])[0])
 
     def locate_many(self, xs) -> np.ndarray:
-        """Vectorized locate; must agree with locate elementwise."""
+        """Vectorized locate; points outside [0, 1], NaN included, raise ValueError."""
         xs = np.asarray(xs, dtype=float)
-        if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
+        if not ((xs >= 0.0) & (xs <= 1.0)).all():
             raise ValueError("points outside [0, 1]")
         idx = np.searchsorted(self.breakpoints, xs, side="right") - 1
         return np.where(xs == 1.0, self.k - 1, idx).astype(int)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graphon import BlockPartition, StepGraphon
-from .linkage import UnionFind, dendrogram_merge_matrix, single_linkage
+from .linkage import dendrogram_merge_matrix, single_linkage
 
 __all__ = [
     "BlockMergeMatrix",
@@ -44,7 +44,7 @@ class BlockMergeMatrix:
         k = self.partition.k
         if lv.shape != (k, k):
             raise ValidationError(f"levels must be {k}x{k}, got {lv.shape}")
-        if lv.min() < 0.0 or lv.max() > 1.0:
+        if not ((lv >= 0.0) & (lv <= 1.0)).all():
             raise ValidationError("levels must lie in [0, 1]")
         if not np.array_equal(lv, lv.T):
             raise ValidationError("levels must be symmetric")
@@ -71,11 +71,9 @@ class ClusterTree:
 
     entries: tuple
 
-    def to_json_list(self) -> list:
-        return [{"level": e.level, "clusters": e.clusters} for e in self.entries]
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_list(), sort_keys=True)
+        return json.dumps([{"level": e.level, "clusters": e.clusters} for e in self.entries],
+                          sort_keys=True)
 
 
 def step_mergeon(w: StepGraphon) -> BlockMergeMatrix:
@@ -100,24 +98,17 @@ def cluster_tree_of(merge: BlockMergeMatrix) -> ClusterTree:
     blocks {a : levels[a][a] >= lam} with an edge {a, b} whenever
     levels[a][b] >= lam. Blocks whose within-block level is below lam have
     not appeared yet and are absent from that entry.
+
+    Every entry is a cut of one single linkage of the levels capped at both
+    blocks' own levels, so an absent block has no edge and stays a singleton
+    that the entry leaves out.
     """
     lv = merge.levels
-    k = lv.shape[0]
-    # both the blocks present and the edges among them only grow as lam falls,
-    # so one union-find serves every level
-    uf = UnionFind(k)
-    entries = []
-    for lam in sorted({float(x) for x in lv.flat}, reverse=True):
-        alive = [a for a in range(k) if lv[a, a] >= lam]
-        for i, a in enumerate(alive):
-            for b in alive[i + 1:]:
-                if lv[a, b] >= lam:
-                    uf.union(a, b)
-        clusters = {}
-        for a in alive:
-            clusters.setdefault(uf.find(a), []).append(a)
-        entries.append(TreeLevel(lam, sorted(clusters.values())))
-    return ClusterTree(tuple(entries))
+    d = np.diagonal(lv)
+    tree = single_linkage(np.minimum(lv, np.minimum.outer(d, d)))
+    return ClusterTree(tuple(
+        TreeLevel(lam, [c for c in tree.cut(lam) if d[c[0]] >= lam])
+        for lam in sorted({float(x) for x in lv.flat}, reverse=True)))
 
 
 def mergeon_eval_matrix(merge: BlockMergeMatrix, points) -> np.ndarray:

@@ -35,7 +35,7 @@ class LatentSample:
         object.__setattr__(self, "points", pts)
         if pts.ndim != 1 or pts.size < 1:
             raise ValueError("need a nonempty 1-d array of points")
-        if pts.min() < 0.0 or pts.max() > 1.0:
+        if not ((pts >= 0.0) & (pts <= 1.0)).all():
             raise ValueError("latent points must lie in [0, 1]")
         pts.setflags(write=False)
 

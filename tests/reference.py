@@ -14,6 +14,7 @@ oracle of the mergeon. No pipeline stage runs them, so they live here; they
 build on the package's graphon types and single linkage.
 """
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -307,6 +308,15 @@ def components_at_level(sim, lam):
                     stack.append(v)
         clusters.append(sorted(comp))
     return sorted(clusters)
+
+
+def locate_by_bisect(partition, x):
+    """Block of x in a BlockPartition: [b_i, b_{i+1}), and x = 1 in the last block."""
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"point {x!r} outside [0, 1]")
+    if x == 1.0:
+        return partition.k - 1
+    return bisect.bisect_right(partition.breakpoints, x) - 1
 
 
 def induced_merge_height(clusters, mvals, i, j):

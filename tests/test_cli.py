@@ -203,13 +203,23 @@ class TestEstimate:
         ("huge.edges", b"0 1\n1 1234567890123456789\n", "largest node id 1234567890123456789"),
         ("wide.csv", b"0,1,0\n1,0,1\n", "matrix must be square, got (2, 3)"),
         ("text.edges", b"0 1\n1 2\n\xff\n", ":3: cannot decode byte 0xff"),
+        ("empty.csv", b"", "empty.csv: no rows"),
+        # too small for every command: 4 nodes to estimate, 2 to cluster or score
+        ("one.csv", b"0\n", "got 1"),
     ])
+    @pytest.mark.filterwarnings("error")
     def test_bad_input_exits_2(self, runner, tmp_path, name, data, message):
         p = tmp_path / name
         p.write_bytes(data)
-        res = runner.invoke(main, ["estimate", "--input", str(p), "--C", "0.5"])
-        assert res.exit_code == 2
-        assert message in res.stderr
+        commands = [["estimate", "--input", str(p), "--C", "0.5"]]
+        if name.endswith(".csv"):  # a matrix for the commands that read one too
+            commands += [["cluster", "--phat", str(p)],
+                         ["distortion", "--truth", str(p), "--est", str(p)]]
+        for args in commands:
+            res = runner.invoke(main, args)
+            assert res.exit_code == 2
+            assert message in res.stderr
+            assert res.stderr.count("\n") == 1  # the error line alone
 
     def test_original_variant(self, runner, tmp_path):
         p = tmp_path / "tiny.edges"

@@ -18,7 +18,7 @@ from graphtree import (
     step_graphon_to_dict,
 )
 from conftest import breakpoint_tuples, step_graphons
-from reference import MeasurePreservingMap, pullback, refine
+from reference import MeasurePreservingMap, locate_by_bisect, pullback, refine
 
 
 def two_block(v00, v01, v11, split=0.5):
@@ -57,6 +57,10 @@ class TestBlockPartition:
             p.locate(1.1)
         with pytest.raises(ValueError):
             p.locate_many([0.5, 1.2])
+        with pytest.raises(ValueError):
+            p.locate(float("nan"))
+        with pytest.raises(ValueError):
+            BlockPartition((0.0, 0.5, 1.0)).locate_many([0.2, float("nan")])
 
     @pytest.mark.parametrize(
         "bps",
@@ -69,7 +73,9 @@ class TestBlockPartition:
     @given(breakpoint_tuples(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30))
     def test_locate_many_matches_locate(self, bps, xs):
         p = BlockPartition(bps)
-        assert list(p.locate_many(xs)) == [p.locate(x) for x in xs]
+        want = [locate_by_bisect(p, x) for x in xs]
+        assert list(p.locate_many(xs)) == want
+        assert [p.locate(x) for x in xs] == want
 
     def test_refine_halves_unit_interval(self):
         p = refine(BlockPartition((0.0, 1.0)), 0.3)

@@ -336,6 +336,22 @@ class TestGml:
         with pytest.raises(ValidationError, match="no node records"):
             load_gml_subset(p)
 
+    def test_nested_blocks_skipped(self, tmp_path):
+        # graphics blocks as yEd and Cytoscape write them, before and after the ids
+        p = tmp_path / "g.gml"
+        p.write_text(
+            'graph [\n'
+            '  node [ graphics [ x 1.0 y 2.0 ] id 0 label "a" ]\n'
+            '  node [ id 1 label "b" graphics [ x 3.0 y 4.0 ] ]\n'
+            '  node [ id 2 ]\n'
+            '  edge [ graphics [ width 1 ] source 0 target 1 ]\n'
+            '  edge [ source 1 target 2 graphics [ Line [ point [ x 1 y 2 ] ] ] ]\n'
+            ']\n'
+        )
+        g = load_gml_subset(p)
+        assert g.labels == ("a", "b", "2")
+        assert np.array_equal(g.adjacency, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+
     def test_other_attributes_skipped(self, tmp_path):
         p = tmp_path / "g.gml"
         p.write_text(

@@ -123,6 +123,8 @@ class TestBlockMergeMatrix:
             BlockMergeMatrix(p, np.array([[1.5, 0.2], [0.2, 0.5]]))
         with pytest.raises(ValidationError):
             BlockMergeMatrix(p, np.array([[0.5]]))
+        with pytest.raises(ValidationError, match=r"lie in \[0, 1\]"):
+            BlockMergeMatrix(p, np.array([[np.nan, 0.2], [0.2, 0.5]]))
 
     def test_to_dict(self):
         m = step_mergeon(CHAIN)
@@ -169,19 +171,42 @@ class TestClusterTree:
                 hosts = [cl for cl in lower.clusters if set(cu) <= set(cl)]
                 assert len(hosts) == 1
 
-    @given(step_graphons())
-    def test_matches_component_reference(self, w):
-        merge = step_mergeon(w)
+    @staticmethod
+    def check_components(merge):
         lv = merge.levels
         tree = cluster_tree_of(merge)
         for entry in tree.entries:
-            alive = [a for a in range(w.k) if lv[a, a] >= entry.level]
+            alive = [a for a in range(lv.shape[0]) if lv[a, a] >= entry.level]
             sub = lv[np.ix_(alive, alive)]
             want = [
                 sorted(alive[i] for i in comp)
                 for comp in reference.components_at_level(sub, entry.level)
             ]
             assert entry.clusters == sorted(want)
+        return tree
+
+    @given(step_graphons())
+    def test_matches_component_reference(self, w):
+        self.check_components(step_mergeon(w))
+
+    @given(step_graphons())
+    def test_any_level_matrix_matches_component_reference(self, w):
+        # a graphon's values as levels: any symmetric matrix, ties included,
+        # where a block may appear below the level of its links
+        tree = self.check_components(BlockMergeMatrix(w.partition, w.values))
+        assert [e.level for e in tree.entries] == sorted(set(w.values.flat), reverse=True)
+
+    def test_absent_block_does_not_link(self):
+        # block 1 appears at 0.2, so its 0.9 links join nothing above that
+        m = BlockMergeMatrix(CHAIN.partition, np.array(
+            [[1.0, 0.9, 0.0], [0.9, 0.2, 0.9], [0.0, 0.9, 1.0]]))
+        tree = self.check_components(m)
+        assert [(e.level, e.clusters) for e in tree.entries] == [
+            (1.0, [[0], [2]]),
+            (0.9, [[0], [2]]),
+            (0.2, [[0, 1, 2]]),
+            (0.0, [[0, 1, 2]]),
+        ]
 
     def test_json(self):
         tree = cluster_tree_of(step_mergeon(CHAIN))

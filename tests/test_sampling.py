@@ -70,6 +70,8 @@ class TestLatents:
             LatentSample(points=np.array([0.5, 1.2]), seed=0)
         with pytest.raises(ValueError):
             LatentSample(points=np.array([]), seed=0)
+        with pytest.raises(ValueError):
+            LatentSample(points=np.array([0.2, np.nan]), seed=0)
 
 
 class TestDeriveSeed:
