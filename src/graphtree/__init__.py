@@ -20,7 +20,6 @@ from .experiments import (
     three_group_graphon,
 )
 from .graph_io import (
-    GmlGraph,
     load_adjacency_csv,
     load_edge_list,
     load_gml_subset,
@@ -43,8 +42,6 @@ from .linkage import (
     single_linkage,
 )
 from .mergeon import (
-    BlockMergeMatrix,
-    ClusterTree,
     cluster_tree_of,
     merge_distortion,
     mergeon_eval_matrix,
@@ -76,8 +73,6 @@ __all__ = [
     "save_step_graphon",
     "step_graphon_from_dict",
     "step_graphon_to_dict",
-    "BlockMergeMatrix",
-    "ClusterTree",
     "step_mergeon",
     "cluster_tree_of",
     "mergeon_eval_matrix",
@@ -96,7 +91,6 @@ __all__ = [
     "Dendrogram",
     "single_linkage",
     "dendrogram_merge_matrix",
-    "GmlGraph",
     "load_edge_list",
     "save_edge_list",
     "load_adjacency_csv",

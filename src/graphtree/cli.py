@@ -26,7 +26,7 @@ from .experiments import (
     run_synthetic_experiment,
 )
 from .graph_io import load_matrix_csv, save_adjacency_csv, save_edge_list, save_matrix_csv
-from .graphon import load_step_graphon
+from .graphon import load_step_graphon, step_graphon_to_dict
 from .linkage import single_linkage
 from .mergeon import cluster_tree_of, merge_distortion, step_mergeon
 from .sampling import derive_seed, edge_probabilities, sample_graph, sample_latents
@@ -71,7 +71,8 @@ def _dest(out: str):
 def _load_square_csv(path) -> np.ndarray:
     m = load_matrix_csv(path)
     if not np.array_equal(m, m.T):
-        raise ValidationError(f"{path}: matrix must be symmetric")
+        raise ValidationError(f"{path}: matrix holds NaN" if np.isnan(m).any()
+                              else f"{path}: matrix must be symmetric")
     if m.shape[0] < 2:
         raise ValidationError(f"{path}: need at least two rows, got {m.shape[0]}")
     return m
@@ -158,9 +159,12 @@ def mergeon(source, out, tree):
     """Exact block merge matrix (and optionally the cluster tree) of a graphon."""
     w = _graphon_from_flag(source)
     merge = step_mergeon(w)
-    _write_text(json.dumps(merge.to_dict(), indent=2, sort_keys=True) + "\n", out)
+    doc = step_graphon_to_dict(merge)
+    doc["levels"] = doc.pop("values")
+    _write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
     if tree is not None:
-        _write_text(cluster_tree_of(merge).to_json() + "\n", tree)
+        entries = [{"level": lam, "clusters": c} for lam, c in cluster_tree_of(merge)]
+        _write_text(json.dumps(entries, sort_keys=True) + "\n", tree)
 
 
 @main.command()

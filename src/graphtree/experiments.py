@@ -214,11 +214,13 @@ def run_synthetic_experiment(cfg: ExperimentConfig):
     w = resolve_graphon(cfg.graphon)
     graphon_doc = step_graphon_to_dict(w)
     jobs = sorted((n, s) for n in cfg.n_grid for s in cfg.seeds)
+    # a pool forks all its workers at the first submit, so never more than cells
+    workers = min(cfg.workers, len(jobs))
     os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, "records.csv")
     records = []
     with open(csv_path, "w", newline="") as fh, (
-            ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else nullcontext()) as pool:
+            ProcessPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
         writer = csv.writer(fh)
         writer.writerow(RECORD_HEADER.split(","))
         fh.flush()
@@ -244,8 +246,7 @@ def load_graph_file(path):
     """Extension dispatch; returns (adjacency, labels)."""
     lower = str(path).lower()
     if lower.endswith(".gml"):
-        g = load_gml_subset(path)
-        return g.adjacency, list(g.labels)
+        return load_gml_subset(path)
     if lower.endswith(".csv"):
         a = load_adjacency_csv(path)
     else:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import re
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +23,6 @@ __all__ = [
     "save_adjacency_csv",
     "load_matrix_csv",
     "save_matrix_csv",
-    "GmlGraph",
     "load_gml_subset",
 ]
 
@@ -170,20 +168,14 @@ def save_matrix_csv(dest, m: np.ndarray) -> None:
     np.savetxt(dest, np.asarray(m, dtype=float), fmt="%.6g", delimiter=",")
 
 
-@dataclass(frozen=True)
-class GmlGraph:
-    """Dense adjacency plus the original node labels and ids."""
-
-    adjacency: np.ndarray
-    labels: tuple
-    id_map: dict  # original GML id -> row index
-
-
 _GML_TOKEN = re.compile(r'\[|\]|"[^"]*"|\S+')
 
 
-def load_gml_subset(path) -> GmlGraph:
-    """Read an undirected graph from GML node/edge records.
+def load_gml_subset(path):
+    """Read an undirected graph from GML node/edge records; returns (adjacency, labels).
+
+    Rows follow ascending node id, and labels[i] is the label of row i (its
+    id as text when the node has none).
 
     Supports the common flat structure: a graph block containing node blocks
     with id (and optional label) and edge blocks with source/target. Other
@@ -244,20 +236,20 @@ def load_gml_subset(path) -> GmlGraph:
     if not ids:
         raise ValidationError(f"{path}: no node records found")
     order = sorted(ids)
-    id_map = {nid: row for row, nid in enumerate(order)}
+    row_of = {nid: row for row, nid in enumerate(order)}
     n = len(order)
     a = np.zeros((n, n), dtype=np.int8)
     dupes = 0
     for s, t in raw_edges:
-        if s not in id_map or t not in id_map:
-            raise ValidationError(f"{path}: edge references unknown node id {s if s not in id_map else t}")
+        if s not in row_of or t not in row_of:
+            raise ValidationError(f"{path}: edge references unknown node id {s if s not in row_of else t}")
         if s == t:
             raise ValidationError(f"{path}: self loop on node id {s}")
-        u, v = id_map[s], id_map[t]
+        u, v = row_of[s], row_of[t]
         if a[u, v]:
             dupes += 1
         a[u, v] = 1
         a[v, u] = 1
     if dupes:
         warnings.warn(f"{path}: collapsed {dupes} duplicate/reversed edge records", stacklevel=2)
-    return GmlGraph(adjacency=a, labels=tuple(labels[nid] for nid in order), id_map=id_map)
+    return a, [labels[nid] for nid in order]

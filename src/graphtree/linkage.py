@@ -61,13 +61,16 @@ def _max_spanning_tree(sim: np.ndarray):
     """Edges (u, v, w) of a maximum spanning tree, in the order dense Prim adds them.
 
     Prim starts at node 0; ties go to the lowest index via argmax. The
-    diagonal is never read.
+    diagonal is never read. Tree nodes are masked with -inf, so when every
+    candidate is -inf argmax may land on one; the lowest-index node not yet
+    in the tree is taken instead, which is the same tie rule.
     """
     sim = np.asarray(sim, dtype=float)
     if sim.ndim != 2 or sim.shape[0] != sim.shape[1] or sim.size == 0:
         raise ValueError("similarity matrix must be square and non-empty")
     if not np.array_equal(sim, sim.T):
-        raise ValueError("similarity matrix must be symmetric")
+        raise ValueError("similarity matrix holds NaN" if np.isnan(sim).any()
+                         else "similarity matrix must be symmetric")
     n = sim.shape[0]
     in_tree = np.zeros(n, dtype=bool)
     best = sim[0].copy()
@@ -77,6 +80,8 @@ def _max_spanning_tree(sim: np.ndarray):
     for _ in range(n - 1):
         cand = np.where(in_tree, -np.inf, best)
         v = int(np.argmax(cand))
+        if in_tree[v]:
+            v = int(np.argmin(in_tree))
         in_tree[v] = True
         us.append(int(parent[v]))
         vs.append(v)
@@ -303,10 +308,8 @@ class Dendrogram:
 
 
 def _newick_safe(label: str) -> str:
-    out = str(label)
-    for ch in " ,():;'\"[]":
-        out = out.replace(ch, "_")
-    return out
+    """The label with whitespace and the Newick punctuation ,():;'"[] replaced by _."""
+    return "".join("_" if ch.isspace() or ch in ",():;'\"[]" else ch for ch in str(label))
 
 
 def dendrogram_merge_matrix(d: Dendrogram) -> np.ndarray:

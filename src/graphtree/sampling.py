@@ -70,10 +70,10 @@ def check_edge_probabilities(p: np.ndarray) -> None:
     p = np.asarray(p)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError("edge probability matrix must be square")
+    if not ((p >= 0.0) & (p <= 1.0)).all():  # NaN included
+        raise ValueError("edge probabilities must lie in [0, 1]")
     if not np.array_equal(p, p.T):
         raise ValueError("edge probability matrix must be symmetric")
-    if p.size and (p.min() < 0.0 or p.max() > 1.0):
-        raise ValueError("edge probabilities must lie in [0, 1]")
     if np.any(np.diagonal(p) != 0.0):
         raise ValueError("edge probability diagonal must be 0")
 

@@ -25,7 +25,6 @@ import numpy as np
 from graphtree.errors import ValidationError
 from graphtree.graphon import BlockPartition, StepGraphon
 from graphtree.linkage import dendrogram_merge_matrix, single_linkage
-from graphtree.mergeon import BlockMergeMatrix
 from graphtree.sampling import LatentSample, check_adjacency
 from graphtree.smoothing import (
     _chebyshev_buffer,
@@ -635,7 +634,7 @@ def rho_dense_check(latents: LatentSample, partition: BlockPartition, rho: float
     return bool(np.all(counts / latents.n > (1.0 - rho) * partition.lengths))
 
 
-def discretization_oracle(w: StepGraphon, m: int) -> BlockMergeMatrix:
+def discretization_oracle(w: StepGraphon, m: int) -> StepGraphon:
     """Merge levels recovered from a finite single-linkage construction.
 
     Splits every block into m equal atoms, builds the complete weighted graph
@@ -664,4 +663,4 @@ def discretization_oracle(w: StepGraphon, m: int) -> BlockMergeMatrix:
         levels[a, a] = heights[a * m, a * m + 1]
         for b in range(a + 1, k):
             levels[a, b] = levels[b, a] = heights[a * m, b * m]
-    return BlockMergeMatrix(part, levels)
+    return StepGraphon(part, levels)

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from graphtree import Dendrogram, save_edge_list
+from graphtree import Dendrogram, save_edge_list, save_step_graphon
 from graphtree.cli import main
+from conftest import random_step_graphon
 
 
 @pytest.fixture(autouse=True)
@@ -251,6 +252,69 @@ class TestCluster:
         assert res.exit_code == 2
         assert "symmetric" in res.stderr
 
+    def test_nan_rejected(self, runner, tmp_path):
+        p = tmp_path / "sim.csv"
+        p.write_text("0,nan\nnan,0\n")
+        for args in (["cluster", "--phat", str(p)],
+                     ["distortion", "--truth", str(p), "--est", str(p)]):
+            res = runner.invoke(main, args)
+            assert res.exit_code == 2
+            assert res.stderr == f"error: {p}: matrix holds NaN\n"
+
+    def test_minus_inf_keeps_both_leaves(self, runner, tmp_path):
+        p = tmp_path / "sim.csv"
+        p.write_text("0,-inf\n-inf,0\n")
+        tree = tmp_path / "t.json"
+        res = runner.invoke(main, ["cluster", "--phat", str(p), "--tree", str(tree)])
+        assert res.exit_code == 0
+        assert tree.read_text() == '{"left": 0, "level": -Infinity, "right": 1}\n'
+
+
+# exact `mergeon --out` documents and `--tree` lines; a random step graphon
+# is named by the seed conftest.random_step_graphon draws it from
+THREE_GROUP_MERGEON = (
+    [0.0, 0.29166666666666663, 0.3333333333333333, 0.375, 0.6666666666666666, 1.0],
+    [[0.7, 0.7, 0.5, 0.5, 0.1], [0.7, 0.7, 0.5, 0.5, 0.1], [0.5, 0.5, 0.7, 0.7, 0.1],
+     [0.5, 0.5, 0.7, 0.7, 0.1], [0.1, 0.1, 0.1, 0.1, 0.7]],
+    '[{"clusters": [[0, 1], [2, 3], [4]], "level": 0.7}, '
+    '{"clusters": [[0, 1, 2, 3], [4]], "level": 0.5}, '
+    '{"clusters": [[0, 1, 2, 3, 4]], "level": 0.1}]\n',
+)
+GOLDEN_MERGEONS = {
+    "three-group": THREE_GROUP_MERGEON,
+    "paper-synthetic": THREE_GROUP_MERGEON,
+    "separated-three-block": (
+        [0.0, 0.3333333333333333, 0.6666666666666666, 1.0],
+        [[0.9, 0.05, 0.05], [0.05, 0.9, 0.05], [0.05, 0.05, 0.9]],
+        '[{"clusters": [[0], [1], [2]], "level": 0.9}, '
+        '{"clusters": [[0, 1, 2]], "level": 0.05}]\n',
+    ),
+    3: (
+        [0.0, 0.09375, 0.171875, 0.1875, 0.234375, 1.0],
+        [[0.6, 0.6, 0.6, 0.6, 0.6], [0.6, 0.8, 0.8, 0.7, 0.8], [0.6, 0.8, 0.9, 0.7, 0.9],
+         [0.6, 0.7, 0.7, 0.7, 0.7], [0.6, 0.8, 0.9, 0.7, 0.9]],
+        '[{"clusters": [[2, 4]], "level": 0.9}, {"clusters": [[1, 2, 4]], "level": 0.8}, '
+        '{"clusters": [[1, 2, 3, 4]], "level": 0.7}, '
+        '{"clusters": [[0, 1, 2, 3, 4]], "level": 0.6}]\n',
+    ),
+    5: (
+        [0.0, 0.03125, 0.46875, 0.765625, 0.796875, 1.0],
+        [[1.0, 0.0, 0.6, 0.6, 0.6], [0.0, 0.1, 0.0, 0.0, 0.0], [0.6, 0.0, 0.8, 0.8, 0.8],
+         [0.6, 0.0, 0.8, 1.0, 1.0], [0.6, 0.0, 0.8, 1.0, 1.0]],
+        '[{"clusters": [[0], [3, 4]], "level": 1.0}, {"clusters": [[0], [2, 3, 4]], "level": 0.8}, '
+        '{"clusters": [[0, 2, 3, 4]], "level": 0.6}, '
+        '{"clusters": [[0, 2, 3, 4], [1]], "level": 0.1}, '
+        '{"clusters": [[0, 1, 2, 3, 4]], "level": 0.0}]\n',
+    ),
+}
+
+
+def _indented(x, pad):
+    """A number or nested list as JSON at indent 2, one element a line."""
+    if isinstance(x, list):
+        return "[\n" + ",\n".join(pad + "  " + _indented(v, pad + "  ") for v in x) + f"\n{pad}]"
+    return repr(x)
+
 
 class TestMergeon:
     def test_three_group_values(self, runner):
@@ -278,6 +342,21 @@ class TestMergeon:
         doc = json.loads(out.read_text())
         assert [lv["level"] for lv in doc] == [0.7, 0.5, 0.1]
         assert doc[-1]["clusters"] == [[0, 1, 2, 3, 4]]
+
+    @pytest.mark.parametrize("source", list(GOLDEN_MERGEONS))
+    def test_golden_bytes(self, runner, tmp_path, source):
+        breakpoints, levels, tree_text = GOLDEN_MERGEONS[source]
+        if isinstance(source, int):
+            path = tmp_path / "w.json"
+            save_step_graphon(random_step_graphon(np.random.default_rng(source)), path)
+            source = str(path)
+        out_text = ('{\n  "breakpoints": ' + _indented(breakpoints, "  ")
+                    + ',\n  "levels": ' + _indented(levels, "  ") + "\n}\n")
+        tree = tmp_path / "tree.json"
+        res = runner.invoke(main, ["mergeon", "--graphon", source, "--tree", str(tree)])
+        assert res.exit_code == 0
+        assert res.stdout == out_text
+        assert tree.read_text() == tree_text
 
 
 class TestDistortion:

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from graphtree import (
     step_graphon_to_dict,
     three_group_graphon,
 )
+from graphtree import experiments
 from reference import group_of_thirds
 
 
@@ -174,6 +176,29 @@ class TestSyntheticRuns:
             name = f"dendro_n{n}_seed{seed}.json"
             assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "pool" / name).read_bytes()
 
+    @pytest.mark.parametrize("n_grid, seeds, size", [((8,), (1,), None), ((12, 8), (2, 1), 4)])
+    def test_pool_has_at_most_one_worker_per_cell(self, tmp_path, monkeypatch, n_grid, seeds,
+                                                  size):
+        # the stand-in records the pool size and maps in this process; none is forked
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        cfg = self.make_cfg(tmp_path / "out", n_grid=n_grid, seeds=seeds, workers=16)
+        assert len(run_synthetic_experiment(cfg)) == len(n_grid) * len(seeds)
+        assert sizes == ([] if size is None else [size])
+
     def test_original_variant_runs(self, tmp_path):
         cfg = self.make_cfg(tmp_path / "out", variant="original", n_grid=(8,), seeds=(1,))
         (record,) = run_synthetic_experiment(cfg)
@@ -254,6 +279,21 @@ class TestDatasetClustering:
         run_dataset_clustering(p, out_dir=str(tmp_path / "out"), baseline=True)
         assert (tmp_path / "out" / "baseline_dendrogram.json").exists()
         assert (tmp_path / "out" / "baseline_dendrogram.newick").exists()
+
+    def test_newick_labels_lose_whitespace(self, tmp_path):
+        # a quoted GML label may hold any character but '"', line breaks included
+        labels = ["a b", "c\nd", "e\tf", "g\x0ch", "(i)"]
+        p = tmp_path / "g.gml"
+        p.write_text("graph [\n"
+                     + "".join(f'  node [ id {i} label "{lab}" ]\n' for i, lab in enumerate(labels))
+                     + "".join(f"  edge [ source {i} target {i + 1} ]\n" for i in range(4))
+                     + "]\n")
+        run_dataset_clustering(p, c=0.3, out_dir=str(tmp_path / "out"), baseline=True)
+        for name in ("dendrogram.newick", "baseline_dendrogram.newick"):
+            text = (tmp_path / "out" / name).read_text()
+            assert text.count("\n") == 1 and text.endswith(";\n")
+            leaves = re.findall(r"[(,]([^(),:]+):", text)
+            assert sorted(leaves) == ["_i_", "a_b", "c_d", "e_f", "g_h"]
 
     def test_too_small_rejected(self, tmp_path):
         p = tmp_path / "tiny.edges"

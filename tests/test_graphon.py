@@ -136,6 +136,8 @@ class TestStepGraphon:
             StepGraphon(p, np.array([[0.1]]))  # wrong shape
         with pytest.raises(ValidationError):
             StepGraphon(p, np.full((2, 2), np.nan))
+        with pytest.raises(ValidationError, match="finite"):
+            StepGraphon(p, np.array([[np.nan, 0.2], [0.2, 0.5]]))  # symmetric but for NaN
 
     def test_values_read_only(self):
         w = two_block(0.2, 0.5, 0.8)

@@ -254,10 +254,9 @@ class TestGml:
     def test_minimal(self, tmp_path):
         p = tmp_path / "g.gml"
         p.write_text(MINIMAL_GML)
-        g = load_gml_subset(p)
-        assert np.array_equal(g.adjacency, [[0, 1], [1, 0]])
-        assert g.labels == ("0", "1")
-        assert g.id_map == {0: 0, 1: 1}
+        a, labels = load_gml_subset(p)
+        assert np.array_equal(a, [[0, 1], [1, 0]])
+        assert labels == ["0", "1"]
 
     def test_noncontiguous_ids_remap_densely(self, tmp_path):
         p = tmp_path / "g.gml"
@@ -270,13 +269,12 @@ class TestGml:
             '  edge [ source 7 target 10 ]\n'
             ']\n'
         )
-        g = load_gml_subset(p)
-        assert g.id_map == {3: 0, 7: 1, 10: 2}
-        assert g.labels == ("three", "7", "ten")
+        a, labels = load_gml_subset(p)
+        assert labels == ["three", "7", "ten"]
         want = np.zeros((3, 3), dtype=np.int8)
         want[0, 2] = want[2, 0] = 1
         want[1, 2] = want[2, 1] = 1
-        assert np.array_equal(g.adjacency, want)
+        assert np.array_equal(a, want)
 
     def test_quoted_labels_with_spaces(self, tmp_path):
         p = tmp_path / "g.gml"
@@ -288,8 +286,8 @@ class TestGml:
             '  edge [ source 0 target 1 ]\n'
             ']\n'
         )
-        g = load_gml_subset(p)
-        assert g.labels == ("Alpha Beta", "Gamma")
+        _, labels = load_gml_subset(p)
+        assert labels == ["Alpha Beta", "Gamma"]
 
     def test_directed_duplicates_collapse_with_warning(self, tmp_path):
         p = tmp_path / "g.gml"
@@ -303,8 +301,8 @@ class TestGml:
             ']\n'
         )
         with pytest.warns(UserWarning, match="duplicate"):
-            g = load_gml_subset(p)
-        assert g.adjacency.sum() == 2
+            a, _ = load_gml_subset(p)
+        assert a.sum() == 2
 
     def test_unknown_edge_endpoint(self, tmp_path):
         p = tmp_path / "g.gml"
@@ -348,9 +346,9 @@ class TestGml:
             '  edge [ source 1 target 2 graphics [ Line [ point [ x 1 y 2 ] ] ] ]\n'
             ']\n'
         )
-        g = load_gml_subset(p)
-        assert g.labels == ("a", "b", "2")
-        assert np.array_equal(g.adjacency, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        a, labels = load_gml_subset(p)
+        assert labels == ["a", "b", "2"]
+        assert np.array_equal(a, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
     def test_other_attributes_skipped(self, tmp_path):
         p = tmp_path / "g.gml"
@@ -363,5 +361,5 @@ class TestGml:
             '  edge [ source 0 target 1 weight 2 ]\n'
             ']\n'
         )
-        g = load_gml_subset(p)
-        assert g.adjacency.sum() == 2
+        a, _ = load_gml_subset(p)
+        assert a.sum() == 2

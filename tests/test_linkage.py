@@ -124,6 +124,24 @@ class TestSingleLinkage:
         for bad in (np.zeros((2, 3)), np.zeros((0, 0)), np.array([[1.0, 0.2], [0.3, 1.0]])):
             with pytest.raises(ValueError):
                 single_linkage(bad)
+        with pytest.raises(ValueError, match="holds NaN"):  # not "must be symmetric"
+            single_linkage(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+
+    @pytest.mark.parametrize("sim, text", [
+        ([[0.0, -np.inf], [-np.inf, 0.0]], '{"left": 0, "level": -Infinity, "right": 1}'),
+        ([[1.0, 0.5, -np.inf], [0.5, 1.0, -np.inf], [-np.inf, -np.inf, 1.0]],
+         '{"left": {"left": 0, "level": 0.5, "right": 1}, "level": -Infinity, "right": 2}'),
+        ([[1.0, -np.inf, -np.inf], [-np.inf, 1.0, 0.3], [-np.inf, 0.3, 1.0]],
+         '{"left": 0, "level": -Infinity, "right": {"left": 1, "level": 0.3, "right": 2}}'),
+    ])
+    def test_minus_inf_keeps_every_leaf(self, sim, text):
+        # Prim masks tree nodes with -inf, so a -inf similarity ties with them
+        sim = np.array(sim)
+        d = single_linkage(sim)
+        assert d.n == sim.shape[0] and d.level[-1] == -np.inf
+        assert d.to_json() == text
+        assert Dendrogram.from_json(text) == d
+        assert np.array_equal(dendrogram_merge_matrix(d), reference.maxmin_closure(sim))
 
 
 class TestLipschitz:

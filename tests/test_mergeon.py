@@ -1,14 +1,11 @@
 """Exact mergeons: bottleneck levels, the discretization oracle, cluster trees."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from graphtree import (
-    BlockMergeMatrix,
     BlockPartition,
     StepGraphon,
     ValidationError,
@@ -45,20 +42,20 @@ THREE_GROUP_LEVELS = np.array(
 class TestStepMergeon:
     def test_constant(self):
         w = StepGraphon(BlockPartition((0.0, 1.0)), np.array([[0.4]]))
-        assert np.array_equal(step_mergeon(w).levels, [[0.4]])
+        assert np.array_equal(step_mergeon(w).values, [[0.4]])
 
     def test_chain_bottleneck(self):
-        got = step_mergeon(CHAIN).levels
+        got = step_mergeon(CHAIN).values
         want = np.array([[0.9, 0.6, 0.4], [0.6, 0.9, 0.4], [0.4, 0.4, 0.9]])
         assert np.array_equal(got, want)
 
     def test_three_group(self):
-        got = step_mergeon(three_group_graphon()).levels
+        got = step_mergeon(three_group_graphon()).values
         assert np.array_equal(got, THREE_GROUP_LEVELS)
 
     @given(step_graphons())
     def test_off_diagonal_matches_path_enumeration(self, w):
-        levels = step_mergeon(w).levels
+        levels = step_mergeon(w).values
         k = w.k
         for a in range(k):
             for b in range(a + 1, k):
@@ -70,29 +67,29 @@ class TestStepMergeon:
         # independent of single_linkage, which discretization_oracle also runs
         want = reference.maxmin_closure(w.values)
         np.fill_diagonal(want, w.values.max(axis=1))
-        assert step_mergeon(w).levels.tobytes() == want.tobytes()
+        assert step_mergeon(w).values.tobytes() == want.tobytes()
 
     @given(step_graphons())
     def test_diagonal_rule(self, w):
-        levels = step_mergeon(w).levels
+        levels = step_mergeon(w).values
         for a in range(w.k):
             assert levels[a, a] == max(w.values[a])
 
     @given(step_graphons(max_blocks=5), st.sampled_from([2, 3]))
     @settings(max_examples=40)
     def test_matches_discretization_oracle(self, w, m):
-        assert np.array_equal(step_mergeon(w).levels, discretization_oracle(w, m).levels)
+        assert np.array_equal(step_mergeon(w).values, discretization_oracle(w, m).values)
 
     @given(step_graphons(max_blocks=4))
     @settings(max_examples=20)
     def test_oracle_m_independent(self, w):
         assert np.array_equal(
-            discretization_oracle(w, 2).levels, discretization_oracle(w, 3).levels
+            discretization_oracle(w, 2).values, discretization_oracle(w, 3).values
         )
 
     def test_oracle_constant(self):
         w = StepGraphon(BlockPartition((0.0, 1.0)), np.array([[0.4]]))
-        assert np.array_equal(discretization_oracle(w, 2).levels, [[0.4]])
+        assert np.array_equal(discretization_oracle(w, 2).values, [[0.4]])
 
     def test_oracle_rejects_small_m(self):
         with pytest.raises(ValueError):
@@ -100,7 +97,7 @@ class TestStepMergeon:
 
     @given(step_graphons())
     def test_invariants(self, w):
-        lv = step_mergeon(w).levels
+        lv = step_mergeon(w).values
         k = w.k
         assert np.array_equal(lv, lv.T)
         assert lv.min() >= 0.0 and lv.max() <= 1.0
@@ -116,31 +113,26 @@ class TestStepMergeon:
 
 class TestBlockMergeMatrix:
     def test_validation(self):
+        # a merge matrix is a StepGraphon of merge heights; it rejects what
+        # the old dedicated merge-matrix type rejected
+        assert type(step_mergeon(CHAIN)) is StepGraphon
         p = BlockPartition((0.0, 0.5, 1.0))
         with pytest.raises(ValidationError):
-            BlockMergeMatrix(p, np.array([[0.5, 0.2], [0.3, 0.5]]))
+            StepGraphon(p, np.array([[0.5, 0.2], [0.3, 0.5]]))
         with pytest.raises(ValidationError):
-            BlockMergeMatrix(p, np.array([[1.5, 0.2], [0.2, 0.5]]))
+            StepGraphon(p, np.array([[1.5, 0.2], [0.2, 0.5]]))
         with pytest.raises(ValidationError):
-            BlockMergeMatrix(p, np.array([[0.5]]))
-        with pytest.raises(ValidationError, match=r"lie in \[0, 1\]"):
-            BlockMergeMatrix(p, np.array([[np.nan, 0.2], [0.2, 0.5]]))
-
-    def test_to_dict(self):
-        m = step_mergeon(CHAIN)
-        d = m.to_dict()
-        assert d["breakpoints"] == [0.0, 0.25, 0.5, 1.0]
-        assert d["levels"][0] == [0.9, 0.6, 0.4]
-        json.dumps(d)
+            StepGraphon(p, np.array([[0.5]]))
+        with pytest.raises(ValidationError, match="finite"):
+            StepGraphon(p, np.array([[np.nan, 0.2], [0.2, 0.5]]))
 
 
 class TestClusterTree:
     def test_three_group_tree(self):
-        tree = cluster_tree_of(BlockMergeMatrix(
+        tree = cluster_tree_of(StepGraphon(
             three_group_graphon().partition, THREE_GROUP_LEVELS
         ))
-        got = [(e.level, e.clusters) for e in tree.entries]
-        assert got == [
+        assert tree == [
             (0.7, [[0, 1], [2, 3], [4]]),
             (0.5, [[0, 1, 2, 3], [4]]),
             (0.1, [[0, 1, 2, 3, 4]]),
@@ -149,13 +141,13 @@ class TestClusterTree:
     def test_single_block(self):
         w = StepGraphon(BlockPartition((0.0, 1.0)), np.array([[0.4]]))
         tree = cluster_tree_of(step_mergeon(w))
-        assert [(e.level, e.clusters) for e in tree.entries] == [(0.4, [[0]])]
+        assert tree == [(0.4, [[0]])]
 
     def test_disconnected(self):
         p = BlockPartition((0.0, 0.5, 1.0))
-        m = BlockMergeMatrix(p, np.array([[1.0, 0.0], [0.0, 1.0]]))
+        m = StepGraphon(p, np.array([[1.0, 0.0], [0.0, 1.0]]))
         tree = cluster_tree_of(m)
-        assert [(e.level, e.clusters) for e in tree.entries] == [
+        assert tree == [
             (1.0, [[0], [1]]),
             (0.0, [[0, 1]]),
         ]
@@ -163,26 +155,26 @@ class TestClusterTree:
     @given(step_graphons())
     def test_hierarchy_invariant(self, w):
         tree = cluster_tree_of(step_mergeon(w))
-        for entry in tree.entries:
-            flat = [b for c in entry.clusters for b in c]
+        for _, clusters in tree:
+            flat = [b for c in clusters for b in c]
             assert len(flat) == len(set(flat))
-        for upper, lower in zip(tree.entries, tree.entries[1:]):
-            for cu in upper.clusters:
-                hosts = [cl for cl in lower.clusters if set(cu) <= set(cl)]
+        for (_, upper), (_, lower) in zip(tree, tree[1:]):
+            for cu in upper:
+                hosts = [cl for cl in lower if set(cu) <= set(cl)]
                 assert len(hosts) == 1
 
     @staticmethod
     def check_components(merge):
-        lv = merge.levels
+        lv = merge.values
         tree = cluster_tree_of(merge)
-        for entry in tree.entries:
-            alive = [a for a in range(lv.shape[0]) if lv[a, a] >= entry.level]
+        for lam, clusters in tree:
+            alive = [a for a in range(lv.shape[0]) if lv[a, a] >= lam]
             sub = lv[np.ix_(alive, alive)]
             want = [
                 sorted(alive[i] for i in comp)
-                for comp in reference.components_at_level(sub, entry.level)
+                for comp in reference.components_at_level(sub, lam)
             ]
-            assert entry.clusters == sorted(want)
+            assert clusters == sorted(want)
         return tree
 
     @given(step_graphons())
@@ -193,26 +185,20 @@ class TestClusterTree:
     def test_any_level_matrix_matches_component_reference(self, w):
         # a graphon's values as levels: any symmetric matrix, ties included,
         # where a block may appear below the level of its links
-        tree = self.check_components(BlockMergeMatrix(w.partition, w.values))
-        assert [e.level for e in tree.entries] == sorted(set(w.values.flat), reverse=True)
+        tree = self.check_components(w)
+        assert [lam for lam, _ in tree] == sorted(set(w.values.flat), reverse=True)
 
     def test_absent_block_does_not_link(self):
         # block 1 appears at 0.2, so its 0.9 links join nothing above that
-        m = BlockMergeMatrix(CHAIN.partition, np.array(
+        m = StepGraphon(CHAIN.partition, np.array(
             [[1.0, 0.9, 0.0], [0.9, 0.2, 0.9], [0.0, 0.9, 1.0]]))
         tree = self.check_components(m)
-        assert [(e.level, e.clusters) for e in tree.entries] == [
+        assert tree == [
             (1.0, [[0], [2]]),
             (0.9, [[0], [2]]),
             (0.2, [[0, 1, 2]]),
             (0.0, [[0, 1, 2]]),
         ]
-
-    def test_json(self):
-        tree = cluster_tree_of(step_mergeon(CHAIN))
-        doc = json.loads(tree.to_json())
-        assert doc[0]["level"] == 0.9
-
 
 class TestMergeonEval:
     def test_constant(self):
@@ -361,10 +347,10 @@ class TestMptInvariance:
         block_map = [
             w.partition.locate(phi.apply(x)) for x in wp.partition.midpoints()
         ]
-        assert [e.level for e in tree_p.entries] == [e.level for e in tree.entries]
-        for ep, e in zip(tree_p.entries, tree.entries):
+        assert [lam for lam, _ in tree_p] == [lam for lam, _ in tree]
+        for (_, clusters_p), (_, clusters) in zip(tree_p, tree):
             mapped = sorted(
-                sorted({block_map[b] for b in cluster}) for cluster in ep.clusters
+                sorted({block_map[b] for b in cluster}) for cluster in clusters_p
             )
             # preimage clusters collapse exactly onto the original clusters
-            assert sorted(map(sorted, {tuple(c) for c in mapped})) == e.clusters
+            assert sorted(map(sorted, {tuple(c) for c in mapped})) == clusters

@@ -112,6 +112,8 @@ class TestEdgeProbabilities:
             check_edge_probabilities(np.full((2, 3), 0.5))
         with pytest.raises(ValueError):
             check_edge_probabilities(np.array([[0.0, 1.5], [1.5, 0.0]]))
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):  # not "symmetric"
+            check_edge_probabilities(np.array([[0.0, np.nan], [np.nan, 0.0]]))
 
 
 class TestSampleGraph:
