@@ -323,8 +323,8 @@ def _pair_neighborhoods(s: np.ndarray, a: np.ndarray, rank: int):
     sizes = np.empty((n, n), dtype=s.dtype)
     hits = np.empty((n, n), dtype=s.dtype)
     flags = levels = np.empty((0, 0))
-    for lo, hi, cand in _candidate_blocks(top, rank):
-        # entries are laid out [i - lo, j, c] for the candidate i' = cand[i - lo, c]
+    for rows, cand in _candidate_blocks(top, rank):
+        # entries are laid out [b, j, c] for i = rows[b] and the candidate i' = cand[b, c]
         b, w = cand.shape
         size = b * n * w
         if size > levels.shape[1]:  # work space, reused by every block that fits
@@ -332,23 +332,23 @@ def _pair_neighborhoods(s: np.ndarray, a: np.ndarray, rank: int):
             levels = np.empty((2, size), dtype=s.dtype)
         rise_p, rise_n, nbrs = (x[:size].reshape(b, n, w) for x in flags)
         u, v = (x[:size].reshape(b, n, w) for x in levels)
-        rows, cols = np.ogrid[:b, :w]
-        i = lo + rows
+        bs, cols = np.ogrid[:b, :w]
+        i = rows[:, None]
         into_j = ab[:, cand].transpose(1, 0, 2)  # A[i', j] = A[j, i']
-        from_i = ab[lo:hi, :, None]
+        from_i = ab[rows, :, None]
         np.greater(into_j, from_i, out=rise_p)  # delta < 0: term k of B rises by A[j, k]
         np.greater(from_i, into_j, out=rise_n)  # delta > 0: term k of -B rises
         np.add(p1[i, cand][:, None, :], rise_p, out=u)
-        u[rows, gp[i, cand], cols] += p2[i, cand] - p1[i, cand]
+        u[bs, gp[i, cand], cols] += p2[i, cand] - p1[i, cand]
         np.add(n1[i, cand][:, None, :], rise_n, out=v)
-        v[rows, gn[i, cand], cols] += n2[i, cand] - n1[i, cand]
+        v[bs, gn[i, cand], cols] += n2[i, cand] - n1[i, cand]
         np.maximum(u, v, out=u)
         off = np.logical_or(rise_p, rise_n, out=rise_n)
         pb, pc = np.nonzero(cand == i)
         for x, fill in ((u, big), (off, False)):
             x[pb, :, pc] = fill  # padding: i' == i
-            x[rows, cand, cols] = fill  # i' == j
-            x[rows, i] = fill  # j == i, never read
+            x[bs, cand, cols] = fill  # i' == j
+            x[bs, i] = fill  # j == i, never read
         cap = _kth_smallest(u, rank)
         np.minimum(cap, big - 1, out=cap)  # rows j == i hold big
         cap += 1
@@ -359,26 +359,28 @@ def _pair_neighborhoods(s: np.ndarray, a: np.ndarray, rank: int):
             bi, jk = np.divmod(need, n * w)
             j, c = np.divmod(jk, w)
             flat = u.reshape(-1)
-            flat[need] -= ~_reaches_upper(s, top, rows_a, lo, cand, bi, c, j,
+            flat[need] -= ~_reaches_upper(s, top, rows_a, rows, cand, bi, c, j,
                                            rise_p.reshape(-1)[need], flat[need])
         np.less_equal(u, _kth_smallest(u, rank)[..., None], out=nbrs)
-        sizes[lo:hi] = nbrs.view(np.int8).sum(axis=2, dtype=s.dtype)
+        sizes[rows] = nbrs.view(np.int8).sum(axis=2, dtype=s.dtype)
         nbrs &= into_j
-        hits[lo:hi] = nbrs.view(np.int8).sum(axis=2, dtype=s.dtype)
+        hits[rows] = nbrs.view(np.int8).sum(axis=2, dtype=s.dtype)
     return sizes, hits
 
 
 def _candidate_blocks(top, rank: int):
-    """Yield (lo, hi, cand): rows i in [lo, hi) and the candidates i' each must rank.
+    """Yield (rows, cand): a block of rows i and the candidates i' each must rank.
 
     The top gap of the pair is D1 = max(P1, N1) and the largest with its
     column left out is D2 = max(min(P1, N1), P2, N2). For every j,
     d_j(i, i') >= D2 - 1, and the rank-th smallest upper bound of row i is
     at most t + 1, with t the (rank+1)-th smallest D1 of the row (dropping
     i' == j removes at most one value). So i' with D2 > t + 2 never ranks
-    for any j and is left out. Rows are padded to a common width with i
-    itself; a block holds at most _BLOCK_ELEMS (i, j, i') entries unless one
-    row alone is larger.
+    for any j and is left out. Rows are taken widest first (a stable sort on
+    the number of candidates), so the rows of a block have about the same
+    width and the first block is the largest; each row is padded with i
+    itself to the width of its block's first row. A block holds at most
+    _BLOCK_ELEMS (i, j, i') entries unless one row alone is larger.
     """
     p1, _, p2, n1, _, n2 = top
     n = p1.shape[0]
@@ -392,16 +394,18 @@ def _candidate_blocks(top, rank: int):
     del d
     np.fill_diagonal(keep, False)
     width = keep.sum(axis=1)
+    order = np.argsort(-width, kind="stable")
     lo = 0
     while lo < n:
-        hi, w = lo + 1, width[lo]
-        while hi < n and (hi + 1 - lo) * n * max(w, width[hi]) <= _BLOCK_ELEMS:
-            w = max(w, width[hi])
+        hi = lo + 1
+        while hi < n and (hi + 1 - lo) * n * width[order[lo]] <= _BLOCK_ELEMS:
             hi += 1
-        r, c = np.nonzero(keep[lo:hi])
-        cand = np.repeat(np.arange(lo, hi)[:, None], w, axis=1)
-        cand[r, np.arange(r.size) - (np.cumsum(width[lo:hi]) - width[lo:hi])[r]] = c
-        yield lo, hi, cand
+        rows = order[lo:hi]
+        w = width[rows]
+        r, c = np.nonzero(keep[rows])
+        cand = np.repeat(rows[:, None], w[0], axis=1)
+        cand[r, np.arange(r.size) - (np.cumsum(w) - w)[r]] = c
+        yield rows, cand
         lo = hi
 
 
@@ -425,9 +429,9 @@ def _row_bitsets(ab: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(_words(bits.reshape(2 * n, width)))
 
 
-def _reaches_upper(s: np.ndarray, top, rows_a: np.ndarray, lo: int, cand: np.ndarray,
-                   bi, c, j, rise_p, upper):
-    """Whether d_j(i, i2) == upper for the block entries (i = lo + bi, j, i2 = cand[bi, c]).
+def _reaches_upper(s: np.ndarray, top, rows_a: np.ndarray, rows: np.ndarray,
+                   cand: np.ndarray, bi, c, j, rise_p, upper):
+    """Whether d_j(i, i2) == upper for the block entries (i = rows[bi], j, i2 = cand[bi, c]).
 
     Every entry has delta != 0 and upper = U. The side of B that delta
     raises (P where rise_p, else N) reaches its level + 1 where its top
@@ -449,7 +453,7 @@ def _reaches_upper(s: np.ndarray, top, rows_a: np.ndarray, lo: int, cand: np.nda
     at[uniq] = np.arange(uniq.size)
     pos = at[pair]
     ub, uc = np.divmod(uniq, cand.shape[1])
-    iu, i2u = lo + ub, cand[ub, uc]
+    iu, i2u = rows[ub], cand[ub, uc]
     p1, gp, p2, n1, gn, n2 = (x[iu, i2u] for x in top)
     diff = np.full((uniq.size, 1, rows_a.shape[0] * 64), lowest, dtype=s.dtype)
     np.subtract(s[iu], s[i2u], out=diff[:, 0, :n])

@@ -3,9 +3,11 @@
 Everything here favors obviousness over speed: explicit loops, explicit
 row/column zeroing, full sorts, exhaustive path enumeration, one edge-list
 line at a time. The fast package code is gated against these; apart from the
-dense modified pass and the per-entry views, nothing here imports the modules
-it checks (the edge-list oracle raises graphtree's ValidationError, so that
-messages compare).
+dense modified pass, nothing here imports the modules it checks (the
+edge-list oracle raises graphtree's ValidationError, so that messages
+compare). Each rule has one oracle: d_j, for one, is defined on zeroed copies
+of A (zeroed_square_counts), and the deletion identity the dense pass uses
+instead is checked against it once, in acceptance criterion C3.
 
 The last section holds the oracles behind the paper's claims (C1, C4, C5,
 C7): measure preserving maps and pullbacks, partition refinement, exact
@@ -80,21 +82,21 @@ def argmax_agglomerate(m):
     pair whose leaders (smallest members) come first lexicographically merges,
     and the lower leader's cluster becomes the left child. Leaves are ints and
     merges {"left", "right", "level"} dicts: the dendrogram's JSON document.
+    Merged clusters and the diagonal are masked by an explicit set of live
+    pairs, not by a level, so a -inf level still joins two clusters.
     """
     n = m.shape[0]
     lvl = np.array(m, dtype=float)
-    np.fill_diagonal(lvl, -np.inf)
+    leader = np.ones(n, dtype=bool)
     nodes = {i: i for i in range(n)}  # cluster leader -> subtree
     for _ in range(n - 1):
-        a, b = divmod(int(np.argmax(lvl)), n)
-        a, b = min(a, b), max(a, b)
-        nodes[a] = {"left": nodes[a], "right": nodes.pop(b), "level": float(lvl[a, b])}
-        row = np.maximum(lvl[a], lvl[b])
-        row[[a, b]] = -np.inf
-        lvl[a, :] = row
-        lvl[:, a] = row
-        lvl[b, :] = -np.inf
-        lvl[:, b] = -np.inf
+        live = leader[:, None] & leader[None, :]
+        np.fill_diagonal(live, False)
+        top = lvl[live].max()
+        a, b = divmod(int(np.flatnonzero(live & (lvl == top))[0]), n)  # a < b: lvl is symmetric
+        nodes[a] = {"left": nodes[a], "right": nodes.pop(b), "level": float(top)}
+        lvl[a, :] = lvl[:, a] = np.maximum(lvl[a], lvl[b])
+        leader[b] = False
     return nodes[0]
 
 
@@ -131,26 +133,6 @@ def zeroed_square_counts(A, j):
     Az[j, :] = 0
     Az[:, j] = 0
     return Az @ Az
-
-
-def zeroed_square_over_n(A, j):
-    """(d_j A)^2 / n: the zeroed counts with one division by n."""
-    return zeroed_square_counts(A, j) / A.shape[0]
-
-
-def deleted_square_entry(sq, a, j, i, k):
-    """Entry (i, k) of (d_j A)^2 / n from precomputed raw counts sq = A @ A.
-
-    Requires i != j and k != j. The correction A[i,j] * A[j,k] removes the
-    only term of the common-neighbor sum that passes through j; subtraction
-    happens on exact integers, then one division by n.
-    """
-    n = a.shape[0]
-    if i == j or k == j:
-        raise ValueError("deleted index j must differ from i and k")
-    if not (0 <= i < n and 0 <= k < n and 0 <= j < n):
-        raise ValueError("index out of range")
-    return (float(sq[i, k]) - float(a[i, j]) * float(a[j, k])) / n
 
 
 def pair_gap(A, i, i2, j):
@@ -351,6 +333,8 @@ def group_of_thirds(points):
 def deleted_square_counts(s, a, j):
     """Raw counts of (d_j A)^2 for all (i, k) with i, k != j; column j is forced to 0.
 
+    Entry (i, k) is s[i, k] - a[i, j] * a[j, k]: the one term of the
+    common-neighbour sum that passes through j is removed, on exact integers.
     s and a share one dtype. Row j is never meaningful and callers must not
     read it.
     """
@@ -388,57 +372,6 @@ def dense_modified_estimate(A, h):
     np.fill_diagonal(phat, 0.0)
     np.fill_diagonal(sizes, 0)
     return phat, sizes
-
-
-# Per-entry views of the count kernels (square_counts and
-# deleted_square_counts), one pair at a time: tests check them against
-# pair_distance and pair_neighborhood above.
-
-
-def _pair_gaps(a, i, j, sq):
-    """Integer gaps d_j(i, i2) * n for every i2, one at a time; entries i and j are 0."""
-    n = a.shape[0]
-    s = (square_counts(a) if sq is None else sq).astype(np.int64)
-    r = deleted_square_counts(s, a.astype(np.int64), j)
-    gaps = np.zeros(n, dtype=np.int64)
-    for i2 in range(n):
-        if i2 not in (i, j):
-            diff = np.abs(r[i] - r[i2])
-            diff[[i, i2, j]] = 0
-            gaps[i2] = diff.max()
-    return gaps
-
-
-def pair_distance_dj(a, i, i2, j, sq=None):
-    """d_j(i, i2) = max over k not in {i, i2, j} of the (d_j A)^2 / n row difference.
-
-    The maximum is taken over integer counts and divided by n once.
-    """
-    n = a.shape[0]
-    if n < 4:
-        raise ValueError("need n >= 4 so that a candidate k remains")
-    if len({i, i2, j}) != 3:
-        raise ValueError("i, i2, j must be pairwise distinct")
-    return int(_pair_gaps(a, i, j, sq)[i2]) / n
-
-
-def neighborhood_of_pair(a, i, j, h, sq=None):
-    """Candidates i' (never i or j) whose d_j(i, i') is within the h-quantile.
-
-    The threshold is the ceil(h*(n-2))th smallest integer count gap, ties
-    included, so the result is never empty.
-    """
-    n = a.shape[0]
-    if n < 4:
-        raise ValueError("need n >= 4")
-    if i == j:
-        raise ValueError("need i != j")
-    if not 0.0 < h < 1.0:
-        raise ValueError("h must lie in (0, 1)")
-    cands = np.array([v for v in range(n) if v not in (i, j)])
-    gaps = _pair_gaps(a, i, j, sq)[cands]
-    q = np.sort(gaps)[quantile_rank(h, n - 2) - 1]
-    return cands[gaps <= q]
 
 
 def edge_list_by_lines(path):

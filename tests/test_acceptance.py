@@ -41,11 +41,11 @@ from graphtree import (
     SmoothingConfig,
 )
 from graphtree.cli import main as cli_main
+from graphtree.smoothing import _counts
 from conftest import random_adjacency, random_step_graphon
 import reference
 from reference import (
     MeasurePreservingMap,
-    deleted_square_entry,
     discretization_oracle,
     exact_graph_probability,
     group_of_thirds,
@@ -97,23 +97,31 @@ def test_c2_merge_estimate_oracle():
 
 
 def test_c3_rank_one_identity_and_bracket():
+    # the one check of the deletion identity: the counts the dense modified
+    # pass uses, s - outer(A[:, j], A[j]), against the zeroed copy of A
     rng = np.random.default_rng(3)
     n = 20
     a = random_adjacency(rng, n, p=0.5)
     sq = reference.square_counts(a)
-    zeroed = {j: reference.zeroed_square_over_n(a, j) for j in range(n)}
+    zeroed = {j: reference.zeroed_square_counts(a, j) for j in range(n)}
     t0 = time.perf_counter()
+    s = _counts(a)
+    deleted = {j: reference.deleted_square_counts(s, a.astype(s.dtype), j) for j in range(n)}
+    for j, r in deleted.items():
+        keep = np.arange(n) != j
+        assert r.dtype == np.int16 and np.all(r[:, j] == 0)
+        assert np.array_equal(r[np.ix_(keep, keep)], zeroed[j][np.ix_(keep, keep)])  # exact
     for _ in range(1000):
         i, k = (int(v) for v in rng.integers(0, n, size=2))
         j = int(rng.choice([v for v in range(n) if v not in (i, k)]))
-        d = deleted_square_entry(sq, a, j, i, k)
-        assert d == zeroed[j][i, k]  # exact
+        d = deleted[j][i, k] / n
+        assert d == zeroed[j][i, k] / n  # exact
         assert d <= sq[i, k] / n  # upper side of the bracket, exact
         assert sq[i, k] / n - 1 / n <= d + 1e-12  # lower side, 1e-12 slack
     elapsed = time.perf_counter() - t0
     assert elapsed < 2.0
-    report(f"C3 PASS: deleted square entry == naive zeroed recomputation on "
-           f"1000 triples of G(20, 0.5), exact, bracket holds ({elapsed:.2f} s < 2 s)")
+    report(f"C3 PASS: deleted square counts == naive zeroed recomputation for every j and "
+           f"on 1000 triples of G(20, 0.5), exact, bracket holds ({elapsed:.2f} s < 2 s)")
 
 
 def all_graphs_on_three_nodes():

@@ -141,7 +141,7 @@ class TestSingleLinkage:
         assert d.n == sim.shape[0] and d.level[-1] == -np.inf
         assert d.to_json() == text
         assert Dendrogram.from_json(text) == d
-        assert np.array_equal(dendrogram_merge_matrix(d), reference.maxmin_closure(sim))
+        assert_matches_reference(sim)
 
 
 class TestLipschitz:

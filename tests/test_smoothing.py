@@ -29,6 +29,7 @@ from graphtree.smoothing import (
     _pair_neighborhoods,
     _pairwise_chebyshev,
     _pairwise_sides,
+    _candidate_blocks,
     _reaches_upper,
     _row_bitsets,
     quantile_rank,
@@ -38,7 +39,6 @@ from graphtree.experiments import three_group_graphon
 from graphtree.sampling import edge_probabilities, sample_graph, sample_latents
 from conftest import random_adjacency
 import reference
-from reference import deleted_square_entry, neighborhood_of_pair, pair_distance_dj
 
 # 6-node fixture used across distance tests: a path 0-1-2-3-4-5 plus chords
 FIX6 = np.array(
@@ -114,41 +114,13 @@ class TestQuantileRank:
 class TestDeletedSquare:
     def test_empty_graph(self):
         a = np.zeros((5, 5), dtype=np.int8)
-        sq = reference.square_counts(a)
-        assert deleted_square_entry(sq, a, 2, 0, 1) == 0.0
+        assert reference.zeroed_square_counts(a, 2)[0, 1] / 5 == 0.0
 
     def test_complete_graph_k4(self):
         a = np.ones((4, 4), dtype=np.int8)
         np.fill_diagonal(a, 0)
-        sq = reference.square_counts(a)
         # two common neighbors of 0 and 1; removing node 3 leaves one: (2-1)/4
-        assert deleted_square_entry(sq, a, 3, 0, 1) == 0.25
-
-    def test_matches_naive_on_random_draws(self):
-        rng = np.random.default_rng(0)
-        a = random_adjacency(rng, 12)
-        sq = reference.square_counts(a)
-        for _ in range(100):
-            i, k, j = rng.choice(12, size=3, replace=False)
-            want = reference.zeroed_square_over_n(a, j)[i, k]
-            assert deleted_square_entry(sq, a, int(j), int(i), int(k)) == want
-
-    def test_matrix_form_matches_entry_form(self):
-        rng = np.random.default_rng(1)
-        a = random_adjacency(rng, 9)
-        s = _counts(a)
-        sq = reference.square_counts(a)
-        for j in range(9):
-            r = reference.deleted_square_counts(s, a.astype(s.dtype), j)
-            assert r.dtype == np.int16
-            assert np.all(r[:, j] == 0)
-            keep = np.arange(9) != j
-            want = reference.zeroed_square_counts(a, j)
-            assert np.array_equal(r[np.ix_(keep, keep)], want[np.ix_(keep, keep)])
-            for i in range(9):
-                for k in range(9):
-                    if i != j and k != j:
-                        assert r[i, k] / 9 == deleted_square_entry(sq, a, j, i, k)
+        assert reference.zeroed_square_counts(a, 3)[0, 1] / 4 == 0.25
 
     def test_bracket(self):
         # the deleted entry sits between (A^2)/n - 1/n and (A^2)/n
@@ -157,24 +129,22 @@ class TestDeletedSquare:
         n = 10
         sq = reference.square_counts(a)
         for j in range(n):
+            zeroed = reference.zeroed_square_counts(a, j)
             for i in range(n):
                 for k in range(n):
                     if i == j or k == j:
                         continue
-                    d = deleted_square_entry(sq, a, j, i, k)
+                    d = zeroed[i, k] / n
                     assert d <= sq[i, k] / n
                     # tiny slack: the two-division left side rounds separately
                     assert sq[i, k] / n - 1 / n <= d + 1e-12
 
-    def test_index_errors(self):
-        a = random_adjacency(np.random.default_rng(3), 5)
-        sq = reference.square_counts(a)
-        with pytest.raises(ValueError):
-            deleted_square_entry(sq, a, 2, 2, 1)
-        with pytest.raises(ValueError):
-            deleted_square_entry(sq, a, 2, 1, 2)
-        with pytest.raises(ValueError):
-            deleted_square_entry(sq, a, 2, 1, 7)
+
+def dense_pass_gaps(a, j):
+    """Integer gaps d_j(i, i2) * n of the dense modified pass for every pair at fixed j."""
+    s = _counts(a)
+    return _pairwise_chebyshev(reference.deleted_square_counts(s, a.astype(s.dtype), j),
+                               _chebyshev_buffer(a.shape[0], s.dtype))
 
 
 class TestPairDistance:
@@ -182,15 +152,15 @@ class TestPairDistance:
         a = np.zeros((5, 5), dtype=np.int8)
         a[0, 4] = a[4, 0] = 1
         a[1, 4] = a[4, 1] = 1  # nodes 0 and 1 have identical neighborhoods
-        assert pair_distance_dj(a, 0, 1, 2) == 0.0
+        assert reference.pair_distance(a, 0, 1, 2) == 0.0
 
     def test_empty_graph(self):
         a = np.zeros((6, 6), dtype=np.int8)
-        assert pair_distance_dj(a, 0, 1, 2) == 0.0
+        assert reference.pair_distance(a, 0, 1, 2) == 0.0
 
     def test_fixture_matches_naive(self):
         for i, i2, j in [(0, 1, 2), (3, 5, 0), (2, 4, 1), (1, 5, 3)]:
-            assert pair_distance_dj(FIX6, i, i2, j) == reference.pair_distance(FIX6, i, i2, j)
+            assert dense_pass_gaps(FIX6, j)[i, i2] / 6 == reference.pair_distance(FIX6, i, i2, j)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25)
@@ -199,17 +169,10 @@ class TestPairDistance:
         n = int(rng.integers(4, 10))
         a = random_adjacency(rng, n, p=float(rng.uniform(0.2, 0.8)))
         i, i2, j = (int(v) for v in rng.choice(n, size=3, replace=False))
-        assert pair_distance_dj(a, i, i2, j) == reference.pair_distance(a, i, i2, j)
+        assert dense_pass_gaps(a, j)[i, i2] / n == reference.pair_distance(a, i, i2, j)
 
     def test_symmetry(self):
-        assert pair_distance_dj(FIX6, 0, 3, 5) == pair_distance_dj(FIX6, 3, 0, 5)
-
-    def test_errors(self):
-        a = random_adjacency(np.random.default_rng(4), 3)
-        with pytest.raises(ValueError):
-            pair_distance_dj(a, 0, 1, 2)  # n < 4
-        with pytest.raises(ValueError):
-            pair_distance_dj(FIX6, 0, 0, 2)
+        assert reference.pair_distance(FIX6, 0, 3, 5) == reference.pair_distance(FIX6, 3, 0, 5)
 
     def test_invariant_to_row_column_j(self):
         # the whole point of the deleted matrix: information about j never
@@ -228,13 +191,13 @@ class TestPairDistance:
             for i2 in range(i + 1, 8):
                 if j in (i, i2):
                     continue
-                assert pair_distance_dj(a, i, i2, j) == pair_distance_dj(b, i, i2, j)
+                assert reference.pair_distance(a, i, i2, j) == reference.pair_distance(b, i, i2, j)
 
 
 class TestNeighborhoods:
     def test_all_tied_includes_everyone(self):
         a = np.zeros((6, 6), dtype=np.int8)  # all distances zero
-        nb = neighborhood_of_pair(a, 0, 1, 0.2)
+        nb = reference.pair_neighborhood(a, 0, 1, 0.2)
         assert sorted(nb) == [2, 3, 4, 5]
 
     def test_never_contains_endpoints_and_never_empty(self):
@@ -242,7 +205,7 @@ class TestNeighborhoods:
         for _ in range(20):
             a = random_adjacency(rng, 7)
             i, j = (int(v) for v in rng.choice(7, size=2, replace=False))
-            nb = neighborhood_of_pair(a, i, j, 0.3)
+            nb = reference.pair_neighborhood(a, i, j, 0.3)
             assert len(nb) >= 1
             assert i not in nb and j not in nb
 
@@ -258,8 +221,7 @@ class TestNeighborhoods:
             for i in range(9):
                 if i == j:
                     continue
-                want = set(neighborhood_of_pair(a, i, j, h))
-                assert want == set(reference.pair_neighborhood(a, i, j, h))
+                want = set(reference.pair_neighborhood(a, i, j, h))
                 assert set(np.flatnonzero(nbrs[i])) == want
 
     def test_odd_n_batch_matches_per_pair_and_oracle(self):
@@ -281,7 +243,6 @@ class TestNeighborhoods:
             i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
             nbrs = reference.dense_pair_neighborhoods(s, a.astype(s.dtype), j, rank, buf)
             want = reference.pair_neighborhood(a, i, j, h)
-            assert list(neighborhood_of_pair(a, i, j, h)) == want
             assert list(np.flatnonzero(nbrs[i])) == want
             assert sizes[i, j] == len(want)
 
@@ -297,9 +258,8 @@ class TestNeighborhoods:
         for i in range(8):
             if i == j:
                 continue
-            assert np.array_equal(
-                neighborhood_of_pair(a, i, j, 0.4), neighborhood_of_pair(b, i, j, 0.4)
-            )
+            assert (reference.pair_neighborhood(a, i, j, 0.4)
+                    == reference.pair_neighborhood(b, i, j, 0.4))
 
     def test_chebyshev_matches_loops(self):
         rng = np.random.default_rng(9)
@@ -641,6 +601,15 @@ def _planted_partition(n, seed):
     return sample_graph(p, seed)
 
 
+def _football(n, seed):
+    """Planted partition shaped like the football network at n = 115: 12 groups, 0.8 / 0.034."""
+    rng = np.random.default_rng(seed)
+    groups = rng.permutation(np.arange(n) % 12)
+    p = np.where(groups[:, None] == groups[None, :], 0.8, 0.034)
+    np.fill_diagonal(p, 0.0)
+    return sample_graph(p, seed)
+
+
 def _three_group(n, seed):
     latents = sample_latents(n, seed)
     return sample_graph(edge_probabilities(three_group_graphon(), latents), seed + 1)
@@ -649,15 +618,46 @@ def _three_group(n, seed):
 class TestBoundThenVerify:
     """The pruned modified pass against the dense per-j pass and the loop oracle."""
 
-    @pytest.mark.parametrize("n", [64, 65, 97, 115, 128, 129, 200, 256])
-    @pytest.mark.parametrize("graph", [_three_group, _planted_partition])
-    def test_matches_dense_pass_bitwise(self, n, graph):
+    @pytest.mark.parametrize("graph, n", [(graph, n) for n in (64, 65, 97, 115, 128, 129, 200, 256)
+                                          for graph in (_three_group, _planted_partition)]
+                             + [(_football, 115)])
+    def test_matches_dense_pass_bitwise(self, graph, n):
         a = graph(n, 20 + n)
         cfg = SmoothingConfig(C=0.1)
         phat, sizes = estimate_modified(a, cfg, return_sizes=True)
         want_phat, want_sizes = reference.dense_modified_estimate(a, cfg.bandwidth(n))
         assert phat.tobytes() == want_phat.tobytes()
         assert np.array_equal(sizes, want_sizes)
+
+    @pytest.mark.parametrize("budget", [smoothing._BLOCK_ELEMS, 1 << 10])
+    @pytest.mark.parametrize("graph, n", [(_football, 115), (_three_group, 128)])
+    def test_candidate_blocks(self, graph, n, budget, monkeypatch):
+        # blocks partition the rows, hold every candidate the keep rule of
+        # _candidate_blocks leaves and every member of a neighborhood, and fit the budget
+        monkeypatch.setattr(smoothing, "_BLOCK_ELEMS", budget)
+        a = graph(n, 20 + n)
+        s = _counts(a)
+        top = p1, _, p2, n1, _, n2 = _pairwise_sides(s, _chebyshev_buffer(n, s.dtype))
+        rank = quantile_rank(SmoothingConfig(C=0.1).bandwidth(n), n - 2)
+        d1 = np.maximum(p1, n1).astype(int)
+        np.fill_diagonal(d1, n)
+        cut = np.sort(d1, axis=1)[:, rank] + 2
+        keep = np.maximum.reduce([np.minimum(p1, n1), p2, n2]) <= cut[:, None]
+        np.fill_diagonal(keep, False)
+        members = np.zeros((n, n), dtype=bool)
+        for j in range(n):
+            nbrs = reference.dense_pair_neighborhoods(s, a.astype(s.dtype), j, rank,
+                                                      _chebyshev_buffer(n, s.dtype))
+            nbrs[j] = False  # row j of the pass at j is meaningless
+            members |= nbrs
+        seen = np.zeros(n, dtype=int)
+        for rows, cand in _candidate_blocks(top, rank):
+            seen[rows] += 1
+            assert rows.size == 1 or rows.size * n * cand.shape[1] <= budget
+            for i, row in zip(rows, cand):
+                assert sorted(row[row != i]) == list(np.flatnonzero(keep[i]))
+            assert not (members[rows] & ~keep[rows]).any()
+        assert np.all(seen == 1)
 
     @given(tie_heavy_graphs(), st.sampled_from([0.1, 0.5, 1.0]))
     @settings(max_examples=20)
@@ -732,7 +732,7 @@ class TestBoundThenVerify:
             i, i2, j, rise_p = i[e], i2[e], j[e], delta[e] < 0
             upper = np.maximum(lp[e] + rise_p, ln[e] + ~rise_p).astype(s.dtype)
             n = a.shape[0]
-            reached = _reaches_upper(s, top, _row_bitsets(a.astype(bool)), 0,
+            reached = _reaches_upper(s, top, _row_bitsets(a.astype(bool)), np.arange(n),
                                      np.tile(np.arange(n), (n, 1)), i, i2, j, rise_p, upper)
             assert np.array_equal(upper - ~reached, gap[e])
             unique_argmax += np.count_nonzero(

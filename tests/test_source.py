@@ -1,5 +1,6 @@
 """Whole-source checks: the package and the test oracles parse under the oldest
-Python pyproject.toml allows, and the benchmark's tracer can still wrap the package."""
+Python pyproject.toml allows, every test oracle is in use, and the benchmark's
+tracer can still wrap the package."""
 
 import ast
 import os
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "graphtree").glob("*.py")) + [ROOT / "tests" / "reference.py"]
+REFERENCE = ROOT / "tests" / "reference.py"
+MODULES = sorted((ROOT / "src" / "graphtree").glob("*.py")) + [REFERENCE]
 
 
 def _oldest_python():
@@ -25,6 +27,33 @@ def _oldest_python():
 def test_module_parses_on_oldest_python(path):
     # feature_version rejects grammar newer than the floor, e.g. except* (3.11)
     ast.parse(path.read_text(), filename=str(path), feature_version=_oldest_python())
+
+
+def _names(node):
+    """Every identifier under node: bare names, attributes and imported names."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name)
+    return out
+
+
+def test_every_reference_function_is_used():
+    # a superseded oracle must not linger: each top-level function of
+    # reference.py is named by a test module or by another top-level definition there
+    defs = [node for node in ast.parse(REFERENCE.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    used = set()
+    for path in (ROOT / "tests").glob("*.py"):
+        if path != REFERENCE:
+            used |= _names(ast.parse(path.read_text()))
+    unused = [f.name for f in defs if isinstance(f, ast.FunctionDef) and f.name not in used
+              and not any(f.name in _names(other) for other in defs if other is not f)]
+    assert not unused, f"reference.py functions no test uses: {unused}"
 
 
 def test_benchmark_tracer_installs():
