@@ -103,7 +103,8 @@ def graphon_validate(path):
               help="Step graphon JSON file, or a builtin name "
                    f"({', '.join(sorted(BUILTIN_GRAPHONS))}).")
 @click.option("--n", type=click.IntRange(min=1), required=True, help="Number of nodes.")
-@click.option("--seed", type=int, required=True, help="Master seed for this run.")
+@click.option("--seed", type=click.IntRange(min=0), required=True,
+              help="Master seed for this run.")
 @click.option("--out", default="-", show_default=True, help="Output path, - for stdout.")
 @click.option("--format", "fmt", type=click.Choice(["edges", "csv"]), default="edges",
               show_default=True)

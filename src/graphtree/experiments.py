@@ -114,6 +114,8 @@ class ExperimentConfig:
             raise ValidationError("seeds must be non-empty")
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
+        if min(self.seeds) < 0:
+            raise ValidationError(f"seeds must be non-negative, got {min(self.seeds)}")
         smoothing = SmoothingConfig(self.C, self.variant)
         for n in self.n_grid:
             smoothing.bandwidth(n)  # every cell's n and h, before any file is written
@@ -134,15 +136,28 @@ class ExperimentConfig:
         for key, (convert, kind) in _CONFIG_VALUES.items():
             try:
                 values[key] = convert(values[key])
-            except (TypeError, ValueError, OverflowError):
+            except (TypeError, OverflowError):
                 raise ValidationError(f"{key} must be {kind}, got {values[key]!r}") from None
         return cls(**values)
+
+
+def _int(v) -> int:
+    """A JSON integer as is: bool, float and str are refused, not rounded."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(v)
+    return v
 
 
 def _int_tuple(v) -> tuple:
     if not isinstance(v, (list, tuple)):
         raise TypeError(v)
-    return tuple(int(x) for x in v)
+    return tuple(_int(x) for x in v)
+
+
+def _number(v) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(v)
+    return float(v)
 
 
 def _text(v) -> str:
@@ -155,10 +170,10 @@ def _text(v) -> str:
 _CONFIG_VALUES = {
     "n_grid": (_int_tuple, "a list of integers"),
     "seeds": (_int_tuple, "a list of integers"),
-    "C": (float, "a number"),
+    "C": (_number, "a number"),
     "variant": (_text, "a string"),
     "out_dir": (_text, "a string"),
-    "workers": (int, "an integer"),
+    "workers": (_int, "an integer"),
 }
 
 

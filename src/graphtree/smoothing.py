@@ -18,12 +18,12 @@ Neighborhoods are thus the exact distance quantiles of Zhang, Levina & Zhu
 (Biometrika 2017).
 
 The modified variant does not compute every d_j(i, i'). One pass over the
-pairs (i, i') keeps, apart for each sign, the top two levels of
-B = S[i] - S[i']: P1, its first argmax and P2 of B, and N1, its argmax and
-N2 of -B. Deleting j drops term j and moves every other term by at most
-one, in the direction that the sign of A[i,j] - A[i',j] sets, so d_j(i, i')
-is exact wherever A[i,j] == A[i',j] and lies in an interval of width one
-elsewhere. Per (i, j), the rank-th smallest upper end caps the threshold;
+ordered pairs (i, i') keeps the top two levels of B = S[i] - S[i']: P1, its
+first argmax and P2. Those of -B, N1, its argmax and N2, are the levels of
+the pair (i', i). Deleting j drops term j and moves every other term by at
+most one, in the direction that the sign of A[i,j] - A[i',j] sets, so
+d_j(i, i') is exact wherever A[i,j] == A[i',j] and lies in an interval of
+width one elsewhere. Per (i, j), the rank-th smallest upper end caps the threshold;
 candidates whose lower end stays above it for every j are dropped up front,
 and an entry is settled exactly only where A[i,j] != A[i',j] and its lower
 end is at or below the cap. The gap is then the upper end exactly when a
@@ -171,12 +171,11 @@ def _counts(a: np.ndarray) -> np.ndarray:
 def _chebyshev_buffer(n: int, dtype) -> np.ndarray:
     """Work space for the pairwise gap kernels: at most max(n, _CHUNK_ELEMS) values.
 
-    Whole (n, n) row slabs, at most n of them, while one fits the budget;
-    above that, one row against a run of the rows i2.
+    Room for _tile_step(n) pairs (i, i2) of n values each, and no more than
+    the n * n pairs there are: whole (n, n) row slabs while one fits the
+    budget, one row against a run of the rows i2 above that.
     """
-    if n * n <= _CHUNK_ELEMS:
-        return np.empty(min(n, _CHUNK_ELEMS // (n * n)) * n * n, dtype=dtype)
-    return np.empty(_tile_step(n) * n, dtype=dtype)
+    return np.empty(min(n * n, _tile_step(n)) * n, dtype=dtype)
 
 
 def _gap_blocks(x: np.ndarray, buf: np.ndarray, *, signed: bool = False):
@@ -184,13 +183,13 @@ def _gap_blocks(x: np.ndarray, buf: np.ndarray, *, signed: bool = False):
 
     t is 0 at k in {lo + b, c0 + m}: the excluded columns are neutralized by
     zeroing their differences, which is safe because every candidate
-    difference is nonnegative. With signed, t holds x[lo + b, k] - x[c0 + m, k]
-    itself and the excluded columns hold the dtype's minimum, which no
-    difference reaches and which negation keeps. Blocks of rows i are
+    difference is nonnegative. The gap is symmetric, so blocks of rows i are
     compared only with rows i2 from the block start on, in runs [c0, c1) that
-    fit buf, so callers mirror the rest once c1 == n and compute about half
-    the pairs. x is an integer matrix; t lives in buf, which comes from
-    _chebyshev_buffer and is reused.
+    fit buf; callers mirror the rest once c1 == n and compute about half the
+    pairs. With signed, t holds x[lo + b, k] - x[c0 + m, k] itself, over
+    every ordered pair, and the excluded columns hold the dtype's minimum,
+    which no difference reaches. x is an integer matrix; t lives in buf,
+    which comes from _chebyshev_buffer and is reused.
     """
     n = x.shape[0]
     idx = np.arange(n)
@@ -200,7 +199,7 @@ def _gap_blocks(x: np.ndarray, buf: np.ndarray, *, signed: bool = False):
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         b = hi - lo
-        for c0 in range(lo, n, cols):
+        for c0 in range(0 if signed else lo, n, cols):
             c1 = min(c0 + cols, n)
             m = c1 - c0
             t = buf[: b * m * n].reshape(b, m, n)
@@ -229,28 +228,22 @@ def _pairwise_sides(x: np.ndarray, buf: np.ndarray):
     Over k not in {i, i2}, p1[i, i2] is the largest B_k, gp[i, i2] its first
     argmax and p2[i, i2] the largest B_k with k = gp left out, so p2 < p1
     exactly when the argmax is unique; n1, gn and n2 are the same for -B.
-    The pair (i2, i) has -B, so the mirror swaps the two sides. All six share
-    x's dtype, which holds +-n.
+    The pair (i2, i) has -B, so the -B side is the transpose of the B side:
+    n1, gn and n2 are views of p1, gp and p2. All share x's dtype, which
+    holds +-n.
     """
     n = x.shape[0]
     lowest = np.iinfo(x.dtype).min
-    p1, gp, p2, n1, gn, n2 = (np.empty((n, n), dtype=x.dtype) for _ in range(6))
+    idx = np.arange(n)
+    p1, gp, p2 = (np.empty((n, n), dtype=x.dtype) for _ in range(3))
     for lo, hi, c0, c1, t in _gap_blocks(x, buf, signed=True):
-        bi, mi = np.ogrid[: t.shape[0], : t.shape[1]]
-        for first, arg, second in ((p1, gp, p2), (n1, gn, n2)):
-            v = t.max(axis=2)
-            g = (t == v[..., None]).argmax(axis=2)  # faster than t.argmax
-            arg[lo:hi, c0:c1] = g
-            first[lo:hi, c0:c1] = v
-            t[bi, mi, g] = lowest
-            t.max(axis=2, out=second[lo:hi, c0:c1])
-            t[bi, mi, g] = v
-            np.negative(t, out=t)  # -B for the other side
-        if c1 == n:
-            for pos, neg in ((p1, n1), (gp, gn), (p2, n2)):
-                pos[hi:, lo:hi] = neg[lo:hi, hi:].T
-                neg[hi:, lo:hi] = pos[lo:hi, hi:].T
-    return p1, gp, p2, n1, gn, n2
+        v = t.max(axis=2)
+        g = (t == v[..., None]).argmax(axis=2)  # faster than t.argmax
+        gp[lo:hi, c0:c1] = g
+        p1[lo:hi, c0:c1] = v
+        t[idx[: hi - lo, None], idx[: c1 - c0], g] = lowest
+        t.max(axis=2, out=p2[lo:hi, c0:c1])
+    return p1, gp, p2, p1.T, gp.T, p2.T
 
 
 def _within_rank(d: np.ndarray, rank: int) -> np.ndarray:

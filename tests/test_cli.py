@@ -118,6 +118,12 @@ class TestSample:
         assert res.exit_code == 2
         assert "--n" in res.stderr
 
+    def test_negative_seed_rejected(self, runner):
+        res = runner.invoke(main, ["sample", "--graphon", "three-group", "--n", "8",
+                                   "--seed", "-1"])
+        assert res.exit_code == 2
+        assert "--seed" in res.stderr
+
     @pytest.mark.parametrize("fmt", ["edges", "csv"])
     def test_stdout_matches_file(self, runner, graphon_file, tmp_path, fmt):
         args = ["sample", "--graphon", graphon_file, "--n", "12", "--seed", "5",
@@ -423,20 +429,24 @@ class TestExperiment:
 
     def test_bad_grid_leaves_records_untouched(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "graphon": "three-group", "n_grid": [8, 3], "seeds": [1], "C": 0.5,
-        }))
         out = tmp_path / "out"
         out.mkdir()
         before = b"n,seed,merge_distortion,max_norm_error,mse,wall_time_ms\n8,1,0.5,0.5,0.1,3\n"
         (out / "records.csv").write_bytes(before)
-        res = runner.invoke(main, ["experiment", "synthetic", "--config", str(cfg),
-                                   "--out-dir", str(out)])
-        assert res.exit_code == 2
-        assert "needs >= 4 nodes, got 3" in res.stderr
-        assert (out / "records.csv").read_bytes() == before
+        for grid, message in (({"n_grid": [8, 3], "seeds": [1]}, "needs >= 4 nodes, got 3"),
+                              ({"n_grid": [8], "seeds": [1, -3]}, "non-negative, got -3")):
+            cfg.write_text(json.dumps({"graphon": "three-group", "C": 0.5, **grid}))
+            res = runner.invoke(main, ["experiment", "synthetic", "--config", str(cfg),
+                                       "--out-dir", str(out)])
+            assert res.exit_code == 2
+            assert message in res.stderr
+            assert (out / "records.csv").read_bytes() == before
+            assert [p.name for p in out.iterdir()] == ["records.csv"]
 
-    @pytest.mark.parametrize("extra", [{"C": "abc"}, {"workers": "x"}, {"out_dir": None}])
+    @pytest.mark.parametrize("extra", [
+        {"C": "abc"}, {"workers": "x"}, {"out_dir": None},
+        {"n_grid": [64.9, "32"]}, {"seeds": [True, 2.5]}, {"workers": 1.7}, {"C": True},
+    ])
     def test_bad_config_value(self, runner, tmp_path, extra):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"graphon": "three-group", "n_grid": [8], "seeds": [1],

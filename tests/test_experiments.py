@@ -105,6 +105,13 @@ class TestExperimentConfig:
             {"graphon": "three-group", "n_grid": [8], "seeds": [1], "workers": "x"},
             {"graphon": "three-group", "n_grid": [8], "seeds": [1], "workers": 1e400},
             {"graphon": "three-group", "n_grid": [8], "seeds": [1], "out_dir": None},
+            # values int() or float() would round or coerce
+            {"graphon": "three-group", "n_grid": [64.9, "32"], "seeds": [1]},
+            {"graphon": "three-group", "n_grid": [8], "seeds": [True, 2.5]},
+            {"graphon": "three-group", "n_grid": [8], "seeds": [1], "workers": 1.7},
+            {"graphon": "three-group", "n_grid": [8], "seeds": [1], "workers": True},
+            {"graphon": "three-group", "n_grid": [8], "seeds": [1], "C": True},
+            {"graphon": "three-group", "n_grid": [8], "seeds": [1], "C": "0.5"},
         ],
     )
     def test_bad_documents(self, doc):

@@ -26,6 +26,7 @@ from graphtree.smoothing import (
     _chebyshev_buffer,
     _count_dtype,
     _counts,
+    _gap_blocks,
     _pair_neighborhoods,
     _pairwise_chebyshev,
     _pairwise_sides,
@@ -389,7 +390,8 @@ class TestBlockBoundaries:
 
     @pytest.mark.parametrize("n", [23, 37, 50])
     def test_chebyshev_and_top2(self, n):
-        # the top two levels of each sign of B, mirrored across ragged i2 runs
+        # the top two levels of each sign of B across ragged i2 runs; the -B
+        # side is the transpose of the B side
         assert _chebyshev_buffer(n, np.int16).size < n * n
         for a in self.graphs(n):
             s = _counts(a)
@@ -398,6 +400,25 @@ class TestBlockBoundaries:
             got = _pairwise_sides(s, _chebyshev_buffer(n, s.dtype))
             for x, want in zip(got, dense_sides(s)):
                 assert x.dtype == s.dtype and np.array_equal(x, want)
+            for pos, neg in zip(got[:3], got[3:]):
+                assert np.array_equal(neg, pos.T)
+
+    @pytest.mark.parametrize("n", [23, 37, 50])
+    def test_signed_blocks_visit_every_ordered_pair_once(self, n):
+        # with B itself and the sentinel at k in {i, i2}, across runs of rows
+        # i2 shorter than n and across whole row slabs with a ragged last one
+        x = _counts(_three_group(n, n))
+        lowest = np.iinfo(x.dtype).min
+        want = x[:, None, :].astype(np.int64) - x[None, :, :]
+        idx = np.arange(n)
+        want[idx, :, idx] = lowest
+        want[:, idx, idx] = lowest
+        for buf in (_chebyshev_buffer(n, x.dtype), np.empty(3 * n * n, dtype=x.dtype)):
+            seen = np.zeros((n, n), dtype=int)
+            for lo, hi, c0, c1, t in _gap_blocks(x, buf, signed=True):
+                seen[lo:hi, c0:c1] += 1
+                assert np.array_equal(t, want[lo:hi, c0:c1])
+            assert np.all(seen == 1)
 
     @pytest.mark.parametrize("n", [23, 37, 50])
     def test_original_estimate(self, n):
@@ -447,15 +468,15 @@ class TestMemoryBound:
         assert peak <= 1.75 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} x P_hat"
 
 
-    def test_modified_estimate_peak_within_4_75_of_phat(self):
+    def test_modified_estimate_peak_within_2_9_of_phat(self):
         """estimate_modified allocates P_hat as its one n x n float64.
 
-        Contract: the tracemalloc peak of one pass is at most 4.75 times
+        Contract: the tracemalloc peak of one pass is at most 2.9 times
         P_hat's 8 n^2 bytes. Besides P_hat, whose halves are averaged in
         place, the pass holds n x n arrays in the count dtype only (the
-        counts, the six side levels, the sizes and the hit counts) and block
-        work space of at most _BLOCK_ELEMS entries. Measured at n = 512 on a
-        three-group graph.
+        counts, the three side levels of B, whose transposes are the levels
+        of -B, the sizes and the hit counts) and block work space of at most
+        _BLOCK_ELEMS entries. Measured at n = 512 on a three-group graph.
         """
         n = 512
         a = _three_group(n, 1)
@@ -466,7 +487,7 @@ class TestMemoryBound:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.75 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} x P_hat"
+        assert peak <= 2.9 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} x P_hat"
 
 
 class TestModifiedEstimator:
@@ -671,9 +692,12 @@ class TestBoundThenVerify:
         rng = np.random.default_rng(16)
         n = 9
         x = rng.integers(0, 4, size=(n, n)).astype(np.int16)
-        # rows < n splits the upper triangle and mirrors the rest with the sides swapped
+        # rows < n splits the ordered pairs into blocks; the -B side of (i, i2) is
+        # the B side of (i2, i)
         for rows in (1, 4, 9):
             p1, gp, p2, n1, gn, n2 = _pairwise_sides(x, np.empty(rows * n * n, dtype=np.int16))
+            for pos, neg in ((p1, n1), (gp, gn), (p2, n2)):
+                assert np.array_equal(neg, pos.T)
             for i in range(n):
                 for i2 in range(n):
                     ks = [k for k in range(n) if k not in (i, i2)]

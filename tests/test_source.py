@@ -1,6 +1,6 @@
 """Whole-source checks: the package and the test oracles parse under the oldest
-Python pyproject.toml allows, every test oracle is in use, and the benchmark's
-tracer can still wrap the package."""
+Python pyproject.toml allows, every test oracle and private helper is in use,
+and the benchmark's tracer can still wrap the package."""
 
 import ast
 import os
@@ -13,7 +13,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "tests" / "reference.py"
-MODULES = sorted((ROOT / "src" / "graphtree").glob("*.py")) + [REFERENCE]
+PACKAGE = sorted((ROOT / "src" / "graphtree").glob("*.py"))
+MODULES = PACKAGE + [REFERENCE]
 
 
 def _oldest_python():
@@ -54,6 +55,16 @@ def test_every_reference_function_is_used():
     unused = [f.name for f in defs if isinstance(f, ast.FunctionDef) and f.name not in used
               and not any(f.name in _names(other) for other in defs if other is not f)]
     assert not unused, f"reference.py functions no test uses: {unused}"
+
+
+def test_every_private_helper_is_used():
+    # a helper orphaned by a refactor must not linger: each private top-level
+    # function or class of the package is named by another top-level statement in it
+    defs = [node for path in PACKAGE for node in ast.parse(path.read_text()).body]
+    unused = [d.name for d in defs if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+              and d.name.startswith("_")
+              and not any(d.name in _names(other) for other in defs if other is not d)]
+    assert not unused, f"private helpers nothing in the package uses: {unused}"
 
 
 def test_benchmark_tracer_installs():
