@@ -32,7 +32,6 @@ from .graphon import (
     BlockPartition,
     StepGraphon,
     load_step_graphon,
-    save_step_graphon,
     step_graphon_from_dict,
     step_graphon_to_dict,
 )
@@ -48,7 +47,6 @@ from .mergeon import (
     step_mergeon,
 )
 from .sampling import (
-    LatentSample,
     derive_seed,
     edge_probabilities,
     sample_graph,
@@ -70,14 +68,12 @@ __all__ = [
     "BlockPartition",
     "StepGraphon",
     "load_step_graphon",
-    "save_step_graphon",
     "step_graphon_from_dict",
     "step_graphon_to_dict",
     "step_mergeon",
     "cluster_tree_of",
     "mergeon_eval_matrix",
     "merge_distortion",
-    "LatentSample",
     "derive_seed",
     "sample_latents",
     "edge_probabilities",

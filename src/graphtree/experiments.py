@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph_io import load_adjacency_csv, load_edge_list, load_gml_subset
-from .graphon import StepGraphon, step_graphon_from_dict, step_graphon_to_dict
+from .graphon import StepGraphon, _is_number, step_graphon_from_dict, step_graphon_to_dict
 from .linkage import Dendrogram, dendrogram_merge_matrix, single_linkage
 from .mergeon import merge_distortion, mergeon_eval_matrix, step_mergeon
 from .sampling import derive_seed, edge_probabilities, sample_graph, sample_latents
@@ -108,6 +109,20 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        def check(key, ok, kind):
+            value = getattr(self, key)
+            if not ok(value):
+                raise ValidationError(f"{key} must be {kind}, got {value!r}")
+
+        for key in ("n_grid", "seeds"):
+            check(key, lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+                  "a list of integers")
+            object.__setattr__(self, key, tuple(getattr(self, key)))
+        check("C", _is_number, "a number")
+        object.__setattr__(self, "C", float(self.C))
+        check("variant", lambda v: isinstance(v, str), "a string")
+        check("out_dir", lambda v: isinstance(v, str), "a string")
+        check("workers", _is_int, "an integer")
         if not self.n_grid:
             raise ValidationError("n_grid must be non-empty")
         if not self.seeds:
@@ -125,56 +140,18 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ValidationError("experiment config must be a JSON object")
-        defaults = {f.name: f.default for f in fields(cls)}
-        extra = set(doc) - set(defaults)
+        extra = set(doc) - {f.name for f in fields(cls)}
         if extra:
             raise ValidationError(f"unknown config keys: {sorted(extra)}")
-        missing = {k for k, v in defaults.items() if v is MISSING} - set(doc)
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(doc)
         if missing:
             raise ValidationError(f"missing config keys: {sorted(missing)}")
-        values = {**defaults, **doc}
-        for key, (convert, kind) in _CONFIG_VALUES.items():
-            try:
-                values[key] = convert(values[key])
-            except (TypeError, OverflowError):
-                raise ValidationError(f"{key} must be {kind}, got {values[key]!r}") from None
-        return cls(**values)
+        return cls(**doc)
 
 
-def _int(v) -> int:
-    """A JSON integer as is: bool, float and str are refused, not rounded."""
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise TypeError(v)
-    return v
-
-
-def _int_tuple(v) -> tuple:
-    if not isinstance(v, (list, tuple)):
-        raise TypeError(v)
-    return tuple(_int(x) for x in v)
-
-
-def _number(v) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise TypeError(v)
-    return float(v)
-
-
-def _text(v) -> str:
-    if not isinstance(v, str):
-        raise TypeError(v)
-    return v
-
-
-# ExperimentConfig.from_dict's conversions; the graphon is checked on construction
-_CONFIG_VALUES = {
-    "n_grid": (_int_tuple, "a list of integers"),
-    "seeds": (_int_tuple, "a list of integers"),
-    "C": (_number, "a number"),
-    "variant": (_text, "a string"),
-    "out_dir": (_text, "a string"),
-    "workers": (_int, "an integer"),
-}
+def _is_int(v) -> bool:
+    """An integer, numpy's included; bool, float and str are refused, not rounded."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -200,7 +177,7 @@ def _single_run(graphon_doc: dict, n: int, seed: int, c: float, variant: str):
     phat = estimate_edge_probabilities(a, SmoothingConfig(C=c, variant=variant))
     dendro = single_linkage(phat)
     mhat = dendrogram_merge_matrix(dendro)
-    mvals = mergeon_eval_matrix(step_mergeon(w), latents.points)
+    mvals = mergeon_eval_matrix(step_mergeon(w), latents)
     errs = estimation_errors(phat, p)
     record = RunRecord(
         n=n,
@@ -307,20 +284,16 @@ def run_dataset_clustering(
             log.info("  ... and %d more", len(parts) - 12)
 
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "dendrogram.json"), "w") as fh:
-        fh.write(dendro.to_json() + "\n")
-    with open(os.path.join(out_dir, "dendrogram.newick"), "w") as fh:
-        fh.write(dendro.to_newick(labels) + "\n")
     with open(os.path.join(out_dir, "labels.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "label"])
         for i, lab in enumerate(labels):
             writer.writerow([i, lab])
-
+    trees = [("", dendro)]
     if baseline:
-        base = single_linkage(-column_distance_matrix(a))
-        with open(os.path.join(out_dir, "baseline_dendrogram.json"), "w") as fh:
-            fh.write(base.to_json() + "\n")
-        with open(os.path.join(out_dir, "baseline_dendrogram.newick"), "w") as fh:
-            fh.write(base.to_newick(labels) + "\n")
+        trees.append(("baseline_", single_linkage(-column_distance_matrix(a))))
+    for prefix, tree in trees:
+        for ext, text in (("json", tree.to_json()), ("newick", tree.to_newick(labels))):
+            with open(os.path.join(out_dir, f"{prefix}dendrogram.{ext}"), "w") as fh:
+                fh.write(text + "\n")
     return dendro

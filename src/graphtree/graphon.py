@@ -1,4 +1,4 @@
-"""Step graphons on [0,1]: block partitions, evaluation and JSON (de)serialization.
+"""Step graphons on [0,1]: block partitions and JSON (de)serialization.
 
 A step graphon is constant on the products of finitely many interval blocks.
 Blocks follow a single convention: block i is [b_i, b_{i+1}), except the last
@@ -11,6 +11,7 @@ boundary are a null set and never affect measure-level quantities.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +24,6 @@ __all__ = [
     "step_graphon_from_dict",
     "step_graphon_to_dict",
     "load_step_graphon",
-    "save_step_graphon",
 ]
 
 
@@ -48,23 +48,12 @@ class BlockPartition:
     def k(self) -> int:
         return len(self.breakpoints) - 1
 
-    @property
-    def lengths(self) -> np.ndarray:
-        return np.diff(np.asarray(self.breakpoints))
-
-    def midpoints(self) -> np.ndarray:
-        bp = np.asarray(self.breakpoints)
-        return 0.5 * (bp[:-1] + bp[1:])
-
-    def locate(self, x: float) -> int:
-        """Index of the block containing x.
+    def locate_many(self, xs) -> np.ndarray:
+        """Index of the block holding each point.
 
         Blocks are half open [b_i, b_{i+1}); x = 1 belongs to the last block.
+        Points outside [0, 1], NaN included, raise ValueError.
         """
-        return int(self.locate_many([x])[0])
-
-    def locate_many(self, xs) -> np.ndarray:
-        """Vectorized locate; points outside [0, 1], NaN included, raise ValueError."""
         xs = np.asarray(xs, dtype=float)
         if not ((xs >= 0.0) & (xs <= 1.0)).all():
             raise ValueError("points outside [0, 1]")
@@ -97,20 +86,23 @@ class StepGraphon:
     def k(self) -> int:
         return self.partition.k
 
-    def eval(self, x: float, y: float) -> float:
-        return float(self.values[self.partition.locate(x), self.partition.locate(y)])
-
-    def eval_many(self, xs, ys) -> np.ndarray:
-        ix = self.partition.locate_many(xs)
-        iy = self.partition.locate_many(ys)
-        return self.values[ix, iy]
-
 
 def step_graphon_to_dict(w: StepGraphon) -> dict:
     return {
         "breakpoints": list(w.partition.breakpoints),
         "values": [[float(v) for v in row] for row in w.values],
     }
+
+
+def _is_number(v) -> bool:
+    """A real number that a float holds; true and false are not numbers."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        float(v)
+    except OverflowError:  # an integer past the float range
+        return False
+    return True
 
 
 def step_graphon_from_dict(d) -> StepGraphon:
@@ -124,7 +116,7 @@ def step_graphon_from_dict(d) -> StepGraphon:
         raise ValidationError('graphon document needs "breakpoints" and "values"')
     bps = d["breakpoints"]
     vals = d["values"]
-    if not isinstance(bps, list) or not all(isinstance(b, (int, float)) for b in bps):
+    if not isinstance(bps, list) or not all(map(_is_number, bps)):
         raise ValidationError("breakpoints must be a list of numbers")
     if not isinstance(vals, list) or not all(isinstance(row, list) for row in vals):
         raise ValidationError("values must be a list of rows")
@@ -132,7 +124,7 @@ def step_graphon_from_dict(d) -> StepGraphon:
     if any(len(row) != k for row in vals) or len(vals) != k:
         raise ValidationError(f"values must be a {k}x{k} matrix")
     for row in vals:
-        if not all(isinstance(v, (int, float)) for v in row):
+        if not all(map(_is_number, row)):
             raise ValidationError("values must be numbers")
     return StepGraphon(BlockPartition(tuple(bps)), np.asarray(vals, dtype=float))
 
@@ -146,9 +138,3 @@ def load_step_graphon(path) -> StepGraphon:
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path}: invalid JSON: {e}") from e
     return step_graphon_from_dict(doc)
-
-
-def save_step_graphon(w: StepGraphon, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(step_graphon_to_dict(w), fh, indent=2, sort_keys=True)
-        fh.write("\n")

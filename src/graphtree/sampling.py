@@ -7,14 +7,11 @@ latents and edges of a run never share a stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .graphon import StepGraphon
 
 __all__ = [
-    "LatentSample",
     "sample_latents",
     "edge_probabilities",
     "sample_graph",
@@ -23,26 +20,6 @@ __all__ = [
     "derive_seed",
 ]
 
-@dataclass(frozen=True, eq=False)
-class LatentSample:
-    """Latent uniform coordinates of sampled nodes plus the seed that made them."""
-
-    points: np.ndarray = field(repr=False)
-    seed: int = 0
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        object.__setattr__(self, "points", pts)
-        if pts.ndim != 1 or pts.size < 1:
-            raise ValueError("need a nonempty 1-d array of points")
-        if not ((pts >= 0.0) & (pts <= 1.0)).all():
-            raise ValueError("latent points must lie in [0, 1]")
-        pts.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.points.size
-
 
 def derive_seed(*parts) -> int:
     """Deterministic 64-bit seed from a tuple of integers (master seed, n, stream)."""
@@ -50,17 +27,16 @@ def derive_seed(*parts) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def sample_latents(n: int, seed: int) -> LatentSample:
+def sample_latents(n: int, seed: int) -> np.ndarray:
     """n independent uniforms on [0,1] from a fresh generator with the given seed."""
     if n < 1:
         raise ValueError("need n >= 1")
-    rng = np.random.default_rng(seed)
-    return LatentSample(rng.random(n), seed)
+    return np.random.default_rng(seed).random(n)
 
 
-def edge_probabilities(w: StepGraphon, latents: LatentSample) -> np.ndarray:
-    """P[i][j] = W(x_i, x_j) for i != j; the diagonal is stored as 0."""
-    idx = w.partition.locate_many(latents.points)
+def edge_probabilities(w: StepGraphon, points) -> np.ndarray:
+    """P[i][j] = W(x_i, x_j) for i != j at sample points x; the diagonal is stored as 0."""
+    idx = w.partition.locate_many(points)
     p = w.values[np.ix_(idx, idx)].copy()
     np.fill_diagonal(p, 0.0)
     return p

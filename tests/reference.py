@@ -27,7 +27,7 @@ import numpy as np
 from graphtree.errors import ValidationError
 from graphtree.graphon import BlockPartition, StepGraphon
 from graphtree.linkage import dendrogram_merge_matrix, single_linkage
-from graphtree.sampling import LatentSample, check_adjacency
+from graphtree.sampling import check_adjacency
 from graphtree.smoothing import (
     _chebyshev_buffer,
     _count_dtype,
@@ -495,7 +495,8 @@ def pullback(w: StepGraphon, phi: MeasurePreservingMap) -> StepGraphon:
     pre = {(b + t) / m for b in w.partition.breakpoints[:-1] for t in range(m)}
     pre.add(1.0)
     part = BlockPartition(tuple(sorted(pre)))
-    orig = w.partition.locate_many(phi.apply_many(part.midpoints()))
+    bp = np.asarray(part.breakpoints)
+    orig = w.partition.locate_many(phi.apply_many(0.5 * (bp[:-1] + bp[1:])))
     return StepGraphon(part, w.values[np.ix_(orig, orig)])
 
 
@@ -538,7 +539,7 @@ def exact_graph_probability(w: StepGraphon, a: np.ndarray) -> float:
     if n > MAX_EXACT_NODES:
         raise ValueError(f"exact probability limited to n <= {MAX_EXACT_NODES}, got {n}")
     k = w.k
-    lengths = w.partition.lengths
+    lengths = np.diff(w.partition.breakpoints)
     v = w.values
     one_minus = 1.0 - v
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -559,12 +560,12 @@ def exact_graph_probability(w: StepGraphon, a: np.ndarray) -> float:
     return total
 
 
-def rho_dense_check(latents: LatentSample, partition: BlockPartition, rho: float) -> bool:
-    """True iff every block B holds strictly more than (1 - rho) * |B| of the sample."""
+def rho_dense_check(points, partition: BlockPartition, rho: float) -> bool:
+    """True iff every block B holds strictly more than (1 - rho) * |B| of the sample points."""
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
-    counts = np.bincount(partition.locate_many(latents.points), minlength=partition.k)
-    return bool(np.all(counts / latents.n > (1.0 - rho) * partition.lengths))
+    counts = np.bincount(partition.locate_many(points), minlength=partition.k)
+    return bool(np.all(counts / len(points) > (1.0 - rho) * np.diff(partition.breakpoints)))
 
 
 def discretization_oracle(w: StepGraphon, m: int) -> StepGraphon:
@@ -584,10 +585,9 @@ def discretization_oracle(w: StepGraphon, m: int) -> StepGraphon:
         for t in range(1, m):
             atom_bps.append(a + t * (b - a) / m)
         atom_bps.append(b)
-    atoms = BlockPartition(tuple(atom_bps))
-    reps = atoms.midpoints()
-    n = k * m
-    weights = w.eval_many(np.repeat(reps, n), np.tile(reps, n)).reshape(n, n)
+    bp = np.asarray(BlockPartition(tuple(atom_bps)).breakpoints)
+    idx = part.locate_many(0.5 * (bp[:-1] + bp[1:]))
+    weights = w.values[np.ix_(idx, idx)]
 
     heights = dendrogram_merge_matrix(single_linkage(weights))
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from graphtree import Dendrogram, save_edge_list, save_step_graphon
+from graphtree import Dendrogram, save_edge_list, step_graphon_to_dict
 from graphtree.cli import main
 from conftest import random_step_graphon
 
@@ -78,6 +78,13 @@ class TestValidate:
     def test_missing_file(self, runner, tmp_path):
         res = runner.invoke(main, ["graphon", "validate", str(tmp_path / "nope.json")])
         assert res.exit_code == 2
+
+    def test_bool_is_not_a_number(self, runner, tmp_path):
+        p = tmp_path / "bool.json"
+        p.write_text('{"breakpoints": [0, true], "values": [[true]]}')
+        res = runner.invoke(main, ["graphon", "validate", str(p)])
+        assert res.exit_code == 2
+        assert "breakpoints must be a list of numbers" in res.stderr
 
 
 class TestSample:
@@ -354,7 +361,8 @@ class TestMergeon:
         breakpoints, levels, tree_text = GOLDEN_MERGEONS[source]
         if isinstance(source, int):
             path = tmp_path / "w.json"
-            save_step_graphon(random_step_graphon(np.random.default_rng(source)), path)
+            with open(path, "w") as fh:
+                json.dump(step_graphon_to_dict(random_step_graphon(np.random.default_rng(source))), fh)
             source = str(path)
         out_text = ('{\n  "breakpoints": ' + _indented(breakpoints, "  ")
                     + ',\n  "levels": ' + _indented(levels, "  ") + "\n}\n")

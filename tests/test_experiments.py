@@ -124,12 +124,24 @@ class TestExperimentConfig:
             ({"C": float("nan")}, "C must be positive"),
             ({"n_grid": (16, 3)}, "needs >= 4 nodes"),
             ({"C": 50.0, "n_grid": (16,)}, "outside \\(0, 1\\)"),
+            ({"seeds": (1.5,)}, "seeds must be a list of integers"),
+            ({"seeds": (True,)}, "seeds must be a list of integers"),
+            ({"n_grid": (8.5,)}, "n_grid must be a list of integers"),
+            ({"C": "0.1"}, "C must be a number"),
+            ({"C": 10**400}, "C must be a number"),  # no float holds it
         ],
-        ids=["nan-C", "n-below-minimum", "h-over-one"],
+        ids=["nan-C", "n-below-minimum", "h-over-one", "float-seed", "bool-seed", "float-n",
+             "string-C", "huge-int-C"],
     )
     def test_rejected_on_construction(self, kw, match):
         with pytest.raises(ValidationError, match=match):
             ExperimentConfig(**{"graphon": "three-group", "n_grid": (8,), "seeds": (1,), **kw})
+
+    def test_numpy_integers_accepted(self):
+        cfg = ExperimentConfig(graphon="three-group", n_grid=[np.int64(8)], seeds=[np.int64(1)],
+                               C=np.int64(1))
+        assert cfg.n_grid == (8,) and cfg.seeds == (1,) and cfg.C == 1.0
+        assert isinstance(cfg.n_grid, tuple) and isinstance(cfg.C, float)
 
     def test_header_matches_record_fields(self):
         assert RECORD_HEADER.split(",") == [f.name for f in dataclasses.fields(RunRecord)]

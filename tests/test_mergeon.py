@@ -204,19 +204,20 @@ class TestMergeonEval:
     def test_constant(self):
         w = StepGraphon(BlockPartition((0.0, 1.0)), np.array([[0.4]]))
         m = step_mergeon(w)
-        assert m.eval(0.1, 0.9) == 0.4
+        assert mergeon_eval_matrix(m, [0.1, 0.9])[0, 1] == 0.4
 
     def test_three_group_points(self):
         m = step_mergeon(three_group_graphon())
-        assert m.eval(0.1, 0.9) == 0.1  # group 1 vs group 3
-        assert m.eval(0.05, 0.1) == 0.7  # same block
-        assert m.eval(0.1, 0.5) == 0.5  # group 1 vs group 2
+        assert mergeon_eval_matrix(m, [0.1, 0.9])[0, 1] == 0.1  # group 1 vs group 3
+        assert mergeon_eval_matrix(m, [0.05, 0.1])[0, 1] == 0.7  # same block
+        assert mergeon_eval_matrix(m, [0.1, 0.5])[0, 1] == 0.5  # group 1 vs group 2
 
     def test_symmetry_and_domain(self):
         m = step_mergeon(CHAIN)
-        assert m.eval(0.1, 0.8) == m.eval(0.8, 0.1)
+        got = mergeon_eval_matrix(m, [0.1, 0.8])[0, 1]
+        assert got == mergeon_eval_matrix(m, [0.8, 0.1])[0, 1]
         with pytest.raises(ValueError):
-            m.eval(-0.5, 0.5)
+            mergeon_eval_matrix(m, [-0.5, 0.5])
 
     def test_eval_matrix(self):
         m = step_mergeon(CHAIN)
@@ -224,7 +225,7 @@ class TestMergeonEval:
         got = mergeon_eval_matrix(m, pts)
         for i, x in enumerate(pts):
             for j, y in enumerate(pts):
-                want = 1.0 if i == j else m.eval(float(x), float(y))
+                want = 1.0 if i == j else mergeon_eval_matrix(m, [x, y])[0, 1]
                 assert got[i, j] == want
 
 
@@ -335,7 +336,8 @@ class TestMptInvariance:
         orig = step_mergeon(w)
         rng = np.random.default_rng(0)
         for x, y in rng.random((50, 2)):
-            assert pulled.eval(x, y) == orig.eval(phi.apply(x), phi.apply(y))
+            assert (mergeon_eval_matrix(pulled, [x, y])[0, 1]
+                    == mergeon_eval_matrix(orig, [phi.apply(x), phi.apply(y)])[0, 1])
 
     def test_cluster_tree_corresponds_under_preimage(self):
         w = three_group_graphon()
@@ -344,9 +346,8 @@ class TestMptInvariance:
         tree = cluster_tree_of(step_mergeon(w))
         tree_p = cluster_tree_of(step_mergeon(wp))
         # map each pulled-back block to the original block containing its image
-        block_map = [
-            w.partition.locate(phi.apply(x)) for x in wp.partition.midpoints()
-        ]
+        bp = np.asarray(wp.partition.breakpoints)
+        block_map = w.partition.locate_many([phi.apply(x) for x in 0.5 * (bp[:-1] + bp[1:])])
         assert [lam for lam, _ in tree_p] == [lam for lam, _ in tree]
         for (_, clusters_p), (_, clusters) in zip(tree_p, tree):
             mapped = sorted(

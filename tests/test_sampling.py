@@ -9,7 +9,6 @@ import hypothesis.strategies as st
 
 from graphtree import (
     BlockPartition,
-    LatentSample,
     StepGraphon,
     derive_seed,
     edge_probabilities,
@@ -45,19 +44,18 @@ def all_graphs(n):
 class TestLatents:
     def test_range_and_length(self):
         s = sample_latents(1, 42)
-        assert s.n == 1 and 0.0 <= s.points[0] <= 1.0
+        assert s.shape == (1,) and 0.0 <= s[0] <= 1.0
 
     def test_determinism(self):
         a = sample_latents(10, 7)
         b = sample_latents(10, 7)
-        assert np.array_equal(a.points, b.points)
-        assert a.seed == 7
+        assert np.array_equal(a, b)
 
     def test_seed_sensitivity(self):
-        assert not np.array_equal(sample_latents(10, 1).points, sample_latents(10, 2).points)
+        assert not np.array_equal(sample_latents(10, 1), sample_latents(10, 2))
 
     def test_mean_in_clt_band(self):
-        pts = sample_latents(10_000, 123).points
+        pts = sample_latents(10_000, 123)
         band = 4 * (1 / np.sqrt(12)) / 100  # 4 sigma of the mean of 1e4 uniforms
         assert abs(pts.mean() - 0.5) < band
 
@@ -67,11 +65,9 @@ class TestLatents:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            LatentSample(points=np.array([0.5, 1.2]), seed=0)
+            edge_probabilities(constant_graphon(0.5), np.array([0.5, 1.2]))
         with pytest.raises(ValueError):
-            LatentSample(points=np.array([]), seed=0)
-        with pytest.raises(ValueError):
-            LatentSample(points=np.array([0.2, np.nan]), seed=0)
+            edge_probabilities(constant_graphon(0.5), np.array([0.2, np.nan]))
 
 
 class TestDeriveSeed:
@@ -94,13 +90,11 @@ class TestEdgeProbabilities:
 
     def test_cross_block_zero(self):
         w = StepGraphon(BlockPartition((0.0, 0.5, 1.0)), np.array([[1.0, 0.0], [0.0, 1.0]]))
-        s = LatentSample(points=np.array([0.2, 0.7]), seed=0)
-        p = edge_probabilities(w, s)
+        p = edge_probabilities(w, np.array([0.2, 0.7]))
         assert p[0, 1] == 0.0
 
     def test_same_group_value(self):
-        s = LatentSample(points=np.array([0.05, 0.1]), seed=0)
-        p = edge_probabilities(three_group_graphon(), s)
+        p = edge_probabilities(three_group_graphon(), np.array([0.05, 0.1]))
         assert p[0, 1] == 0.7
 
     def test_checker_rejects_bad_matrices(self):
@@ -215,19 +209,16 @@ class TestExactGraphProbability:
 class TestRhoDense:
     def test_one_point_per_block(self):
         p = BlockPartition((0.0, 0.5, 1.0))
-        s = LatentSample(points=np.array([0.2, 0.7]), seed=0)
-        assert rho_dense_check(s, p, 0.5)
+        assert rho_dense_check(np.array([0.2, 0.7]), p, 0.5)
 
     def test_all_in_one_block(self):
         p = BlockPartition((0.0, 0.5, 1.0))
-        s = LatentSample(points=np.array([0.1, 0.2, 0.3]), seed=0)
-        assert not rho_dense_check(s, p, 0.9)
+        assert not rho_dense_check(np.array([0.1, 0.2, 0.3]), p, 0.9)
 
     def test_strict_inequality(self):
         # counts/n exactly equal to (1-rho)*|B| must fail the check
         p = BlockPartition((0.0, 0.5, 1.0))
-        s = LatentSample(points=np.array([0.1, 0.2, 0.3, 0.6]), seed=0)
-        assert not rho_dense_check(s, p, 0.5)
+        assert not rho_dense_check(np.array([0.1, 0.2, 0.3, 0.6]), p, 0.5)
 
     def test_rho_domain(self):
         p = BlockPartition((0.0, 1.0))
@@ -242,6 +233,6 @@ class TestRhoDense:
     def test_large_samples_usually_dense(self, w, seed):
         # at n=400 and rho=0.9 the failure probability is astronomically small
         s = sample_latents(400, seed)
-        min_len = float(w.partition.lengths.min())
+        min_len = float(np.diff(w.partition.breakpoints).min())
         if min_len >= 0.05:
             assert rho_dense_check(s, w.partition, 0.9)
