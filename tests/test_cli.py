@@ -4,6 +4,7 @@ Exit code contract: 0 success, 2 validation failure, 1 unexpected error.
 """
 
 import csv
+import io
 import json
 import logging
 import subprocess
@@ -13,8 +14,18 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from graphtree import Dendrogram, save_edge_list, step_graphon_to_dict
+from graphtree import (
+    Dendrogram,
+    SmoothingConfig,
+    edge_probabilities,
+    estimate_edge_probabilities,
+    sample_graph,
+    sample_latents,
+    save_edge_list,
+    step_graphon_to_dict,
+)
 from graphtree.cli import main
+from graphtree.experiments import three_group_graphon
 from conftest import random_step_graphon
 
 
@@ -154,6 +165,18 @@ class TestEstimate:
         assert runner.invoke(main, args + ["--out", str(out)]).exit_code == 0
         assert res.exit_code == 0 and res.stdout_bytes == out.read_bytes()
         assert np.loadtxt(out, delimiter=",").shape == (30, 30)
+
+    def test_stdout_is_savetxt_of_the_estimate(self, runner, tmp_path):
+        # n = 513 writes P-hat in five row blocks, the last one ragged
+        n = 513
+        a = sample_graph(edge_probabilities(three_group_graphon(), sample_latents(n, 7)), 8)
+        path = tmp_path / "g.edges"
+        save_edge_list(path, a)
+        res = runner.invoke(main, ["estimate", "--input", str(path), "--variant", "original"])
+        buf = io.StringIO()
+        np.savetxt(buf, estimate_edge_probabilities(a, SmoothingConfig(C=0.1, variant="original")),
+                   fmt="%.6g", delimiter=",")
+        assert res.exit_code == 0 and res.stdout_bytes == buf.getvalue().encode()
 
     def test_complete_graph(self, runner, k5_file, tmp_path):
         out = tmp_path / "phat.csv"
