@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph_io import load_adjacency_csv, load_edge_list, load_gml_subset
-from .graphon import StepGraphon, _is_number, step_graphon_from_dict, step_graphon_to_dict
+from .graphon import StepGraphon, _is_number, step_graphon_from_dict
 from .linkage import Dendrogram, dendrogram_merge_matrix, single_linkage
 from .mergeon import merge_distortion, mergeon_eval_matrix, step_mergeon
 from .sampling import derive_seed, edge_probabilities, sample_graph, sample_latents
@@ -117,6 +117,7 @@ class ExperimentConfig:
         for key in ("n_grid", "seeds"):
             check(key, lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
                   "a list of integers")
+            check(key, lambda v: len(set(v)) == len(v), "a list without repeats")
             object.__setattr__(self, key, tuple(getattr(self, key)))
         check("C", _is_number, "a number")
         object.__setattr__(self, "C", float(self.C))
@@ -167,9 +168,8 @@ class RunRecord:
 RECORD_HEADER = ",".join(f.name for f in fields(RunRecord))
 
 
-def _single_run(graphon_doc: dict, n: int, seed: int, c: float, variant: str):
+def _single_run(w: StepGraphon, n: int, seed: int, c: float, variant: str):
     """One (n, seed) cell; top level so a process pool can pickle it."""
-    w = step_graphon_from_dict(graphon_doc)
     t0 = time.perf_counter()
     latents = sample_latents(n, derive_seed(seed, n, 0))
     p = edge_probabilities(w, latents)
@@ -204,7 +204,6 @@ def run_synthetic_experiment(cfg: ExperimentConfig):
     the config (wall_time_ms excepted).
     """
     w = resolve_graphon(cfg.graphon)
-    graphon_doc = step_graphon_to_dict(w)
     jobs = sorted((n, s) for n in cfg.n_grid for s in cfg.seeds)
     # a pool forks all its workers at the first submit, so never more than cells
     workers = min(cfg.workers, len(jobs))
@@ -218,7 +217,7 @@ def run_synthetic_experiment(cfg: ExperimentConfig):
         fh.flush()
         ns, seeds = zip(*jobs)
         results = (pool.map if pool else map)(
-            _single_run, repeat(graphon_doc), ns, seeds, repeat(cfg.C), repeat(cfg.variant))
+            _single_run, repeat(w), ns, seeds, repeat(cfg.C), repeat(cfg.variant))
         for (n, seed), (record, dendro_json) in zip(jobs, results):
             records.append(record)
             writer.writerow(_record_row(record))

@@ -219,7 +219,8 @@ def load_gml_subset(path):
     with id (and optional label) and edge blocks with source/target. Other
     attributes, nested blocks such as graphics [...] included, are skipped.
     Duplicate edges, including the reversed copies a directed file carries,
-    collapse to one undirected edge with a warning.
+    collapse to one undirected edge with a warning. A block left open at the
+    end of the file, or a ] that closes no block, raises ValidationError.
     """
     try:
         with open(path) as fh:
@@ -236,7 +237,9 @@ def load_gml_subset(path):
     while i < len(tokens):
         tok = tokens[i]
         if tok == "]":
-            closed, cur = stack.pop() if stack else (None, {})
+            if not stack:
+                raise ValidationError(f"{path}: ']' closes no open block")
+            closed, cur = stack.pop()
             if closed == "node":
                 if "id" not in cur:
                     raise ValidationError(f"{path}: node record without id")
@@ -270,6 +273,8 @@ def load_gml_subset(path):
                     raise ValidationError(f"{path}: {key} must be an integer, got {val!r}") from None
             elif key == "label":
                 cur[key] = val[1:-1] if val.startswith('"') else val
+    if stack:
+        raise ValidationError(f"{path}: {stack[-1][0]} block still open at end of file")
 
     if not ids:
         raise ValidationError(f"{path}: no node records found")

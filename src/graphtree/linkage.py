@@ -232,6 +232,7 @@ class Dendrogram:
 
     def to_json(self) -> str:
         """Nested {"left", "level", "right"} objects with int leaves, keys sorted."""
+        levels = json.dumps(self.level)[1:-1].split(", ")
         parts = []
         for k, step in self._walk():
             if step is None:
@@ -239,7 +240,7 @@ class Dendrogram:
             elif step == 0:
                 parts.append('{"left": ')
             elif step == 1:
-                parts.append(f', "level": {json.dumps(self.level[k])}, "right": ')
+                parts.append(f', "level": {levels[k]}, "right": ')
             else:
                 parts.append("}")
         return "".join(parts)

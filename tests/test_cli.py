@@ -16,14 +16,18 @@ from click.testing import CliRunner
 
 from graphtree import (
     Dendrogram,
+    ExperimentConfig,
     SmoothingConfig,
     edge_probabilities,
     estimate_edge_probabilities,
+    run_synthetic_experiment,
     sample_graph,
     sample_latents,
+    save_adjacency_csv,
     save_edge_list,
     step_graphon_to_dict,
 )
+from graphtree import experiments
 from graphtree.cli import main
 from graphtree.experiments import three_group_graphon
 from conftest import random_step_graphon
@@ -151,6 +155,28 @@ class TestSample:
         assert runner.invoke(main, args + ["--out", str(out)]).exit_code == 0
         assert res.exit_code == 0 and res.stdout_bytes == out.read_bytes() != b""
 
+    def test_csv_is_the_graph_an_experiment_cell_links(self, runner, tmp_path, monkeypatch):
+        # sample and experiment synthetic each split the seed into the latent
+        # and edge streams; this ties the two splits together
+        linked = []
+
+        def estimate(a, config):
+            linked.append(a.copy())
+            return estimate_edge_probabilities(a, config)
+
+        monkeypatch.setattr(experiments, "estimate_edge_probabilities", estimate)
+        run_synthetic_experiment(
+            ExperimentConfig("three-group", (12, 16), (0, 5), C=0.5, out_dir=str(tmp_path)))
+        cells = [(12, 0), (12, 5), (16, 0), (16, 5)]  # grid order, one process
+        assert len(linked) == len(cells)
+        for (n, seed), a in zip(cells, linked):
+            want = io.StringIO()
+            save_adjacency_csv(want, a)
+            res = runner.invoke(main, ["sample", "--graphon", "three-group", "--n", str(n),
+                                       "--seed", str(seed), "--format", "csv"])
+            assert res.exit_code == 0
+            assert res.stdout == want.getvalue()
+
     def test_bad_format_rejected(self, runner, graphon_file):
         res = runner.invoke(main, ["sample", "--graphon", graphon_file, "--n", "4",
                                    "--seed", "1", "--format", "dot"])
@@ -243,6 +269,10 @@ class TestEstimate:
         ("empty.csv", b"", "empty.csv: no rows"),
         # too small for every command: 4 nodes to estimate, 2 to cluster or score
         ("one.csv", b"0\n", "got 1"),
+        # cut off inside its last edge, which would otherwise leave node 2 isolated
+        ("cut.gml", b"graph [ node [ id 0 ] node [ id 1 ] node [ id 2 ] "
+                    b"edge [ source 0 target 1 ] edge [ source 1 target 2",
+         "cut.gml: edge block still open at end of file"),
     ])
     @pytest.mark.filterwarnings("error")
     def test_bad_input_exits_2(self, runner, tmp_path, name, data, message):
@@ -465,7 +495,9 @@ class TestExperiment:
         before = b"n,seed,merge_distortion,max_norm_error,mse,wall_time_ms\n8,1,0.5,0.5,0.1,3\n"
         (out / "records.csv").write_bytes(before)
         for grid, message in (({"n_grid": [8, 3], "seeds": [1]}, "needs >= 4 nodes, got 3"),
-                              ({"n_grid": [8], "seeds": [1, -3]}, "non-negative, got -3")):
+                              ({"n_grid": [8], "seeds": [1, -3]}, "non-negative, got -3"),
+                              ({"n_grid": [8, 8], "seeds": [1]}, "n_grid must be a list without"),
+                              ({"n_grid": [8], "seeds": [1, 1]}, "seeds must be a list without")):
             cfg.write_text(json.dumps({"graphon": "three-group", "C": 0.5, **grid}))
             res = runner.invoke(main, ["experiment", "synthetic", "--config", str(cfg),
                                        "--out-dir", str(out)])

@@ -129,9 +129,12 @@ class TestExperimentConfig:
             ({"n_grid": (8.5,)}, "n_grid must be a list of integers"),
             ({"C": "0.1"}, "C must be a number"),
             ({"C": 10**400}, "C must be a number"),  # no float holds it
+            # a repeated entry would run, write and count one cell twice
+            ({"n_grid": (16, 16)}, "n_grid must be a list without repeats"),
+            ({"seeds": (1, np.int64(1))}, "seeds must be a list without repeats"),
         ],
         ids=["nan-C", "n-below-minimum", "h-over-one", "float-seed", "bool-seed", "float-n",
-             "string-C", "huge-int-C"],
+             "string-C", "huge-int-C", "repeated-n", "repeated-seed"],
     )
     def test_rejected_on_construction(self, kw, match):
         with pytest.raises(ValidationError, match=match):

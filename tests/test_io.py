@@ -3,6 +3,7 @@
 import gzip
 import io
 import os
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -433,6 +434,19 @@ class TestGml:
         p = tmp_path / "g.gml"
         p.write_text("graph [\n  node [ id 0 ]\n  edge [ source 0 target 0 ]\n]\n")
         with pytest.raises(ValidationError, match="self loop"):
+            load_gml_subset(p)
+
+    @pytest.mark.parametrize("text, message", [
+        # cut off inside its last edge, which would otherwise leave node 2 isolated
+        ("graph [ node [ id 0 ] node [ id 1 ] node [ id 2 ] edge [ source 0 target 1 ] "
+         "edge [ source 1 target 2", "edge block still open at end of file"),
+        ("graph [\n  node [ id 0 ]\n", "graph block still open at end of file"),
+        ("graph [\n  node [ id 0 ] ]\n  node [ id 1 ]\n]\n", "']' closes no open block"),
+    ], ids=["cut-edge", "cut-graph", "stray-close"])
+    def test_unbalanced_blocks(self, tmp_path, text, message):
+        p = tmp_path / "g.gml"
+        p.write_text(text)
+        with pytest.raises(ValidationError, match=re.escape(f"{p}: {message}")):
             load_gml_subset(p)
 
     def test_no_nodes(self, tmp_path):

@@ -538,6 +538,14 @@ class TestJsonBytes:
         assert Dendrogram.from_json(text).to_json() == text
         assert Dendrogram.from_json(text) == d
 
+    def test_nan_signed_zero_and_subnormal_levels(self):
+        d = Dendrogram([0, 2, 5, 6], [1, 3, 4, 7], (float("nan"), -0.0, 5e-324, 0.0))
+        text = d.to_json()
+        assert text == json.dumps(json.loads(text), sort_keys=True)
+        for token in ("NaN", "-0.0", "5e-324", "0.0"):
+            assert f'"level": {token},' in text
+        assert Dendrogram.from_json(text).to_json() == text
+
     @pytest.mark.parametrize("text", [
         "", "{", "[1,]", '{"a" 1}', '{"a": 1,}', "[1] 2", "{1: 2}", "[01]", "nul",
         '["a\nb"]', "[1, 2}", '{"a": 1]',

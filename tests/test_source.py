@@ -1,8 +1,10 @@
 """Whole-source checks: the package and the test oracles parse under the oldest
 Python pyproject.toml allows, every test oracle and private helper is in use,
-and the benchmark's tracer can still wrap the package."""
+the package exports exactly its modules' public names, and the benchmark's
+tracer can still wrap the package."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -10,6 +12,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import graphtree
+from graphtree.errors import ValidationError
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "tests" / "reference.py"
@@ -65,6 +70,20 @@ def test_every_private_helper_is_used():
               and d.name.startswith("_")
               and not any(d.name in _names(other) for other in defs if other is not d)]
     assert not unused, f"private helpers nothing in the package uses: {unused}"
+
+
+def test_package_exports_exactly_the_layer_lists():
+    # the tracer and the README rely on one rule: the top level exports
+    # ValidationError, __version__ and every name in a module's own __all__
+    layers = [importlib.import_module(f"graphtree.{path.stem}") for path in PACKAGE
+              if path.stem != "__init__" and re.search(r"^__all__ = ", path.read_text(), re.M)]
+    want = ["ValidationError", "__version__"] + [name for mod in layers for name in mod.__all__]
+    assert len(set(want)) == len(want)
+    assert sorted(graphtree.__all__) == sorted(want)
+    assert graphtree.ValidationError is ValidationError
+    for mod in layers:
+        for name in mod.__all__:
+            assert getattr(graphtree, name) is getattr(mod, name), f"{mod.__name__}.{name}"
 
 
 def test_benchmark_tracer_installs():
