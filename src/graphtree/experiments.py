@@ -14,7 +14,6 @@ import logging
 import numbers
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import MISSING, astuple, dataclass, fields
 from itertools import repeat
@@ -210,6 +209,9 @@ def run_synthetic_experiment(cfg: ExperimentConfig):
     os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, "records.csv")
     records = []
+    if workers > 1:
+        # imported here, since it loads multiprocessing, which a serial run never uses
+        from concurrent.futures import ProcessPoolExecutor
     with open(csv_path, "w", newline="") as fh, (
             ProcessPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
         writer = csv.writer(fh)

@@ -17,23 +17,16 @@ never applied.
 Neighborhoods are thus the exact distance quantiles of Zhang, Levina & Zhu
 (Biometrika 2017).
 
-The modified variant does not compute every d_j(i, i'). One pass over the
-ordered pairs (i, i') keeps the top two levels of B = S[i] - S[i']: P1, its
-first argmax and P2. Those of -B, N1, its argmax and N2, are the levels of
-the pair (i', i). Deleting j drops term j and moves every other term by at
-most one, in the direction that the sign of A[i,j] - A[i',j] sets, so
-d_j(i, i') is exact wherever A[i,j] == A[i',j] and lies in an interval of
-width one elsewhere. Per (i, j), the rank-th smallest upper end caps the threshold;
-candidates whose lower end stays above it for every j are dropped up front,
-and an entry is settled exactly only where A[i,j] != A[i',j] and its lower
-end is at or below the cap. The gap is then the upper end exactly when a
-side that reaches it has a column of its top level set that moves outward,
-which one AND of packed bitsets per side decides: O(n / 64) per entry, plus
-O(n) to pack the level sets of each pair that holds such an entry. No row is
-scanned. This is the bound-then-verify nearest-neighbour search of Fukunaga
-& Narendra (1975). The result, tie rule included, is bit for bit that of the
-dense pass over all (i, j, i'). On the three-group graphon 2.8% of the
-entries need settling at n=128 and 1.0% at n=512.
+The modified variant keeps, from one pass over the ordered pairs (i, i'),
+the top two levels of B = S[i] - S[i']: P1, its first argmax and P2; those
+of -B are the levels of (i', i). Deleting j moves each term of B by at most
+one, so these levels bound every d_j(i, i'), and _candidate_blocks drops the
+candidates they keep out of every neighborhood of row i: the
+bound-then-verify search of Fukunaga & Narendra (1975). For each block of
+rows, _block_gaps then computes every d_j of the kept candidates exactly,
+from ORs of the packed rows of A over the few columns of each side's top
+level set, and one partition ranks them. The result, tie rule included, is
+bit for bit that of the dense pass over all (i, j, i').
 """
 
 from __future__ import annotations
@@ -287,78 +280,155 @@ def _pair_neighborhoods(s: np.ndarray, a: np.ndarray, rank: int):
     """(sizes, hits) of N(i, j) for every ordered pair, in one exact pass.
 
     sizes[i, j] = |N(i, j)| and hits[i, j] counts its members i' with
-    A[i', j] = 1, both in s's dtype; entries i == j are meaningless. s = A @ A
-    in the count dtype.
-
-    For the pair (i, i2), B = S[i] - S[i2] over k not in {i, i2} has top
-    levels P1 >= P2 on its positive side and N1, N2 on its negative side
-    (_pairwise_sides). Deleting j drops term j and moves term k of B by
-    -delta * A[j, k], delta = A[i, j] - A[i2, j]. With P' and N' the side
-    levels once column j is gone (P2 where j is the first argmax of B, else
-    P1; N' likewise), d_j(i, i2) is max(P', N') when delta == 0 and lies in
-    [U - 1, U] otherwise, U = max(P' + [delta < 0], N' + [delta > 0]). Per
-    (i, j), the rank-th smallest U caps the threshold; only entries with
-    delta != 0 and U - 1 at or below that cap need their exact gap. It is U
-    exactly when a side that reaches U has a column k not in {i, i2, j} in
-    its top level set {k : B_k == P'} (or -B_k == N') that moves outward:
-    A[j, k] == 1 on the side that delta raises, A[j, k] == 0 on the other.
-    _reaches_upper tests that on bitsets of the level sets and of the rows
-    of A, in O(n / 64) per entry. Every other entry keeps U, which is either
-    exact or above the cap, so the threshold and membership stay as they
-    are. One partition then ranks the block, ties included.
+    A[i', j] = 1, in the dtype of s = A @ A; entries i == j are meaningless.
+    Per block of rows, one partition ranks the gaps of _block_gaps, ties included.
     """
     n = s.shape[0]
     ab = a.astype(bool)
-    big = np.iinfo(s.dtype).max
     top = _pairwise_sides(s, _chebyshev_buffer(n, s.dtype))
-    p1, gp, p2, n1, gn, n2 = top
-    rows_a = _row_bitsets(ab)
-    sizes = np.empty((n, n), dtype=s.dtype)
-    hits = np.empty((n, n), dtype=s.dtype)
-    flags = levels = np.empty((0, 0))
+    rows_a = _packed_rows(ab)
+    sizes, hits = np.empty((2, n, n), dtype=s.dtype)
+    work = np.empty((3, 0), dtype=s.dtype)
     for rows, cand in _candidate_blocks(top, rank):
-        # entries are laid out [b, j, c] for i = rows[b] and the candidate i' = cand[b, c]
+        # entries are laid out [b, c, j] for i = rows[b] and the candidate i' = cand[b, c]
         b, w = cand.shape
-        size = b * n * w
-        if size > levels.shape[1]:  # work space, reused by every block that fits
-            flags = np.empty((3, size), dtype=bool)
-            levels = np.empty((2, size), dtype=s.dtype)
-        rise_p, rise_n, nbrs = (x[:size].reshape(b, n, w) for x in flags)
-        u, v = (x[:size].reshape(b, n, w) for x in levels)
-        bs, cols = np.ogrid[:b, :w]
-        i = rows[:, None]
-        into_j = ab[:, cand].transpose(1, 0, 2)  # A[i', j] = A[j, i']
-        from_i = ab[rows, :, None]
-        np.greater(into_j, from_i, out=rise_p)  # delta < 0: term k of B rises by A[j, k]
-        np.greater(from_i, into_j, out=rise_n)  # delta > 0: term k of -B rises
-        np.add(p1[i, cand][:, None, :], rise_p, out=u)
-        u[bs, gp[i, cand], cols] += p2[i, cand] - p1[i, cand]
-        np.add(n1[i, cand][:, None, :], rise_n, out=v)
-        v[bs, gn[i, cand], cols] += n2[i, cand] - n1[i, cand]
-        np.maximum(u, v, out=u)
-        off = np.logical_or(rise_p, rise_n, out=rise_n)
-        pb, pc = np.nonzero(cand == i)
-        for x, fill in ((u, big), (off, False)):
-            x[pb, :, pc] = fill  # padding: i' == i
-            x[bs, cand, cols] = fill  # i' == j
-            x[bs, i] = fill  # j == i, never read
-        cap = _kth_smallest(u, rank)
-        np.minimum(cap, big - 1, out=cap)  # rows j == i hold big
-        cap += 1
-        np.less_equal(u, cap[..., None], out=nbrs)  # U - 1 <= cap
-        nbrs &= off
-        need = np.flatnonzero(nbrs)
-        if need.size:
-            bi, jk = np.divmod(need, n * w)
-            j, c = np.divmod(jk, w)
-            flat = u.reshape(-1)
-            flat[need] -= ~_reaches_upper(s, top, rows_a, rows, cand, bi, c, j,
-                                           rise_p.reshape(-1)[need], flat[need])
-        np.less_equal(u, _kth_smallest(u, rank)[..., None], out=nbrs)
-        sizes[rows] = nbrs.view(np.int8).sum(axis=2, dtype=s.dtype)
-        nbrs &= into_j
-        hits[rows] = nbrs.view(np.int8).sum(axis=2, dtype=s.dtype)
+        size = b * w * n
+        if size > work.shape[1]:  # work space, reused by every block that fits
+            work = np.empty((3, size), dtype=s.dtype)
+        d = _block_gaps(s, top, ab, rows_a, rows, cand, work[0, :size].reshape(b, w, n))
+        by_j = work[1, :size].reshape(b, n, w)
+        np.copyto(by_j, d.transpose(0, 2, 1))  # partitions faster than a strided axis
+        by_j.partition(rank - 1, axis=2)
+        nbrs = work[2, :size].view(bool)[:size].reshape(b, w, n)
+        np.less_equal(d, by_j[:, None, :, rank - 1], out=nbrs)
+        sizes[rows] = nbrs.view(np.int8).sum(axis=1, dtype=s.dtype)
+        nbrs &= ab[cand]
+        hits[rows] = nbrs.view(np.int8).sum(axis=1, dtype=s.dtype)
     return sizes, hits
+
+
+def _packed_rows(ab: np.ndarray) -> np.ndarray:
+    """(n + 1, 2, words) uint64 bitsets: row k of A, and the zeros of row k of A + I.
+
+    Column j is bit j % 64 of word j // 64. Row n is empty, to end any OR.
+    """
+    n = ab.shape[0]
+    bits = np.zeros((n + 1, 2, -(-n // 64) * 64), dtype=bool)
+    bits[:n, 0, :n] = ab
+    np.logical_not(ab, out=bits[:n, 1, :n])
+    bits[np.arange(n), 1, np.arange(n)] = False
+    return np.packbits(bits, axis=2, bitorder="little").view(np.uint64)
+
+
+def _block_gaps(s: np.ndarray, top, ab: np.ndarray, rows_a: np.ndarray, rows: np.ndarray,
+                cand: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[b, c, j] = d_j(i, i2) * n for i = rows[b], i2 = cand[b, c], exactly.
+
+    Entries j == i2 and padding pairs i2 == i hold the dtype's maximum; j == i
+    is meaningless. For the pair (i, i2), B = S[i] - S[i2] over k not in
+    {i, i2} has top levels P1 >= P2, N1 >= N2 (_pairwise_sides) and level
+    sets L_P = {k : B_k == P1}, L_N = {k : -B_k == N1}. Deleting j moves B_k
+    by -delta * A[j, k], delta = A[i, j] - A[i2, j], so with anyP(j) the OR
+    over L_P of the rows of A, allP(j) the AND of the rows of A + I (k == j
+    is neutral), and anyN, allN over L_N,
+
+        d_j = max(P1 + [delta < 0 and anyP(j)] - [delta > 0 and allP(j)],
+                  N1 + [delta > 0 and anyN(j)] - [delta < 0 and allN(j)])
+
+    except where j is the unique argmax of a side (P2 < P1), whose level and
+    set there are P2 and {k : B_k == P2}. One OR of the packed rows of a set
+    (the AND is the complement of the OR of the zeros) gives its flags; twins,
+    rows of A equal off {i, i2}, need no sets, and _wide_sets takes large ones.
+    """
+    n, m = s.shape[0], cand.size
+    info = np.iinfo(s.dtype)
+    p1, gp, p2, n1, gn, n2 = (x[rows[:, None], cand].reshape(-1) for x in top)
+    i = np.repeat(rows, cand.shape[1])
+    c = cand.reshape(-1)
+    pad = i == c
+    pairs = np.arange(m)
+    diff = out.reshape(m, n)
+    np.subtract(s[rows, None, :], s[cand], out=out)
+    diff[pairs, i] = diff[pairs, c] = info.min  # k in {i, i2} is in no level set
+    ri, rc = rows_a[i, 0], rows_a[c, 0]
+    rise = np.stack([rc & ~ri, ri & ~rc], axis=1)  # delta < 0 raises B, delta > 0 raises -B
+    # the columns j off {i, i2} where delta != 0: none for twins and padding
+    deg = s.diagonal().astype(np.intp)
+    moving = deg[i] + deg[c] - 2 * (s[i, c] + ab[i, c].astype(np.intp))
+    levels = np.stack([p1, -n1], axis=1)
+    levels[moving == 0] = info.max
+    seg, k = np.divmod(np.flatnonzero(diff[:, None, :] == levels[:, :, None]), n)
+    count = np.bincount(seg, minlength=2 * m)
+    if 2 * k.size * rows_a.shape[2] > m * n:  # member rows would outnumber the entries
+        ors = _wide_sets(rows_a, rise, moving, seg, k, count)
+    else:
+        ors = np.bitwise_or.reduceat(rows_a[np.append(k, n)], np.cumsum(count) - count, axis=0)
+    ors = ors.reshape(m, 2, 2, -1)  # [pair, side (B, -B), (ones of A, zeros of A + I), word]
+    up = ors[:, :, 0] & rise
+    down = rise[:, ::-1] & ~ors[:, :, 1]
+    # d_j = max(P1, N1) + plus - minus, with h the higher side, l the lower:
+    # plus = up_h, or up_h | up_l where P1 == N1; minus = down_h where P1 !=
+    # N1, but not where up_l and P1, N1 are one apart.
+    h = (n1 > p1).astype(np.intp)
+    spread = np.abs(p1.astype(np.intp) - n1)[:, None]
+    up_h, up_l = up[pairs, h], up[pairs, 1 - h]
+    plus = up_h | up_l * (spread == 0)
+    minus = down[pairs, h] * (spread > 0) & ~(up_l * (spread == 1))
+    bits = np.unpackbits(np.stack([plus, minus], axis=1).view(np.uint8), axis=2,
+                         bitorder="little")[..., :n]
+    # the exceptions q at their j, with the other side's value there
+    first, second = np.stack([p1, n1], axis=1), np.stack([p2, n2], axis=1)
+    q, side = np.divmod(np.flatnonzero((second < first) & ~pad[:, None]), 2)
+    j = np.stack([gp, gn], axis=1)[q, side]
+    up_j, down_j, rise_j = (x.view(np.uint8)[q, :, j >> 3] >> (j & 7)[:, None] & 1
+                            for x in (up, down, rise))
+    r = np.arange(q.size)
+    other = first[q, 1 - side] + up_j[r, 1 - side].astype(np.intp) - down_j[r, 1 - side]
+    rises, falls = rise_j[r, side] == 1, rise_j[r, 1 - side] == 1
+    level = second[q, side].astype(np.intp)
+    e = np.flatnonzero(rises & (level >= other) | falls & (level > other))  # elsewhere other wins
+    sets = diff[q[e]] == (level[e] * (1 - 2 * side[e]))[:, None]
+    row = ab[j[e]]
+    level[e] += rises[e] & (sets & row).any(axis=1)
+    level[e] -= falls[e] & ~(sets & ~row).any(axis=1)
+    np.add(np.maximum(p1, n1)[:, None], bits[:, 0], out=diff)
+    diff -= bits[:, 1]
+    diff[q, j] = np.maximum(level, other)
+    diff[pad] = diff[pairs, c] = info.max
+    return out
+
+
+def _wide_sets(rows_a: np.ndarray, rise: np.ndarray, moving: np.ndarray, seg: np.ndarray,
+               k: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The ORs of _block_gaps, (2m, 2, words), for large level sets (seg, k).
+
+    A set counts only at the moving[pair] columns where delta != 0. A side
+    whose member rows outweigh n bits plus a packed row per such column tests
+    those columns against its packed set, so it costs O(n) plus O(n / 64) per
+    member or column, the fewer. The loop over words keeps one word per
+    member or column in memory at a time.
+    """
+    n, words = rows_a.shape[0] - 1, rows_a.shape[2]
+    heavy = count * words > n + np.repeat(moving, 2) * words
+    wide = np.flatnonzero(heavy)
+    members = heavy[seg]
+    sets = np.zeros((wide.size, words * 64), dtype=bool)
+    sets[np.searchsorted(wide, seg[members]), k[members]] = True
+    sets = np.packbits(sets, axis=1, bitorder="little").view(np.uint64)
+    cols = np.unpackbits((rise[wide // 2, 0] | rise[wide // 2, 1]).view(np.uint8), axis=1,
+                         bitorder="little")
+    t, j = np.divmod(np.flatnonzero(cols), cols.shape[1])
+    count = np.where(heavy, 0, count)
+    start, k = np.cumsum(count) - count, np.append(k[~members], n)
+    ors = np.empty((count.size, 2, words), dtype=np.uint64)
+    hit = np.zeros((t.size, 2), dtype=bool)
+    for w in range(words):
+        ors[:, :, w] = np.bitwise_or.reduceat(rows_a[k, :, w], start, axis=0)
+        hit |= (sets[t, w, None] & rows_a[j, :, w]) != 0
+    bits = np.zeros((wide.size, 2, cols.shape[1]), dtype=bool)
+    bits[t, :, j] = hit
+    ors[wide] = np.packbits(bits, axis=2, bitorder="little").view(np.uint64)
+    return ors
 
 
 def _candidate_blocks(top, rank: int):
@@ -400,76 +470,6 @@ def _candidate_blocks(top, rank: int):
         cand[r, np.arange(r.size) - (np.cumsum(w) - w)[r]] = c
         yield rows, cand
         lo = hi
-
-
-def _words(flags: np.ndarray) -> np.ndarray:
-    """Bitsets of bool rows whose width is a multiple of 64, as a (words, rows) uint64 view.
-
-    Word w of row r holds flags[r, 64 w : 64 w + 64]. One row per column, so
-    that gathering many rows reads each word as one 1-D take.
-    """
-    return np.packbits(flags, axis=1, bitorder="little").view(np.uint64).T
-
-
-def _row_bitsets(ab: np.ndarray) -> np.ndarray:
-    """(words, 2n) bitsets: column j holds the ones of A[j], column n + j its zeros off k == j."""
-    n = ab.shape[0]
-    width = -(-n // 64) * 64
-    bits = np.zeros((2, n, width), dtype=bool)
-    bits[0, :, :n] = ab
-    np.logical_not(ab, out=bits[1, :, :n])
-    bits[1, np.arange(n), np.arange(n)] = False
-    return np.ascontiguousarray(_words(bits.reshape(2 * n, width)))
-
-
-def _reaches_upper(s: np.ndarray, top, rows_a: np.ndarray, rows: np.ndarray,
-                   cand: np.ndarray, bi, c, j, rise_p, upper):
-    """Whether d_j(i, i2) == upper for the block entries (i = rows[bi], j, i2 = cand[bi, c]).
-
-    Every entry has delta != 0 and upper = U. The side of B that delta
-    raises (P where rise_p, else N) reaches its level + 1 where its top
-    level set meets the ones of A[j]; the other side keeps its level where
-    its set meets the zeros of A[j] off k == j (rows_a, from _row_bitsets).
-    A side that cannot reach U reads an empty set.
-    The level sets {k : B_k == P1}, {k : B_k == P2}, {k : -B_k == N1} and
-    {k : -B_k == N2} leave out k in {i, i2}, which hold the sentinel of
-    _gap_blocks, and are packed once per pair: O(n) per pair and O(n / 64)
-    per entry.
-    """
-    n = s.shape[0]
-    lowest = np.iinfo(s.dtype).min
-    seen = np.zeros(cand.size, dtype=bool)
-    pair = bi * cand.shape[1] + c
-    seen[pair] = True
-    uniq = np.flatnonzero(seen)
-    at = np.empty(cand.size, dtype=np.intp)
-    at[uniq] = np.arange(uniq.size)
-    pos = at[pair]
-    ub, uc = np.divmod(uniq, cand.shape[1])
-    iu, i2u = rows[ub], cand[ub, uc]
-    p1, gp, p2, n1, gn, n2 = (x[iu, i2u] for x in top)
-    diff = np.full((uniq.size, 1, rows_a.shape[0] * 64), lowest, dtype=s.dtype)
-    np.subtract(s[iu], s[i2u], out=diff[:, 0, :n])
-    r = np.arange(uniq.size)
-    diff[r, 0, iu] = lowest
-    diff[r, 0, i2u] = lowest
-    levels = np.stack([p1, p2, -n1, -n2], axis=1)[..., None]
-    sets = np.zeros((rows_a.shape[0], 4 * uniq.size + 1), dtype=np.uint64)  # last: empty
-    sets[:, :-1] = _words((diff == levels).reshape(4 * uniq.size, -1))
-    on_p, on_n = j == gp[pos], j == gn[pos]
-    lp = np.where(on_p, p2[pos], p1[pos])
-    ln = np.where(on_n, n2[pos], n1[pos])
-    fall_p = ~rise_p
-    empty = sets.shape[1] - 1
-    set_p = np.where(lp + rise_p == upper, 4 * pos + on_p, empty)
-    set_n = np.where(ln + fall_p == upper, 4 * pos + 2 + on_n, empty)
-    row_p = j + n * fall_p
-    row_n = j + n * rise_p
-    hit = np.zeros(j.size, dtype=np.uint64)
-    for word, bits in zip(sets, rows_a):
-        hit |= word[set_p] & bits[row_p]
-        hit |= word[set_n] & bits[row_n]
-    return hit != 0
 
 
 def estimate_original(a: np.ndarray, config: SmoothingConfig, *, return_sizes: bool = False):

@@ -327,7 +327,8 @@ def group_of_thirds(points):
 
 # The dense modified pass: every d_j for all pairs at once through the
 # package's Chebyshev kernel, one j at a time, n^4 / 2 count differences in
-# all. The package's bound-then-verify pass must match it bit for bit.
+# all. The package's pass, which ranks only the candidates its bounds keep and
+# derives their gaps from level sets, must match it bit for bit.
 
 
 def deleted_square_counts(s, a, j):

@@ -1,5 +1,6 @@
 """Synthetic experiment harness and dataset clustering runs."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import re
@@ -216,7 +217,7 @@ class TestSyntheticRuns:
 
             map = staticmethod(map)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cfg = self.make_cfg(tmp_path / "out", n_grid=n_grid, seeds=seeds, workers=16)
         assert len(run_synthetic_experiment(cfg)) == len(n_grid) * len(seeds)
         assert sizes == ([] if size is None else [size])

@@ -31,8 +31,8 @@ from graphtree.smoothing import (
     _pairwise_chebyshev,
     _pairwise_sides,
     _candidate_blocks,
-    _reaches_upper,
-    _row_bitsets,
+    _block_gaps,
+    _packed_rows,
     quantile_rank,
 )
 import graphtree.smoothing as smoothing
@@ -636,6 +636,42 @@ def _three_group(n, seed):
     return sample_graph(edge_probabilities(three_group_graphon(), latents), seed + 1)
 
 
+def _fringed(n, seed):
+    """A three-group core with a fringe of six nodes of degree one or two.
+
+    Fringe nodes 0 and 1 hang off core node 0 alone, so they are twins. Node
+    2 hangs off core node 0 and fringe node 3, which has no other neighbour,
+    so against fringe node 0 every term of B is 0 while one column moves:
+    both top level sets hold all n - 2 nodes. Nodes 4 and 5 hang off core
+    node 1, and node 5 off core node 0 too.
+    """
+    rng = np.random.default_rng(seed)
+    core = n - 6
+    groups = rng.integers(0, 3, size=core)
+    p = np.where(groups[:, None] == groups[None, :], 0.5, 0.1)
+    np.fill_diagonal(p, 0.0)
+    a = np.zeros((n, n), dtype=np.int8)
+    a[:core, :core] = sample_graph(p, seed)
+    f = core
+    for node, nbrs in ((f, [0]), (f + 1, [0]), (f + 2, [0, f + 3]), (f + 4, [1]), (f + 5, [1, 0])):
+        a[node, nbrs] = a[nbrs, node] = 1
+    return a
+
+
+def _spy_heavy_sides(monkeypatch):
+    """Wrap smoothing._wide_sets; the list returned gets, per call, the sides that take its column test."""
+    wide_sets = smoothing._wide_sets
+    heavy = []
+
+    def spy(rows_a, rise, moving, seg, k, count):
+        words, n = rows_a.shape[2], rows_a.shape[0] - 1
+        heavy.append(np.count_nonzero(count * words > n + np.repeat(moving, 2) * words))
+        return wide_sets(rows_a, rise, moving, seg, k, count)
+
+    monkeypatch.setattr(smoothing, "_wide_sets", spy)
+    return heavy
+
+
 class TestBoundThenVerify:
     """The pruned modified pass against the dense per-j pass and the loop oracle."""
 
@@ -649,6 +685,115 @@ class TestBoundThenVerify:
         want_phat, want_sizes = reference.dense_modified_estimate(a, cfg.bandwidth(n))
         assert phat.tobytes() == want_phat.tobytes()
         assert np.array_equal(sizes, want_sizes)
+
+    def test_wide_rows_with_a_partial_last_word_match_dense_pass_bitwise(self):
+        # candidate rows wider than one 64-bit word, and n = 2 * 64 + 1, so the
+        # last word of every packed row holds one column
+        n = 129
+        a = _planted_partition(n, 3)
+        s = _counts(a)
+        top = _pairwise_sides(s, _chebyshev_buffer(n, s.dtype))
+        rank = quantile_rank(SmoothingConfig(C=0.1).bandwidth(n), n - 2)
+        assert max(cand.shape[1] for _, cand in _candidate_blocks(top, rank)) > 64
+        cfg = SmoothingConfig(C=0.1)
+        phat, sizes = estimate_modified(a, cfg, return_sizes=True)
+        want_phat, want_sizes = reference.dense_modified_estimate(a, cfg.bandwidth(n))
+        assert phat.tobytes() == want_phat.tobytes()
+        assert np.array_equal(sizes, want_sizes)
+
+    def test_large_level_sets_give_exact_gaps(self, monkeypatch):
+        # K_{50,50} with two edges flipped: pairs on one side differ in a column
+        # or two while the top level sets of B hold about half the nodes, so
+        # such sides test their columns against the packed set (_wide_sets)
+        n = 100
+        a = np.zeros((n, n), dtype=np.int8)
+        a[:50, 50:] = a[50:, :50] = 1
+        a[0, 51] = a[51, 0] = 0
+        a[1, 2] = a[2, 1] = 1
+        heavy_sides = _spy_heavy_sides(monkeypatch)
+        s = _counts(a)
+        top = _pairwise_sides(s, _chebyshev_buffer(n, s.dtype))
+        gaps = _block_gaps(s, top, a.astype(bool), _packed_rows(a.astype(bool)), np.arange(n),
+                           np.tile(np.arange(n), (n, 1)), np.empty((n, n, n), dtype=s.dtype))
+        assert sum(heavy_sides) > 0
+        off = ~np.eye(n, dtype=bool)
+        for j in range(n):
+            keep = off.copy()
+            keep[j] = keep[:, j] = False
+            assert np.array_equal(gaps[:, :, j][keep], dense_pass_gaps(a, j)[keep])
+        cfg = SmoothingConfig(C=0.1)
+        phat, sizes = estimate_modified(a, cfg, return_sizes=True)
+        want_phat, want_sizes = reference.dense_modified_estimate(a, cfg.bandwidth(n))
+        assert phat.tobytes() == want_phat.tobytes()
+        assert np.array_equal(sizes, want_sizes)
+
+    def test_kept_entries_match_pair_gaps(self, monkeypatch):
+        # every entry of every block the pass ranks, against pair_gap through
+        # its all-pairs form zeroed_gap_table, and against pair_gap itself on
+        # a seeded sample. One row per block, so the fringe rows of _fringed
+        # (n = 66, two words per packed row) take _wide_sets with sides whose
+        # level sets hold all n - 2 nodes.
+        monkeypatch.setattr(smoothing, "_BLOCK_ELEMS", 1)
+        heavy_sides = _spy_heavy_sides(monkeypatch)
+        rng = np.random.default_rng(22)
+        seen = dict.fromkeys(["twins", "P1 == N1", "|P1 - N1| == 1", "unique argmax of B",
+                              "unique argmax of -B"], 0)
+        for a in (_fringed(66, 1), _fringed(66, 2), _planted_partition(40, 3)):
+            n = a.shape[0]
+            ab = a.astype(bool)
+            s = _counts(a)
+            top = p1, gp, p2, n1, gn, n2 = _pairwise_sides(s, _chebyshev_buffer(n, s.dtype))
+            rank = quantile_rank(SmoothingConfig(C=0.1).bandwidth(n), n - 2)
+            kept = []
+            for rows, cand in _candidate_blocks(top, rank):
+                gaps = _block_gaps(s, top, ab, _packed_rows(ab), rows, cand,
+                                   np.empty((*cand.shape, n), dtype=s.dtype))
+                b, c, j = np.indices(gaps.shape).reshape(3, -1)
+                i, i2 = rows[b], cand[b, c]
+                ok = (i2 != i) & (j != i) & (j != i2)
+                kept.append((i[ok], i2[ok], j[ok], gaps[b[ok], c[ok], j[ok]]))
+            i, i2, j, gap = map(np.concatenate, zip(*kept))
+            for jj in range(n):
+                at = j == jj
+                assert np.array_equal(gap[at], reference.zeroed_gap_table(a, jj)[i[at], i2[at]])
+            for e in rng.choice(i.size, size=200, replace=False):
+                assert gap[e] == reference.pair_gap(a, int(i[e]), int(i2[e]), int(j[e]))
+            moving = (ab[i] != ab[i2]).sum(axis=1) - 2 * ab[i, i2]
+            lp, ln = p1[i, i2].astype(int), n1[i, i2].astype(int)
+            seen["twins"] += np.count_nonzero(moving == 0)
+            seen["P1 == N1"] += np.count_nonzero(lp == ln)
+            seen["|P1 - N1| == 1"] += np.count_nonzero(abs(lp - ln) == 1)
+            seen["unique argmax of B"] += np.count_nonzero((j == gp[i, i2]) & (p2[i, i2] < lp))
+            seen["unique argmax of -B"] += np.count_nonzero((j == gn[i, i2]) & (n2[i, i2] < ln))
+        assert all(seen.values()), seen
+        assert sum(heavy_sides) > 0
+
+    def test_wide_sets_match_the_or_of_member_rows(self):
+        # with no counted columns (moving 0), a side whose set holds more than
+        # n / 64 per word of members takes the column test; wherever the rise
+        # words of its pair mark a column, both planes must equal the OR of
+        # its member rows, as they do for the sides that OR their rows. Node 0
+        # is isolated and node 1 universal, so the two planes differ there.
+        rng = np.random.default_rng(21)
+        n, m = 100, 40
+        ab = random_adjacency(rng, n, p=0.5).astype(bool)
+        ab[0] = ab[:, 0] = False
+        ab[1] = ab[:, 1] = True
+        ab[1, 1] = False
+        rows_a = _packed_rows(ab)
+        density = np.where(np.arange(2 * m) % 3 == 0, 0.05, 0.8)[:, None]
+        member = rng.random((2 * m, n)) < density
+        member[:, 2] = True  # no empty sets: _block_gaps never reads those
+        seg, k = np.divmod(np.flatnonzero(member), n)
+        count = np.bincount(seg, minlength=2 * m)
+        bits = np.zeros((m, 2, rows_a.shape[2] * 64), dtype=bool)
+        bits[..., :n] = rng.random((m, 2, n)) < 0.3
+        rise = np.packbits(bits, axis=2, bitorder="little").view(np.uint64)
+        got = smoothing._wide_sets(rows_a, rise, np.zeros(m, dtype=np.intp), seg, k, count)
+        assert np.any(count * rows_a.shape[2] > n) and np.any(count * rows_a.shape[2] <= n)
+        want = np.array([np.bitwise_or.reduce(rows_a[k[seg == q]], axis=0) for q in range(2 * m)])
+        marked = (rise[:, 0] | rise[:, 1]).repeat(2, axis=0)[:, None, :]
+        assert np.array_equal(got & marked, want & marked)
 
     @pytest.mark.parametrize("budget", [smoothing._BLOCK_ELEMS, 1 << 10])
     @pytest.mark.parametrize("graph, n", [(_football, 115), (_three_group, 128)])
@@ -747,18 +892,21 @@ class TestBoundThenVerify:
             assert np.all((low <= gap) & (gap <= high))
             assert np.array_equal(high - low, (delta != 0).astype(int))
 
-    def test_level_sets_settle_every_gap(self):
-        # every entry with delta != 0, a superset of the entries a pass settles
+    def test_block_gaps_are_exact(self):
+        # every (i, j, i2) as one block of all rows, each padded with i itself
         unique_argmax = identical_rows = 0
         for a, s, top, i, i2, j, lp, ln, delta, gap in self._triples():
             p1, gp, p2, n1, gn, n2 = top
-            e = delta != 0
-            i, i2, j, rise_p = i[e], i2[e], j[e], delta[e] < 0
-            upper = np.maximum(lp[e] + rise_p, ln[e] + ~rise_p).astype(s.dtype)
             n = a.shape[0]
-            reached = _reaches_upper(s, top, _row_bitsets(a.astype(bool)), np.arange(n),
-                                     np.tile(np.arange(n), (n, 1)), i, i2, j, rise_p, upper)
-            assert np.array_equal(upper - ~reached, gap[e])
+            cand = np.tile(np.arange(n), (n, 1))
+            out = np.empty((n, n, n), dtype=s.dtype)
+            gaps = _block_gaps(s, top, a.astype(bool), _packed_rows(a.astype(bool)),
+                               np.arange(n), cand, out)
+            assert gaps is out
+            assert np.array_equal(gaps[i, i2, j], gap)
+            big = np.iinfo(s.dtype).max
+            assert np.all(gaps[np.arange(n), np.arange(n)] == big)  # padding i2 == i
+            assert np.all(gaps[:, np.arange(n), np.arange(n)] == big)  # j == i2
             unique_argmax += np.count_nonzero(
                 ((j == gp[i, i2]) & (p2[i, i2] < p1[i, i2]))
                 | ((j == gn[i, i2]) & (n2[i, i2] < n1[i, i2])))

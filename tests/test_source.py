@@ -1,7 +1,8 @@
 """Whole-source checks: the package and the test oracles parse under the oldest
 Python pyproject.toml allows, every test oracle and private helper is in use,
-the package exports exactly its modules' public names, and the benchmark's
-tracer can still wrap the package."""
+the package exports exactly its modules' public names, the CLI starts without
+loading multiprocessing, and the benchmark's tracer can still wrap the
+package."""
 
 import ast
 import importlib
@@ -84,6 +85,16 @@ def test_package_exports_exactly_the_layer_lists():
     for mod in layers:
         for name in mod.__all__:
             assert getattr(graphtree, name) is getattr(mod, name), f"{mod.__name__}.{name}"
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # only experiment runs with workers > 1 use a process pool, so a CLI start,
+    # which imports every layer, need not pay for multiprocessing
+    code = "import sys, graphtree.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True,
+                         timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_benchmark_tracer_installs():
