@@ -9,6 +9,7 @@ coordinates exist only in simulation, so dataset runs emit no distortion.
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import logging
 import numbers
@@ -209,11 +210,9 @@ def run_synthetic_experiment(cfg: ExperimentConfig):
     os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, "records.csv")
     records = []
-    if workers > 1:
-        # imported here, since it loads multiprocessing, which a serial run never uses
-        from concurrent.futures import ProcessPoolExecutor
     with open(csv_path, "w", newline="") as fh, (
-            ProcessPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
+            concurrent.futures.ProcessPoolExecutor(workers) if workers > 1
+            else nullcontext()) as pool:
         writer = csv.writer(fh)
         writer.writerow(RECORD_HEADER.split(","))
         fh.flush()

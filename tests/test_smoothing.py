@@ -489,6 +489,31 @@ class TestMemoryBound:
             tracemalloc.stop()
         assert peak <= 2.9 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} x P_hat"
 
+    def test_modified_estimate_peak_on_tied_counts_within_3_25_of_phat(self):
+        """Tied counts send large level sets through _wide_sets, which bounds the peak.
+
+        Contract: on K_{256,256} with four random edges flipped, the
+        tracemalloc peak of one pass is at most 3.25 times P_hat's 8 n^2
+        bytes. Most pairs on one side differ in a column or two while their
+        top level sets hold about half the nodes. Measured at 2.83 times;
+        listing every member and ORing its packed row peaks at 4.4 times.
+        """
+        n = 512
+        rng = np.random.default_rng(1)
+        a = np.zeros((n, n), dtype=np.int8)
+        a[:n // 2, n // 2:] = a[n // 2:, :n // 2] = 1
+        for _ in range(4):
+            i, j = rng.choice(n, 2, replace=False)
+            a[i, j] = a[j, i] = 1 - a[i, j]
+        cfg = SmoothingConfig(C=0.1)
+        tracemalloc.start()
+        try:
+            estimate_modified(a, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} x P_hat"
+
 
 class TestModifiedEstimator:
     def test_complete_graph(self):
@@ -663,10 +688,9 @@ def _spy_heavy_sides(monkeypatch):
     wide_sets = smoothing._wide_sets
     heavy = []
 
-    def spy(rows_a, rise, moving, seg, k, count):
-        words, n = rows_a.shape[2], rows_a.shape[0] - 1
-        heavy.append(np.count_nonzero(count * words > n + np.repeat(moving, 2) * words))
-        return wide_sets(rows_a, rise, moving, seg, k, count)
+    def spy(rows_a, sets, rise):
+        heavy.append(sets.shape[0])
+        return wide_sets(rows_a, sets, rise)
 
     monkeypatch.setattr(smoothing, "_wide_sets", spy)
     return heavy
@@ -769,31 +793,48 @@ class TestBoundThenVerify:
         assert sum(heavy_sides) > 0
 
     def test_wide_sets_match_the_or_of_member_rows(self):
-        # with no counted columns (moving 0), a side whose set holds more than
-        # n / 64 per word of members takes the column test; wherever the rise
-        # words of its pair mark a column, both planes must equal the OR of
-        # its member rows, as they do for the sides that OR their rows. Node 0
-        # is isolated and node 1 universal, so the two planes differ there.
+        # wherever the rise words of a side's pair mark a column, both planes
+        # of the column test must equal the OR of the side's member rows, for
+        # sparse and dense sets alike. Node 0 is isolated and node 1
+        # universal, so the two planes differ there.
         rng = np.random.default_rng(21)
-        n, m = 100, 40
+        n, h = 100, 40
         ab = random_adjacency(rng, n, p=0.5).astype(bool)
         ab[0] = ab[:, 0] = False
         ab[1] = ab[:, 1] = True
         ab[1, 1] = False
         rows_a = _packed_rows(ab)
-        density = np.where(np.arange(2 * m) % 3 == 0, 0.05, 0.8)[:, None]
-        member = rng.random((2 * m, n)) < density
-        member[:, 2] = True  # no empty sets: _block_gaps never reads those
-        seg, k = np.divmod(np.flatnonzero(member), n)
-        count = np.bincount(seg, minlength=2 * m)
-        bits = np.zeros((m, 2, rows_a.shape[2] * 64), dtype=bool)
-        bits[..., :n] = rng.random((m, 2, n)) < 0.3
+        density = np.where(np.arange(h) % 3 == 0, 0.05, 0.8)[:, None]
+        sets = rng.random((h, n)) < density
+        sets[:, 2] = True  # no empty sets: _block_gaps never reads those
+        bits = np.zeros((h, 2, rows_a.shape[2] * 64), dtype=bool)
+        bits[..., :n] = rng.random((h, 2, n)) < 0.3
         rise = np.packbits(bits, axis=2, bitorder="little").view(np.uint64)
-        got = smoothing._wide_sets(rows_a, rise, np.zeros(m, dtype=np.intp), seg, k, count)
-        assert np.any(count * rows_a.shape[2] > n) and np.any(count * rows_a.shape[2] <= n)
-        want = np.array([np.bitwise_or.reduce(rows_a[k[seg == q]], axis=0) for q in range(2 * m)])
-        marked = (rise[:, 0] | rise[:, 1]).repeat(2, axis=0)[:, None, :]
+        got = smoothing._wide_sets(rows_a, sets, rise)
+        want = np.array([np.bitwise_or.reduce(rows_a[np.flatnonzero(t)], axis=0) for t in sets])
+        marked = (rise[:, 0] | rise[:, 1])[:, None, :]
         assert np.array_equal(got & marked, want & marked)
+
+    def test_star_gathers_member_rows_a_few_words_at_a_time(self):
+        # against the hub, every leaf's top level sets hold nearly all the
+        # other leaves and nearly every column moves, so those sides stay out
+        # of _wide_sets and the block gathers their member rows a word at a
+        # time (n = 130, three words per packed row); leaf 5's sides against
+        # the other leaves move in a column or two and take _wide_sets. The
+        # edge between leaves 5 and 9 breaks the symmetry.
+        n = 130
+        a = np.zeros((n, n), dtype=np.int8)
+        a[0, 1:] = a[1:, 0] = 1
+        a[5, 9] = a[9, 5] = 1
+        ab = a.astype(bool)
+        s = _counts(a)
+        top = _pairwise_sides(s, _chebyshev_buffer(n, s.dtype))
+        rows = np.array([0, 5])
+        gaps = _block_gaps(s, top, ab, _packed_rows(ab), rows, np.tile(np.arange(n), (2, 1)),
+                           np.empty((2, n, n), dtype=s.dtype))
+        for j in range(n):
+            keep = (np.arange(n) != j)[None, :] & (rows != j)[:, None] & (np.arange(n) != rows[:, None])
+            assert np.array_equal(gaps[:, :, j][keep], dense_pass_gaps(a, j)[rows][keep])
 
     @pytest.mark.parametrize("budget", [smoothing._BLOCK_ELEMS, 1 << 10])
     @pytest.mark.parametrize("graph, n", [(_football, 115), (_three_group, 128)])
