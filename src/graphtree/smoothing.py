@@ -25,8 +25,10 @@ candidates they keep out of every neighborhood of row i: the
 bound-then-verify search of Fukunaga & Narendra (1975). For each block of
 rows, _block_gaps then computes every d_j of the kept candidates exactly,
 from ORs of the packed rows of A over the few columns of each side's top
-level set, and one partition ranks them. The result, tie rule included, is
-bit for bit that of the dense pass over all (i, j, i').
+level set, and one partition ranks them. Where tied counts make a set
+large, it is tested instead at the columns where its pair's rows differ
+(_wide_sets). The result, tie rule included, is bit for bit that of the
+dense pass over all (i, j, i').
 """
 
 from __future__ import annotations
