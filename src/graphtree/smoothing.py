@@ -373,7 +373,7 @@ def _block_gaps(s: np.ndarray, top, ab: np.ndarray, rows_a: np.ndarray, rows: np
     start = np.cumsum(count) - count
     k = np.append(k, n)
     ors = np.empty((2 * m, 2, words), dtype=np.uint64)
-    step = max(1, m * n // (2 * k.size))  # words per gather, at most m * n / 2 values at once
+    step = max(1, m * n // (2 * k.size))  # words per row gathered: about m * n words at once
     for w in range(0, words, step):
         np.bitwise_or.reduceat(rows_a[k, :, w:w + step], start, axis=0, out=ors[..., w:w + step])
     if wide.size:
