@@ -67,10 +67,10 @@ def three_group_graphon() -> StepGraphon:
     return step_graphon_from_dict({"breakpoints": list(b), "values": v.tolist()})
 
 
-def separated_three_block_graphon(within: float = 0.9, across: float = 0.05) -> StepGraphon:
-    """Three equal blocks, strong diagonal, weak everything else."""
-    v = np.full((3, 3), across)
-    np.fill_diagonal(v, within)
+def separated_three_block_graphon() -> StepGraphon:
+    """Three equal blocks, 0.9 within a block and 0.05 across."""
+    v = np.full((3, 3), 0.05)
+    np.fill_diagonal(v, 0.9)
     return step_graphon_from_dict(
         {"breakpoints": [0.0, 1 / 3, 2 / 3, 1.0], "values": v.tolist()}
     )

@@ -82,10 +82,6 @@ class StepGraphon:
             raise ValidationError("values must be symmetric")
         vals.setflags(write=False)
 
-    @property
-    def k(self) -> int:
-        return self.partition.k
-
 
 def step_graphon_to_dict(w: StepGraphon) -> dict:
     return {

@@ -29,7 +29,6 @@ from graphtree.graphon import BlockPartition, StepGraphon
 from graphtree.linkage import dendrogram_merge_matrix, single_linkage
 from graphtree.sampling import check_adjacency
 from graphtree.smoothing import (
-    _chebyshev_buffer,
     _count_dtype,
     _pairwise_chebyshev,
     _within_rank,
@@ -344,13 +343,13 @@ def deleted_square_counts(s, a, j):
     return r
 
 
-def dense_pair_neighborhoods(s, ai, j, rank, buf):
+def dense_pair_neighborhoods(s, ai, j, rank):
     """Boolean neighborhood rows for every ordered pair (i, j) at fixed j.
 
     Row i flags the candidates i' with d_j(i, i') within the rank-th smallest.
     Rows i == j are meaningless; the diagonal and column j are never flagged.
     """
-    d = _pairwise_chebyshev(deleted_square_counts(s, ai, j), buf)
+    d = _pairwise_chebyshev(deleted_square_counts(s, ai, j))
     d[:, j] = np.iinfo(d.dtype).max
     return _within_rank(d, rank)
 
@@ -361,12 +360,11 @@ def dense_modified_estimate(A, h):
     s = square_counts(A).astype(_count_dtype(n))
     ai = A.astype(s.dtype)
     af = A.astype(np.float64)
-    buf = _chebyshev_buffer(n, s.dtype)
     r = quantile_rank(h, n - 2)
     f = np.empty((n, n))
     sizes = np.empty((n, n), dtype=int)
     for j in range(n):
-        nbrs = dense_pair_neighborhoods(s, ai, j, r, buf)
+        nbrs = dense_pair_neighborhoods(s, ai, j, r)
         sizes[:, j] = nbrs.sum(axis=1)
         f[:, j] = (nbrs @ af[:, j]) / sizes[:, j]
     phat = 0.5 * (f + f.T)
@@ -539,7 +537,7 @@ def exact_graph_probability(w: StepGraphon, a: np.ndarray) -> float:
     n = a.shape[0]
     if n > MAX_EXACT_NODES:
         raise ValueError(f"exact probability limited to n <= {MAX_EXACT_NODES}, got {n}")
-    k = w.k
+    k = w.partition.k
     lengths = np.diff(w.partition.breakpoints)
     v = w.values
     one_minus = 1.0 - v

@@ -298,7 +298,7 @@ def test_c10_structure_recovery_strict():
     # threshold calibrated once against the generating values (within 0.9,
     # across 0.05; cut midway) and frozen
     lam = 0.475
-    w = separated_three_block_graphon(within=0.9, across=0.05)
+    w = separated_three_block_graphon()
     n = 150
     successes = 0
     for seed in range(1, 11):

@@ -51,10 +51,10 @@ class TestBuiltinGraphons:
         assert w.values[0, 4] == 0.1
 
     def test_separated_three_block(self):
-        w = separated_three_block_graphon(within=0.8, across=0.2)
+        w = separated_three_block_graphon()
         assert w.partition.breakpoints == (0.0, 1 / 3, 2 / 3, 1.0)
-        assert np.all(np.diag(w.values) == 0.8)
-        assert w.values[0, 1] == 0.2
+        assert np.all(np.diag(w.values) == 0.9)
+        assert np.all(w.values[~np.eye(3, dtype=bool)] == 0.05)
 
     def test_paper_synthetic_alias(self):
         assert step_graphon_to_dict(resolve_graphon("paper-synthetic")) == step_graphon_to_dict(

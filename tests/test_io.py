@@ -59,6 +59,23 @@ class TestEdgeList:
         save_edge_list(p, a)
         assert np.array_equal(load_edge_list(p), a)
 
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    def test_bytes_match_savetxt(self, tmp_path, seed):
+        # "u v" per edge, u < v, in row-major order; seed None is a one-edge graph
+        if seed is None:
+            a = np.zeros((5, 5), dtype=np.int8)
+            a[1, 3] = a[3, 1] = 1
+        else:
+            rng = np.random.default_rng(seed)
+            a = random_adjacency(rng, int(rng.integers(10, 60)), p=float(rng.uniform(0.05, 0.6)))
+        np.savetxt(tmp_path / "want", np.argwhere(np.triu(a, 1)), fmt="%d", delimiter=" ")
+        save_edge_list(tmp_path / "by_path", a)
+        with open(tmp_path / "by_file", "w") as fh:
+            save_edge_list(fh, a)
+        want = (tmp_path / "want").read_bytes()
+        assert (tmp_path / "by_path").read_bytes() == want
+        assert (tmp_path / "by_file").read_bytes() == want
+
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "g.edges"
         p.write_text("# nothing here\n")

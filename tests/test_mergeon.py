@@ -56,7 +56,7 @@ class TestStepMergeon:
     @given(step_graphons())
     def test_off_diagonal_matches_path_enumeration(self, w):
         levels = step_mergeon(w).values
-        k = w.k
+        k = w.partition.k
         for a in range(k):
             for b in range(a + 1, k):
                 assert levels[a, b] == reference.maxmin_simple_paths(w.values, a, b)
@@ -72,7 +72,7 @@ class TestStepMergeon:
     @given(step_graphons())
     def test_diagonal_rule(self, w):
         levels = step_mergeon(w).values
-        for a in range(w.k):
+        for a in range(w.partition.k):
             assert levels[a, a] == max(w.values[a])
 
     @given(step_graphons(max_blocks=5), st.sampled_from([2, 3]))
@@ -98,7 +98,7 @@ class TestStepMergeon:
     @given(step_graphons())
     def test_invariants(self, w):
         lv = step_mergeon(w).values
-        k = w.k
+        k = w.partition.k
         assert np.array_equal(lv, lv.T)
         assert lv.min() >= 0.0 and lv.max() <= 1.0
         # every level is a max/min selection of input values, so the
@@ -227,6 +227,13 @@ class TestMergeonEval:
             for j, y in enumerate(pts):
                 want = 1.0 if i == j else mergeon_eval_matrix(m, [x, y])[0, 1]
                 assert got[i, j] == want
+
+    def test_eval_matrix_is_a_fresh_writable_array(self):
+        # the mergeon's values are read-only; the result shares no memory with them
+        m = step_mergeon(three_group_graphon())
+        got = mergeon_eval_matrix(m, [0.1, 0.5, 0.9, 0.1])
+        assert not np.shares_memory(got, m.values)
+        assert got.flags.writeable and not m.values.flags.writeable
 
 
 class TestInducedMergeHeight:

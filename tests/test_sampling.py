@@ -97,6 +97,13 @@ class TestEdgeProbabilities:
         p = edge_probabilities(three_group_graphon(), np.array([0.05, 0.1]))
         assert p[0, 1] == 0.7
 
+    def test_result_is_a_fresh_writable_array(self):
+        # the graphon's values are read-only; the result shares no memory with them
+        w = three_group_graphon()
+        p = edge_probabilities(w, sample_latents(20, 3))
+        assert not np.shares_memory(p, w.values)
+        assert p.flags.writeable and not w.values.flags.writeable
+
     def test_checker_rejects_bad_matrices(self):
         with pytest.raises(ValueError):
             check_edge_probabilities(np.array([[0.0, 0.5], [0.4, 0.0]]))

@@ -23,7 +23,6 @@ from graphtree import (
     estimation_errors,
 )
 from graphtree.smoothing import (
-    _chebyshev_buffer,
     _count_dtype,
     _counts,
     _gap_blocks,
@@ -141,11 +140,15 @@ class TestDeletedSquare:
                     assert sq[i, k] / n - 1 / n <= d + 1e-12
 
 
+def _work_buffer(x):
+    """The work buffer that _gap_blocks(x) allocates, seen through its first block."""
+    return next(_gap_blocks(x))[4].base
+
+
 def dense_pass_gaps(a, j):
     """Integer gaps d_j(i, i2) * n of the dense modified pass for every pair at fixed j."""
     s = _counts(a)
-    return _pairwise_chebyshev(reference.deleted_square_counts(s, a.astype(s.dtype), j),
-                               _chebyshev_buffer(a.shape[0], s.dtype))
+    return _pairwise_chebyshev(reference.deleted_square_counts(s, a.astype(s.dtype), j))
 
 
 class TestPairDistance:
@@ -214,11 +217,10 @@ class TestNeighborhoods:
         rng = np.random.default_rng(7)
         a = random_adjacency(rng, 9)
         s = _counts(a)
-        buf = _chebyshev_buffer(9, s.dtype)
         h = 0.3
         rank = quantile_rank(h, 9 - 2)
         for j in range(9):
-            nbrs = reference.dense_pair_neighborhoods(s, a.astype(s.dtype), j, rank, buf)
+            nbrs = reference.dense_pair_neighborhoods(s, a.astype(s.dtype), j, rank)
             for i in range(9):
                 if i == j:
                     continue
@@ -238,11 +240,10 @@ class TestNeighborhoods:
         h = cfg.bandwidth(n)
         _, sizes = estimate_modified(a, cfg, return_sizes=True)
         s = _counts(a)
-        buf = _chebyshev_buffer(n, s.dtype)
         rank = quantile_rank(h, n - 2)
         for _ in range(12):
             i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
-            nbrs = reference.dense_pair_neighborhoods(s, a.astype(s.dtype), j, rank, buf)
+            nbrs = reference.dense_pair_neighborhoods(s, a.astype(s.dtype), j, rank)
             want = reference.pair_neighborhood(a, i, j, h)
             assert list(np.flatnonzero(nbrs[i])) == want
             assert sizes[i, j] == len(want)
@@ -262,13 +263,15 @@ class TestNeighborhoods:
             assert (reference.pair_neighborhood(a, i, j, 0.4)
                     == reference.pair_neighborhood(b, i, j, 0.4))
 
-    def test_chebyshev_matches_loops(self):
+    def test_chebyshev_matches_loops(self, monkeypatch):
         rng = np.random.default_rng(9)
         n = 7
         x = rng.integers(0, n, size=(n, n)).astype(np.int16)
-        # rows < n splits the upper triangle into blocks and mirrors the rest
+        # a budget of rows * n * n values gives blocks of rows rows; rows < n
+        # splits the upper triangle into blocks and mirrors the rest
         for rows in (1, 2, 3, 7):
-            got = _pairwise_chebyshev(x, np.empty(rows * n * n, dtype=np.int16))
+            monkeypatch.setattr(smoothing, "_CHUNK_ELEMS", rows * n * n)
+            got = _pairwise_chebyshev(x)
             assert got.dtype == np.int16
             for i in range(n):
                 for i2 in range(n):
@@ -278,20 +281,30 @@ class TestNeighborhoods:
                     )
                     assert got[i, i2] == want
 
-    def test_chebyshev_buffer_reused_across_calls(self):
-        rng = np.random.default_rng(10)
-        buf = np.empty(2 * 6 * 6, dtype=np.int16)
-        xs = [rng.integers(0, 6, size=(6, 6)).astype(np.int16) for _ in range(3)]
-        fresh = [_pairwise_chebyshev(x, _chebyshev_buffer(6, np.int16)) for x in xs]
-        for x, want in zip(xs, fresh):
-            assert np.array_equal(_pairwise_chebyshev(x, buf), want)
-
     def test_buffer_rows_capped_at_n(self):
-        # whole rows, at most n of them, while one fits; else runs of rows i2
+        # whole rows, at most n of them, while one fits; else runs of rows i2.
+        # Every block is a view of the one work buffer of a call.
         for n in (5, 512, 513, 1000):
-            size = _chebyshev_buffer(n, np.int16).size
+            size = _work_buffer(np.zeros((n, n), dtype=np.int16)).size
             assert n <= size <= max(n, smoothing._CHUNK_ELEMS)
             assert size % n == 0
+        x = np.zeros((5, 5), dtype=np.int16)
+        for signed in (False, True):
+            assert len({id(t.base) for *_, t in _gap_blocks(x, signed=signed)}) == 1
+
+    def test_buffer_allocated_before_the_first_block(self):
+        # the call itself holds the buffer, so callers make it before their results
+        n = 50
+        x = np.zeros((n, n), dtype=np.int16)
+        tracemalloc.start()
+        try:
+            blocks = _gap_blocks(x)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held >= n * n * n * x.itemsize
+        assert _work_buffer(x).size == n * n * n
+        blocks.close()
 
     def test_count_dtype(self):
         # every count and count gap lies in [-(n - 1), n - 1]
@@ -299,7 +312,6 @@ class TestNeighborhoods:
         assert _count_dtype(32767) == np.int16
         assert _count_dtype(32768) == np.int32
         assert _count_dtype(2**31 - 1) == np.int32
-        assert _count_dtype(2**31) == np.int64
 
 
 class TestFloat32Products:
@@ -392,19 +404,18 @@ class TestBlockBoundaries:
     def test_chebyshev_and_top2(self, n):
         # the top two levels of each sign of B across ragged i2 runs; the -B
         # side is the transpose of the B side
-        assert _chebyshev_buffer(n, np.int16).size < n * n
+        assert _work_buffer(np.zeros((n, n), dtype=np.int16)).size < n * n
         for a in self.graphs(n):
             s = _counts(a)
-            assert np.array_equal(_pairwise_chebyshev(s, _chebyshev_buffer(n, s.dtype)),
-                                  dense_gaps(s).max(axis=2))
-            got = _pairwise_sides(s, _chebyshev_buffer(n, s.dtype))
+            assert np.array_equal(_pairwise_chebyshev(s), dense_gaps(s).max(axis=2))
+            got = _pairwise_sides(s)
             for x, want in zip(got, dense_sides(s)):
                 assert x.dtype == s.dtype and np.array_equal(x, want)
             for pos, neg in zip(got[:3], got[3:]):
                 assert np.array_equal(neg, pos.T)
 
     @pytest.mark.parametrize("n", [23, 37, 50])
-    def test_signed_blocks_visit_every_ordered_pair_once(self, n):
+    def test_signed_blocks_visit_every_ordered_pair_once(self, n, monkeypatch):
         # with B itself and the sentinel at k in {i, i2}, across runs of rows
         # i2 shorter than n and across whole row slabs with a ragged last one
         x = _counts(_three_group(n, n))
@@ -413,9 +424,10 @@ class TestBlockBoundaries:
         idx = np.arange(n)
         want[idx, :, idx] = lowest
         want[:, idx, idx] = lowest
-        for buf in (_chebyshev_buffer(n, x.dtype), np.empty(3 * n * n, dtype=x.dtype)):
+        for budget in (smoothing._CHUNK_ELEMS, 3 * n * n):
+            monkeypatch.setattr(smoothing, "_CHUNK_ELEMS", budget)
             seen = np.zeros((n, n), dtype=int)
-            for lo, hi, c0, c1, t in _gap_blocks(x, buf, signed=True):
+            for lo, hi, c0, c1, t in _gap_blocks(x, signed=True):
                 seen[lo:hi, c0:c1] += 1
                 assert np.array_equal(t, want[lo:hi, c0:c1])
             assert np.all(seen == 1)
@@ -716,7 +728,7 @@ class TestBoundThenVerify:
         n = 129
         a = _planted_partition(n, 3)
         s = _counts(a)
-        top = _pairwise_sides(s, _chebyshev_buffer(n, s.dtype))
+        top = _pairwise_sides(s)
         rank = quantile_rank(SmoothingConfig(C=0.1).bandwidth(n), n - 2)
         assert max(cand.shape[1] for _, cand in _candidate_blocks(top, rank)) > 64
         cfg = SmoothingConfig(C=0.1)
@@ -736,7 +748,7 @@ class TestBoundThenVerify:
         a[1, 2] = a[2, 1] = 1
         heavy_sides = _spy_heavy_sides(monkeypatch)
         s = _counts(a)
-        top = _pairwise_sides(s, _chebyshev_buffer(n, s.dtype))
+        top = _pairwise_sides(s)
         gaps = _block_gaps(s, top, a.astype(bool), _packed_rows(a.astype(bool)), np.arange(n),
                            np.tile(np.arange(n), (n, 1)), np.empty((n, n, n), dtype=s.dtype))
         assert sum(heavy_sides) > 0
@@ -766,7 +778,7 @@ class TestBoundThenVerify:
             n = a.shape[0]
             ab = a.astype(bool)
             s = _counts(a)
-            top = p1, gp, p2, n1, gn, n2 = _pairwise_sides(s, _chebyshev_buffer(n, s.dtype))
+            top = p1, gp, p2, n1, gn, n2 = _pairwise_sides(s)
             rank = quantile_rank(SmoothingConfig(C=0.1).bandwidth(n), n - 2)
             kept = []
             for rows, cand in _candidate_blocks(top, rank):
@@ -828,7 +840,7 @@ class TestBoundThenVerify:
         a[5, 9] = a[9, 5] = 1
         ab = a.astype(bool)
         s = _counts(a)
-        top = _pairwise_sides(s, _chebyshev_buffer(n, s.dtype))
+        top = _pairwise_sides(s)
         rows = np.array([0, 5])
         gaps = _block_gaps(s, top, ab, _packed_rows(ab), rows, np.tile(np.arange(n), (2, 1)),
                            np.empty((2, n, n), dtype=s.dtype))
@@ -839,12 +851,13 @@ class TestBoundThenVerify:
     @pytest.mark.parametrize("budget", [smoothing._BLOCK_ELEMS, 1 << 10])
     @pytest.mark.parametrize("graph, n", [(_football, 115), (_three_group, 128)])
     def test_candidate_blocks(self, graph, n, budget, monkeypatch):
-        # blocks partition the rows, hold every candidate the keep rule of
-        # _candidate_blocks leaves and every member of a neighborhood, and fit the budget
+        # blocks partition the rows widest first, hold every candidate the keep
+        # rule of _candidate_blocks leaves and every member of a neighborhood,
+        # and fit the budget, which one more row would exceed but in the last block
         monkeypatch.setattr(smoothing, "_BLOCK_ELEMS", budget)
         a = graph(n, 20 + n)
         s = _counts(a)
-        top = p1, _, p2, n1, _, n2 = _pairwise_sides(s, _chebyshev_buffer(n, s.dtype))
+        top = p1, _, p2, n1, _, n2 = _pairwise_sides(s)
         rank = quantile_rank(SmoothingConfig(C=0.1).bandwidth(n), n - 2)
         d1 = np.maximum(p1, n1).astype(int)
         np.fill_diagonal(d1, n)
@@ -853,18 +866,19 @@ class TestBoundThenVerify:
         np.fill_diagonal(keep, False)
         members = np.zeros((n, n), dtype=bool)
         for j in range(n):
-            nbrs = reference.dense_pair_neighborhoods(s, a.astype(s.dtype), j, rank,
-                                                      _chebyshev_buffer(n, s.dtype))
+            nbrs = reference.dense_pair_neighborhoods(s, a.astype(s.dtype), j, rank)
             nbrs[j] = False  # row j of the pass at j is meaningless
             members |= nbrs
-        seen = np.zeros(n, dtype=int)
-        for rows, cand in _candidate_blocks(top, rank):
-            seen[rows] += 1
+        blocks = list(_candidate_blocks(top, rank))
+        order = np.concatenate([rows for rows, _ in blocks])
+        assert np.array_equal(order, np.argsort(-keep.sum(axis=1), kind="stable"))
+        for rows, cand in blocks:
             assert rows.size == 1 or rows.size * n * cand.shape[1] <= budget
             for i, row in zip(rows, cand):
                 assert sorted(row[row != i]) == list(np.flatnonzero(keep[i]))
             assert not (members[rows] & ~keep[rows]).any()
-        assert np.all(seen == 1)
+        for rows, cand in blocks[:-1]:
+            assert (rows.size + 1) * n * cand.shape[1] > budget
 
     @given(tie_heavy_graphs(), st.sampled_from([0.1, 0.5, 1.0]))
     @settings(max_examples=20)
@@ -873,15 +887,17 @@ class TestBoundThenVerify:
         assert np.array_equal(estimate_modified(a, cfg),
                               reference.modified_estimate(a, cfg.bandwidth(a.shape[0])))
 
-    def test_top2_matches_loops(self):
+    def test_top2_matches_loops(self, monkeypatch):
         # the top two levels of B and of -B, with their first argmaxes
         rng = np.random.default_rng(16)
         n = 9
         x = rng.integers(0, 4, size=(n, n)).astype(np.int16)
-        # rows < n splits the ordered pairs into blocks; the -B side of (i, i2) is
-        # the B side of (i2, i)
+        # a budget of rows * n * n values gives blocks of rows rows; rows < n
+        # splits the ordered pairs into blocks; the -B side of (i, i2) is the
+        # B side of (i2, i)
         for rows in (1, 4, 9):
-            p1, gp, p2, n1, gn, n2 = _pairwise_sides(x, np.empty(rows * n * n, dtype=np.int16))
+            monkeypatch.setattr(smoothing, "_CHUNK_ELEMS", rows * n * n)
+            p1, gp, p2, n1, gn, n2 = _pairwise_sides(x)
             for pos, neg in ((p1, n1), (gp, gn), (p2, n2)):
                 assert np.array_equal(neg, pos.T)
             for i in range(n):
@@ -915,7 +931,7 @@ class TestBoundThenVerify:
                 a[[u, v], shared[:, None]] = a[shared[:, None], [u, v]] = 1
             a[0, 2] = a[2, 0] = a[1, 3] = a[3, 1] = 1
             s = _counts(a)
-            top = p1, gp, p2, n1, gn, n2 = _pairwise_sides(s, _chebyshev_buffer(n, s.dtype))
+            top = p1, gp, p2, n1, gn, n2 = _pairwise_sides(s)
             i, i2, j = (t.ravel() for t in np.meshgrid(*[np.arange(n)] * 3, indexing="ij"))
             ok = (i != i2) & (i != j) & (i2 != j)
             i, i2, j = i[ok], i2[ok], j[ok]
