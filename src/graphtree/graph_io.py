@@ -129,8 +129,14 @@ def _raise_first_bad_line(path):
 
 
 def save_edge_list(dest, a: np.ndarray) -> None:
-    """Write one "u v" line per edge, u < v, to a path or an open text file."""
+    """Write one "u v" line per edge, u < v, to a path or an open text file.
+
+    A reader takes n as one more than the largest id, so an isolated last node is refused.
+    """
     check_adjacency(a)
+    if len(a) and not a[-1].any():
+        raise ValidationError(f"node {len(a) - 1} has no edge, so an edge list would drop it;"
+                              " write the graph as an adjacency CSV instead")
     np.savetxt(dest, np.argwhere(np.triu(a, k=1)), fmt="%d", delimiter=" ")
 
 

@@ -10,6 +10,7 @@ import numpy as np
 
 from .graphon import StepGraphon
 from .linkage import dendrogram_merge_matrix, single_linkage
+from .sampling import edge_probabilities
 
 __all__ = [
     "step_mergeon",
@@ -58,8 +59,7 @@ def cluster_tree_of(merge: StepGraphon) -> list:
 
 def mergeon_eval_matrix(merge: StepGraphon, points) -> np.ndarray:
     """Pairwise true merge heights at sample points; diagonal set to 1."""
-    idx = merge.partition.locate_many(points)
-    out = merge.values[np.ix_(idx, idx)].copy()
+    out = edge_probabilities(merge, points)
     np.fill_diagonal(out, 1.0)
     return out
 

@@ -335,10 +335,13 @@ def _block_gaps(s: np.ndarray, top, ab: np.ndarray, rows_a: np.ndarray, rows: np
         d_j = max(P1 + [delta < 0 and anyP(j)] - [delta > 0 and allP(j)],
                   N1 + [delta > 0 and anyN(j)] - [delta < 0 and allN(j)])
 
-    except where j is the unique argmax of a side (P2 < P1), whose level and
-    set there are P2 and {k : B_k == P2}. One OR of the packed rows of a set
-    (the AND is the complement of the OR of the zeros) gives its flags; twins,
-    rows of A equal off {i, i2}, need no sets, and _wide_sets takes large ones.
+    except where j is the unique argmax of a side (P2 < P1). That side's
+    value there is at most P2 + 1, so the other side's value stands unless P2
+    reaches it; only then is d_j read from the pair's row of counts, as the
+    largest |B_k - delta * A[j, k]| over k not in {i, i2, j}. One OR of the
+    packed rows of a set (the AND is the complement of the OR of the zeros)
+    gives its flags; twins, rows of A equal off {i, i2}, need no sets, and
+    _wide_sets takes large ones.
     """
     n, m = s.shape[0], cand.size
     info = np.iinfo(s.dtype)
@@ -361,7 +364,7 @@ def _block_gaps(s: np.ndarray, top, ab: np.ndarray, rows_a: np.ndarray, rows: np
     words = rows_a.shape[2]
     wide = np.empty(0, dtype=np.intp)
     if 2 * np.count_nonzero(members) * words > m * n:  # member rows would outnumber the entries
-        # sides whose rows outweigh n bits plus a packed row per moving column test those columns
+        # sides whose rows outweigh n bits and a packed row per moving column test those columns
         count = np.count_nonzero(members, axis=1)
         wide = np.flatnonzero(count * words > n + np.repeat(moving, 2) * words)
         wide_members = members[wide]
@@ -377,36 +380,25 @@ def _block_gaps(s: np.ndarray, top, ab: np.ndarray, rows_a: np.ndarray, rows: np
     if wide.size:
         ors[wide] = _wide_sets(rows_a, wide_members, rise[wide // 2])
     ors = ors.reshape(m, 2, 2, -1)  # [pair, side (B, -B), (ones of A, zeros of A + I), word]
-    up = ors[:, :, 0] & rise
-    down = rise[:, ::-1] & ~ors[:, :, 1]
-    # d_j = max(P1, N1) + plus - minus, with h the higher side, l the lower:
-    # plus = up_h, or up_h | up_l where P1 == N1; minus = down_h where P1 !=
-    # N1, but not where up_l and P1, N1 are one apart.
-    h = (n1 > p1).astype(np.intp)
-    spread = np.abs(p1.astype(np.intp) - n1)[:, None]
-    up_h, up_l = up[pairs, h], up[pairs, 1 - h]
-    plus = up_h | up_l * (spread == 0)
-    minus = down[pairs, h] * (spread > 0) & ~(up_l * (spread == 1))
-    bits = np.unpackbits(np.stack([plus, minus], axis=1).view(np.uint8), axis=2,
-                         bitorder="little")[..., :n]
-    # the exceptions q at their j, with the other side's value there
+    # each side's value at every j: its top level, raised by its rise bit, lowered by its fall bit
+    up, down = ors[:, :, 0] & rise, rise[:, ::-1] & ~ors[:, :, 1]
     first, second = np.stack([p1, n1], axis=1), np.stack([p2, n2], axis=1)
-    q, side = np.divmod(np.flatnonzero((second < first) & ~pad[:, None]), 2)
+    value = np.repeat(first[..., None], n, axis=2)
+    value += np.unpackbits(up.view(np.uint8), axis=2, count=n, bitorder="little")
+    value -= np.unpackbits(down.view(np.uint8), axis=2, count=n, bitorder="little")
+    # the exceptions q: a side's unique argmax j, where the other side's value
+    # stands unless P2 reaches it, and d_j is then read from the pair's row
+    q, side = np.divmod(np.flatnonzero(second < first), 2)
     j = np.stack([gp, gn], axis=1)[q, side]
-    up_j, down_j, rise_j = (x.view(np.uint8)[q, :, j >> 3] >> (j & 7)[:, None] & 1
-                            for x in (up, down, rise))
-    r = np.arange(q.size)
-    other = first[q, 1 - side] + up_j[r, 1 - side].astype(np.intp) - down_j[r, 1 - side]
-    rises, falls = rise_j[r, side] == 1, rise_j[r, 1 - side] == 1
-    level = second[q, side].astype(np.intp)
-    e = np.flatnonzero(rises & (level >= other) | falls & (level > other))  # elsewhere other wins
-    sets = diff[q[e]] == (level[e] * (1 - 2 * side[e]))[:, None]
-    row = ab[j[e]]
-    level[e] += rises[e] & (sets & row).any(axis=1)
-    level[e] -= falls[e] & ~(sets & ~row).any(axis=1)
-    np.add(np.maximum(p1, n1)[:, None], bits[:, 0], out=diff)
-    diff -= bits[:, 1]
-    diff[q, j] = np.maximum(level, other)
+    d = value[q, 1 - side, j]
+    e = np.flatnonzero(second[q, side] >= d)
+    qe, je, r = q[e], j[e], np.arange(e.size)
+    delta = ab[i[qe], je].astype(s.dtype) - ab[c[qe], je]
+    row = np.abs(s[i[qe]] - s[c[qe]] - delta[:, None] * ab[je])
+    row[r, i[qe]] = row[r, c[qe]] = row[r, je] = 0
+    d[e] = row.max(axis=1)
+    np.maximum(value[:, 0], value[:, 1], out=diff)
+    diff[q, j] = d
     diff[pad] = diff[pairs, c] = info.max
     return out
 
@@ -417,7 +409,7 @@ def _wide_sets(rows_a: np.ndarray, sets: np.ndarray, rise: np.ndarray) -> np.nda
     sets[t] marks the members of side t and rise[t] the two rise planes of
     its pair. A set counts only at the columns where the pair's rows of A
     differ, so there it tests each such column against the packed set: O(n)
-    plus O(n / 64) per column, where ORing the member rows would cost
+    and O(n / 64) per column, where ORing the member rows would cost
     O(n / 64) per member. Other columns hold no meaningful bits. The loop
     over words keeps one word per column in memory at a time.
 

@@ -64,7 +64,7 @@ class TestEdgeList:
         # "u v" per edge, u < v, in row-major order; seed None is a one-edge graph
         if seed is None:
             a = np.zeros((5, 5), dtype=np.int8)
-            a[1, 3] = a[3, 1] = 1
+            a[1, 4] = a[4, 1] = 1
         else:
             rng = np.random.default_rng(seed)
             a = random_adjacency(rng, int(rng.integers(10, 60)), p=float(rng.uniform(0.05, 0.6)))
@@ -75,6 +75,20 @@ class TestEdgeList:
         want = (tmp_path / "want").read_bytes()
         assert (tmp_path / "by_path").read_bytes() == want
         assert (tmp_path / "by_file").read_bytes() == want
+
+    @pytest.mark.parametrize("by_path", [True, False])
+    def test_isolated_last_node_refused(self, tmp_path, by_path):
+        # n is one more than the largest id, so node 4 would be dropped
+        a = np.zeros((5, 5), dtype=np.int8)
+        a[1, 3] = a[3, 1] = 1
+        p = tmp_path / "g.edges"
+        with pytest.raises(ValidationError, match="node 4 has no edge.*adjacency CSV"):
+            if by_path:
+                save_edge_list(p, a)
+            else:
+                with open(p, "w") as fh:
+                    save_edge_list(fh, a)
+        assert (not p.exists()) if by_path else (p.read_bytes() == b"")
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "g.edges"

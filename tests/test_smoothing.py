@@ -950,11 +950,23 @@ class TestBoundThenVerify:
             assert np.array_equal(high - low, (delta != 0).astype(int))
 
     def test_block_gaps_are_exact(self):
-        # every (i, j, i2) as one block of all rows, each padded with i itself
-        unique_argmax = identical_rows = 0
+        # every (i, j, i2) as one block of all rows, each padded with i itself;
+        # at a side's unique argmax j the other side's value stands, or, where
+        # P2 reaches it, d_j is read from the row: both occur
+        identical_rows = other_stands = row_read = 0
         for a, s, top, i, i2, j, lp, ln, delta, gap in self._triples():
             p1, gp, p2, n1, gn, n2 = top
             n = a.shape[0]
+            # each side's value with column j left out
+            moved = s[i].astype(int) - s[i2] - delta[:, None] * a[j]
+            off = np.ones(moved.shape, dtype=bool)
+            off[np.arange(j.size)[:, None], np.stack([i, i2, j], axis=1)] = False
+            vp, vn = (np.where(off, sign * moved, -n).max(axis=1) for sign in (1, -1))
+            assert np.array_equal(np.maximum(vp, vn), gap)
+            for arg, first, second, other in ((gp, p1, p2, vn), (gn, n1, n2, vp)):
+                unique = (j == arg[i, i2]) & (second[i, i2] < first[i, i2])
+                other_stands += np.count_nonzero(unique & (second[i, i2] < other))
+                row_read += np.count_nonzero(unique & (second[i, i2] >= other))
             cand = np.tile(np.arange(n), (n, 1))
             out = np.empty((n, n, n), dtype=s.dtype)
             gaps = _block_gaps(s, top, a.astype(bool), _packed_rows(a.astype(bool)),
@@ -964,11 +976,8 @@ class TestBoundThenVerify:
             big = np.iinfo(s.dtype).max
             assert np.all(gaps[np.arange(n), np.arange(n)] == big)  # padding i2 == i
             assert np.all(gaps[:, np.arange(n), np.arange(n)] == big)  # j == i2
-            unique_argmax += np.count_nonzero(
-                ((j == gp[i, i2]) & (p2[i, i2] < p1[i, i2]))
-                | ((j == gn[i, i2]) & (n2[i, i2] < n1[i, i2])))
             identical_rows += np.count_nonzero((p1[i, i2] == 0) & (n1[i, i2] == 0))
-        assert unique_argmax and identical_rows
+        assert identical_rows and other_stands and row_read
 
 
 class TestOriginalEstimator:
