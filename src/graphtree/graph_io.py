@@ -137,7 +137,15 @@ def save_edge_list(dest, a: np.ndarray) -> None:
     if len(a) and not a[-1].any():
         raise ValidationError(f"node {len(a) - 1} has no edge, so an edge list would drop it;"
                               " write the graph as an adjacency CSV instead")
-    np.savetxt(dest, np.argwhere(np.triu(a, k=1)), fmt="%d", delimiter=" ")
+    with _opened(dest) as fh:
+        np.savetxt(fh, np.argwhere(np.triu(a, k=1)), fmt="%d", delimiter=" ")
+
+
+def _opened(dest):
+    """A context of an open text file: dest itself, or the path dest opened to write plain text."""
+    if isinstance(dest, (str, os.PathLike)):
+        return open(dest, "w")
+    return contextlib.nullcontext(dest)
 
 
 def load_adjacency_csv(path) -> np.ndarray:
@@ -166,11 +174,12 @@ def load_matrix_csv(path) -> np.ndarray:
     """
     try:
         # the open file, not the path: np.loadtxt would read name.gz where no
-        # file has that name, or fetch a URL
+        # file has that name, unzip a .gz or fetch a URL
         with open(path) as fh:
             m = _fill_square(fh)
-        if m is None:
-            m = _loadtxt(path, delimiter=",")
+            if m is None:
+                fh.seek(0)
+                m = _loadtxt(fh, delimiter=",")
     except OSError as e:
         raise ValidationError(f"cannot read {path}: {e}") from e
     except ValueError as e:
@@ -218,11 +227,10 @@ _BLOCK_VALUES = 1 << 16
 
 
 def _write_rows(dest, x: np.ndarray, fmt: str) -> None:
-    """Write a float64 or int64 array as np.savetxt(dest, x, fmt, delimiter=",") does.
+    """Write a float64 or int64 array as np.savetxt(fh, x, fmt, delimiter=",") does.
 
-    The bytes are np.savetxt's, for a path (a .gz, .bz2 or .xz name is
-    compressed, as numpy's opener does) or an open text file, and a 1-D x is
-    one value per line. Rows go out in blocks of about 2**16 values. A block's
+    dest is a path or an open text file fh, and a 1-D x is one value per
+    line. Rows go out in blocks of about 2**16 values. A block's
     distinct 64-bit patterns, so -0.0 and each NaN keep their own text, are
     formatted by one % call, and each row is joined from that table. A P-hat
     holds few distinct values and is written 2-3x faster than by np.savetxt;
@@ -232,14 +240,8 @@ def _write_rows(dest, x: np.ndarray, fmt: str) -> None:
         x = x[:, None]
     if x.ndim != 2:
         raise ValueError(f"Expected 1D or 2D array, got {x.ndim}D array instead")
-    if isinstance(dest, (str, os.PathLike)):
-        dest = os.fspath(dest)
-        open(dest, "w").close()  # numpy's opener opens only a file that exists
-        out = np.lib.npyio.DataSource(os.curdir).open(dest, "wt")
-    else:
-        out = contextlib.nullcontext(dest)
     step = max(1, _BLOCK_VALUES // max(x.shape[1], 1))
-    with out as fh:
+    with _opened(dest) as fh:
         for start in range(0, x.shape[0], step):
             block = x[start:start + step]
             bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
@@ -271,16 +273,14 @@ def load_gml_subset(path):
             text = fh.read()
     except OSError as e:
         raise ValidationError(f"cannot read {path}: {e}") from e
-    tokens = _GML_TOKEN.findall(text)
+    tokens = iter(_GML_TOKEN.findall(text))
 
     ids = []
     labels = {}
     raw_edges = []
     stack = []  # (key, fields) of each open block, e.g. ("graph", {}), ("node", {"id": 0})
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok == "]":
+    for key in tokens:
+        if key == "]":
             if not stack:
                 raise ValidationError(f"{path}: ']' closes no open block")
             closed, cur = stack.pop()
@@ -296,18 +296,13 @@ def load_gml_subset(path):
                 if "source" not in cur or "target" not in cur:
                     raise ValidationError(f"{path}: edge record without source/target")
                 raw_edges.append((cur["source"], cur["target"]))
-            i += 1
             continue
-        key = tok
-        i += 1
-        if i >= len(tokens):
+        val = next(tokens, None)
+        if val is None:
             raise ValidationError(f"{path}: dangling key {key!r}")
-        val = tokens[i]
         if val == "[":
             stack.append((key, {}))
-            i += 1
             continue
-        i += 1
         if stack and stack[-1][0] in ("node", "edge"):
             cur = stack[-1][1]
             if key in ("id", "source", "target"):

@@ -288,22 +288,17 @@ def _pair_neighborhoods(s: np.ndarray, a: np.ndarray, rank: int):
     top = _pairwise_sides(s)
     rows_a = _packed_rows(ab)
     sizes, hits = np.empty((2, n, n), dtype=s.dtype)
-    work = np.empty((3, 0), dtype=s.dtype)
     for rows, cand in _candidate_blocks(top, rank):
         # entries are laid out [b, c, j] for i = rows[b] and the candidate i' = cand[b, c]
-        b, w = cand.shape
-        size = b * w * n
-        if size > work.shape[1]:  # work space, reused by every block that fits
-            work = np.empty((3, size), dtype=s.dtype)
-        d = _block_gaps(s, top, ab, rows_a, rows, cand, work[0, :size].reshape(b, w, n))
-        by_j = work[1, :size].reshape(b, n, w)
-        np.copyto(by_j, d.transpose(0, 2, 1))  # partitions faster than a strided axis
+        d = _block_gaps(s, top, ab, rows_a, rows, cand)
+        by_j = d.transpose(0, 2, 1).copy()  # partitions faster than a strided axis
         by_j.partition(rank - 1, axis=2)
-        nbrs = work[2, :size].view(bool)[:size].reshape(b, w, n)
-        np.less_equal(d, by_j[:, None, :, rank - 1], out=nbrs)
+        nbrs = d <= by_j[:, None, :, rank - 1]
         sizes[rows] = nbrs.view(np.int8).sum(axis=1, dtype=s.dtype)
         nbrs &= ab[cand]
         hits[rows] = nbrs.view(np.int8).sum(axis=1, dtype=s.dtype)
+        # freed here, or they would still be alive while the next block's are made
+        del d, by_j, nbrs
     return sizes, hits
 
 
@@ -321,8 +316,8 @@ def _packed_rows(ab: np.ndarray) -> np.ndarray:
 
 
 def _block_gaps(s: np.ndarray, top, ab: np.ndarray, rows_a: np.ndarray, rows: np.ndarray,
-                cand: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[b, c, j] = d_j(i, i2) * n for i = rows[b], i2 = cand[b, c], exactly.
+                cand: np.ndarray) -> np.ndarray:
+    """The (b, w, n) array of d_j(i, i2) * n for i = rows[b], i2 = cand[b, c], exactly.
 
     Entries j == i2 and padding pairs i2 == i hold the dtype's maximum; j == i
     is meaningless. For the pair (i, i2), B = S[i] - S[i2] over k not in
@@ -350,8 +345,8 @@ def _block_gaps(s: np.ndarray, top, ab: np.ndarray, rows_a: np.ndarray, rows: np
     c = cand.reshape(-1)
     pad = i == c
     pairs = np.arange(m)
+    out = s[rows, None, :] - s[cand]
     diff = out.reshape(m, n)
-    np.subtract(s[rows, None, :], s[cand], out=out)
     diff[pairs, i] = diff[pairs, c] = info.min  # k in {i, i2} is in no level set
     ri, rc = rows_a[i, 0], rows_a[c, 0]
     rise = np.stack([rc & ~ri, ri & ~rc], axis=1)  # delta < 0 raises B, delta > 0 raises -B
@@ -418,9 +413,9 @@ def _wide_sets(rows_a: np.ndarray, sets: np.ndarray, rise: np.ndarray) -> np.nda
     sets hold a large share of the nodes: sparse graphs, complete bipartite
     graphs or two cliques with a few flipped edges. There the member lists
     dominate time and memory. On a sparse n = 512 graph of mean degree 3 one
-    pass takes 1.5 s and peaks at 4.1 times P_hat this way, against 2.8 s
-    and 6.7 times when every member row is ORed; on K_{256,256} with four
-    flipped edges, 0.56 s and 2.8 times against 0.67 s and 4.4 times.
+    pass takes 1.6 s and peaks at 3.7 times P_hat this way, against 3.4 s
+    and 6.2 times when every member row is ORed; on K_{256,256} with four
+    flipped edges, about 0.7 s either way and 2.7 times against 4.1 times.
     Graphs of untied counts, such as those of the three-group graphon, never
     come here.
     """

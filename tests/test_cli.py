@@ -4,6 +4,7 @@ Exit code contract: 0 success, 2 validation failure, 1 unexpected error.
 """
 
 import csv
+import gzip
 import io
 import json
 import logging
@@ -326,6 +327,15 @@ class TestCluster:
             res = runner.invoke(main, args)
             assert res.exit_code == 2
             assert res.stderr == f"error: {p}: matrix holds NaN\n"
+
+    def test_gzip_rejected(self, runner, tmp_path):
+        # read as plain text whatever the name, as estimate --input reads a graph
+        p = tmp_path / "sim.csv.gz"
+        with gzip.open(p, "wt") as fh:
+            fh.write("0,0.5\n0.5,0\n")
+        res = runner.invoke(main, ["cluster", "--phat", str(p)])
+        assert res.exit_code == 2
+        assert "can't decode byte 0x8b" in res.stderr
 
     def test_minus_inf_keeps_both_leaves(self, runner, tmp_path):
         p = tmp_path / "sim.csv"

@@ -284,9 +284,9 @@ class TestWritersTakeOpenFiles:
         assert (tmp_path / "by_file").read_bytes() == (tmp_path / "by_path").read_bytes()
 
 
-def savetxt_bytes(x, fmt):
+def savetxt_bytes(x, fmt, delimiter=","):
     buf = io.StringIO()
-    np.savetxt(buf, x, fmt=fmt, delimiter=",")
+    np.savetxt(buf, x, fmt=fmt, delimiter=delimiter)
     return buf.getvalue().encode()
 
 
@@ -353,12 +353,15 @@ class TestWritersMatchSavetxt:
             save_matrix_csv(fh, m)
         assert (tmp_path / "phat.csv").read_bytes() == b"# kept\n" + savetxt_bytes(m, "%.6g")
 
-    def test_compressed_name(self, tmp_path):
-        # numpy's opener compresses by the suffix of the name
-        m = np.random.default_rng(4).random((40, 30))
-        save_matrix_csv(tmp_path / "phat.csv.gz", m)
-        with gzip.open(tmp_path / "phat.csv.gz") as fh:
-            assert fh.read() == savetxt_bytes(m, "%.6g")
+    @pytest.mark.parametrize("save", [save_edge_list, save_adjacency_csv, save_matrix_csv])
+    def test_gz_name_is_plain_text(self, tmp_path, save):
+        # a path is opened as plain text whatever its suffix, as the readers open it
+        a = random_adjacency(np.random.default_rng(4), 30, p=0.3)
+        want = {save_edge_list: savetxt_bytes(np.argwhere(np.triu(a, k=1)), "%d", " "),
+                save_adjacency_csv: savetxt_bytes(a, "%d"),
+                save_matrix_csv: savetxt_bytes(a, "%.6g")}[save]
+        save(tmp_path / "g.gz", a)
+        assert (tmp_path / "g.gz").read_bytes() == want
 
     def test_rejects_three_dimensions(self, tmp_path):
         with pytest.raises(ValueError, match="Expected 1D or 2D array, got 3D"):

@@ -487,8 +487,9 @@ class TestMemoryBound:
         P_hat's 8 n^2 bytes. Besides P_hat, whose halves are averaged in
         place, the pass holds n x n arrays in the count dtype only (the
         counts, the three side levels of B, whose transposes are the levels
-        of -B, the sizes and the hit counts) and block work space of at most
-        _BLOCK_ELEMS entries. Measured at n = 512 on a three-group graph.
+        of -B, the sizes and the hit counts) and the arrays of one block of
+        at most _BLOCK_ELEMS entries, made for the block and freed before the
+        next. Measured at 2.53 times at n = 512 on a three-group graph.
         """
         n = 512
         a = _three_group(n, 1)
@@ -507,8 +508,9 @@ class TestMemoryBound:
         Contract: on K_{256,256} with four random edges flipped, the
         tracemalloc peak of one pass is at most 3.25 times P_hat's 8 n^2
         bytes. Most pairs on one side differ in a column or two while their
-        top level sets hold about half the nodes. Measured at 2.83 times;
-        listing every member and ORing its packed row peaks at 4.4 times.
+        top level sets hold about half the nodes. Measured at 2.66 times;
+        listing every member and ORing its packed row peaks at 4.1 times, and
+        one work space grown to the largest block and reused at 2.90.
         """
         n = 512
         rng = np.random.default_rng(1)
@@ -525,6 +527,24 @@ class TestMemoryBound:
         finally:
             tracemalloc.stop()
         assert peak <= 3.25 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} x P_hat"
+
+    def test_modified_estimate_peak_on_sparse_counts_within_4_of_phat(self):
+        """On a sparse graph most counts are 0 or 1, so level sets are large and tied.
+
+        Contract: on G(512, 3/511), mean degree 3, the tracemalloc peak of one
+        pass is at most 4 times P_hat's 8 n^2 bytes. Measured at 3.68 times;
+        one work space grown to the largest block and reused peaks at 4.18.
+        """
+        n = 512
+        a = random_adjacency(np.random.default_rng(1), n, p=3 / (n - 1))
+        cfg = SmoothingConfig(C=0.1)
+        tracemalloc.start()
+        try:
+            estimate_modified(a, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.0 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} x P_hat"
 
 
 class TestModifiedEstimator:
@@ -750,7 +770,7 @@ class TestBoundThenVerify:
         s = _counts(a)
         top = _pairwise_sides(s)
         gaps = _block_gaps(s, top, a.astype(bool), _packed_rows(a.astype(bool)), np.arange(n),
-                           np.tile(np.arange(n), (n, 1)), np.empty((n, n, n), dtype=s.dtype))
+                           np.tile(np.arange(n), (n, 1)))
         assert sum(heavy_sides) > 0
         off = ~np.eye(n, dtype=bool)
         for j in range(n):
@@ -782,8 +802,7 @@ class TestBoundThenVerify:
             rank = quantile_rank(SmoothingConfig(C=0.1).bandwidth(n), n - 2)
             kept = []
             for rows, cand in _candidate_blocks(top, rank):
-                gaps = _block_gaps(s, top, ab, _packed_rows(ab), rows, cand,
-                                   np.empty((*cand.shape, n), dtype=s.dtype))
+                gaps = _block_gaps(s, top, ab, _packed_rows(ab), rows, cand)
                 b, c, j = np.indices(gaps.shape).reshape(3, -1)
                 i, i2 = rows[b], cand[b, c]
                 ok = (i2 != i) & (j != i) & (j != i2)
@@ -842,8 +861,7 @@ class TestBoundThenVerify:
         s = _counts(a)
         top = _pairwise_sides(s)
         rows = np.array([0, 5])
-        gaps = _block_gaps(s, top, ab, _packed_rows(ab), rows, np.tile(np.arange(n), (2, 1)),
-                           np.empty((2, n, n), dtype=s.dtype))
+        gaps = _block_gaps(s, top, ab, _packed_rows(ab), rows, np.tile(np.arange(n), (2, 1)))
         for j in range(n):
             keep = (np.arange(n) != j)[None, :] & (rows != j)[:, None] & (np.arange(n) != rows[:, None])
             assert np.array_equal(gaps[:, :, j][keep], dense_pass_gaps(a, j)[rows][keep])
@@ -968,10 +986,9 @@ class TestBoundThenVerify:
                 other_stands += np.count_nonzero(unique & (second[i, i2] < other))
                 row_read += np.count_nonzero(unique & (second[i, i2] >= other))
             cand = np.tile(np.arange(n), (n, 1))
-            out = np.empty((n, n, n), dtype=s.dtype)
             gaps = _block_gaps(s, top, a.astype(bool), _packed_rows(a.astype(bool)),
-                               np.arange(n), cand, out)
-            assert gaps is out
+                               np.arange(n), cand)
+            assert gaps.shape == (n, n, n) and gaps.dtype == s.dtype
             assert np.array_equal(gaps[i, i2, j], gap)
             big = np.iinfo(s.dtype).max
             assert np.all(gaps[np.arange(n), np.arange(n)] == big)  # padding i2 == i

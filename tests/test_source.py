@@ -1,8 +1,8 @@
 """Whole-source checks: the package and the test oracles parse under the oldest
 Python pyproject.toml allows, every test oracle and private helper is in use,
 the package exports exactly its modules' public names, the CLI starts without
-loading multiprocessing, and the benchmark's tracer can still wrap the
-package."""
+loading multiprocessing, the benchmark's tracer can still wrap the package,
+and a failing property test does not end the test run."""
 
 import ast
 import importlib
@@ -105,3 +105,18 @@ def test_benchmark_tracer_installs():
         [sys.executable, "-c", "import graphtree; from spans import Tracer; Tracer().install()"],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
+
+
+def test_failing_property_test_leaves_the_run_going(tmp_path):
+    # with every warning an error, a warning Hypothesis raises while it reports
+    # a failing example must not end the run before the next test
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_fails(x):\n    assert x < 0\n\n\n"
+        "def test_passes():\n    pass\n")
+    res = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"), "--rootdir",
+         str(tmp_path), "-q", "-p", "no:cacheprovider", "test_two.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in res.stdout + res.stderr
+    assert "1 failed, 1 passed" in res.stdout, res.stdout
