@@ -25,8 +25,9 @@ from .experiments import (
     run_dataset_clustering,
     run_synthetic_experiment,
 )
-from .graph_io import load_matrix_csv, save_adjacency_csv, save_edge_list, save_matrix_csv
-from .graphon import load_step_graphon, step_graphon_to_dict
+from .graph_io import (_opened, load_matrix_csv, save_adjacency_csv, save_edge_list,
+                       save_matrix_csv)
+from .graphon import _read_json, load_step_graphon, step_graphon_to_dict
 from .linkage import single_linkage
 from .mergeon import cluster_tree_of, merge_distortion, step_mergeon
 from .sampling import derive_seed, edge_probabilities, sample_graph, sample_latents
@@ -55,17 +56,14 @@ def _graphon_from_flag(value):
     return load_step_graphon(value)
 
 
-def _write_text(text: str, out: str) -> None:
-    if out == "-":
-        click.echo(text, nl=False)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
-
-
 def _dest(out: str):
     """An output flag as a writer destination: stdout for -, else the path."""
     return sys.stdout if out == "-" else out
+
+
+def _write_text(text: str, out: str) -> None:
+    with _opened(_dest(out)) as fh:
+        fh.write(text)
 
 
 def _load_square_csv(path) -> np.ndarray:
@@ -194,14 +192,7 @@ def experiment():
 @_fail_cleanly
 def experiment_synthetic(config_path, out_dir, workers):
     """Run the (n, seed) grid of a config; writes records.csv and dendrograms."""
-    try:
-        with open(config_path) as fh:
-            doc = json.load(fh)
-    except OSError as e:
-        raise ValidationError(f"cannot read {config_path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"{config_path}: invalid JSON: {e}") from e
-    cfg = ExperimentConfig.from_dict(doc)
+    cfg = ExperimentConfig.from_dict(_read_json(config_path))
     if out_dir is not None:
         cfg = dataclasses.replace(cfg, out_dir=out_dir)
     if workers is not None:

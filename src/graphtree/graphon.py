@@ -125,12 +125,16 @@ def step_graphon_from_dict(d) -> StepGraphon:
     return StepGraphon(BlockPartition(tuple(bps)), np.asarray(vals, dtype=float))
 
 
-def load_step_graphon(path) -> StepGraphon:
+def _read_json(path):
+    """The JSON document at path; an unreadable file or invalid JSON raises ValidationError."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as e:
         raise ValidationError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path}: invalid JSON: {e}") from e
-    return step_graphon_from_dict(doc)
+
+
+def load_step_graphon(path) -> StepGraphon:
+    return step_graphon_from_dict(_read_json(path))

@@ -18,17 +18,17 @@ Neighborhoods are thus the exact distance quantiles of Zhang, Levina & Zhu
 (Biometrika 2017).
 
 The modified variant keeps, from one pass over the ordered pairs (i, i'),
-the top two levels of B = S[i] - S[i']: P1, its first argmax and P2; those
-of -B are the levels of (i', i). Deleting j moves each term of B by at most
-one, so these levels bound every d_j(i, i'), and _candidate_blocks drops the
-candidates they keep out of every neighborhood of row i: the
-bound-then-verify search of Fukunaga & Narendra (1975). For each block of
-rows, _block_gaps then computes every d_j of the kept candidates exactly,
-from ORs of the packed rows of A over the few columns of each side's top
-level set, and one partition ranks them. Where tied counts make a set
-large, it is tested instead at the columns where its pair's rows differ
-(_wide_sets). The result, tie rule included, is bit for bit that of the
-dense pass over all (i, j, i').
+the top two levels of B = S[i] - S[i']: P1 and P2, the largest B_k with
+the first argmax of P1 left out; those of -B are the levels of (i', i).
+Deleting j moves each term of B by at most one, so these levels bound
+every d_j(i, i'), and _candidate_blocks drops the candidates they keep out
+of every neighborhood of row i: the bound-then-verify search of Fukunaga &
+Narendra (1975). For each block of rows, _block_gaps then computes every
+d_j of the kept candidates exactly, from ORs of the packed rows of A over
+the few columns of each side's top level set, and one partition ranks
+them. Where tied counts make a set large, it is tested instead at the
+columns where its pair's rows differ (_wide_sets). The result, tie rule
+included, is bit for bit that of the dense pass over all (i, j, i').
 """
 
 from __future__ import annotations
@@ -215,28 +215,26 @@ def _pairwise_chebyshev(x: np.ndarray) -> np.ndarray:
 
 
 def _pairwise_sides(x: np.ndarray):
-    """(p1, gp, p2, n1, gn, n2): the top levels of B = x[i] - x[i2] and of -B.
+    """(p1, p2, n1, n2): the top two levels of B = x[i] - x[i2] and of -B.
 
-    Over k not in {i, i2}, p1[i, i2] is the largest B_k, gp[i, i2] its first
-    argmax and p2[i, i2] the largest B_k with k = gp left out, so p2 < p1
-    exactly when the argmax is unique; n1, gn and n2 are the same for -B.
-    The pair (i2, i) has -B, so the -B side is the transpose of the B side:
-    n1, gn and n2 are views of p1, gp and p2. All share x's dtype, which
-    holds +-n.
+    Over k not in {i, i2}, p1[i, i2] is the largest B_k and p2[i, i2] the
+    largest B_k with the first argmax of p1 left out, so p2 < p1 exactly
+    when the argmax is unique; n1 and n2 are the same for -B. The pair
+    (i2, i) has -B, so the -B side is the transpose of the B side: n1 and
+    n2 are views of p1 and p2. All share x's dtype, which holds +-n.
     """
     n = x.shape[0]
     blocks = _gap_blocks(x, signed=True)
     lowest = np.iinfo(x.dtype).min
     idx = np.arange(n)
-    p1, gp, p2 = (np.empty((n, n), dtype=x.dtype) for _ in range(3))
+    p1, p2 = np.empty((2, n, n), dtype=x.dtype)
     for lo, hi, c0, c1, t in blocks:
         v = t.max(axis=2)
         g = (t == v[..., None]).argmax(axis=2)  # faster than t.argmax
-        gp[lo:hi, c0:c1] = g
         p1[lo:hi, c0:c1] = v
         t[idx[: hi - lo, None], idx[: c1 - c0], g] = lowest
         t.max(axis=2, out=p2[lo:hi, c0:c1])
-    return p1, gp, p2, p1.T, gp.T, p2.T
+    return p1, p2, p1.T, p2.T
 
 
 def _within_rank(d: np.ndarray, rank: int) -> np.ndarray:
@@ -340,7 +338,7 @@ def _block_gaps(s: np.ndarray, top, ab: np.ndarray, rows_a: np.ndarray, rows: np
     """
     n, m = s.shape[0], cand.size
     info = np.iinfo(s.dtype)
-    p1, gp, p2, n1, gn, n2 = (x[rows[:, None], cand].reshape(-1) for x in top)
+    p1, p2, n1, n2 = (x[rows[:, None], cand].reshape(-1) for x in top)
     i = np.repeat(rows, cand.shape[1])
     c = cand.reshape(-1)
     pad = i == c
@@ -364,8 +362,9 @@ def _block_gaps(s: np.ndarray, top, ab: np.ndarray, rows_a: np.ndarray, rows: np
         wide = np.flatnonzero(count * words > n + np.repeat(moving, 2) * words)
         wide_members = members[wide]
         members[wide] = False
-    seg, k = np.divmod(np.flatnonzero(members), n)
-    count = np.bincount(seg, minlength=2 * m)
+    k = np.flatnonzero(members)
+    count = np.bincount(k // n, minlength=2 * m)
+    k %= n
     start = np.cumsum(count) - count
     k = np.append(k, n)
     ors = np.empty((2 * m, 2, words), dtype=np.uint64)
@@ -382,9 +381,10 @@ def _block_gaps(s: np.ndarray, top, ab: np.ndarray, rows_a: np.ndarray, rows: np
     value += np.unpackbits(up.view(np.uint8), axis=2, count=n, bitorder="little")
     value -= np.unpackbits(down.view(np.uint8), axis=2, count=n, bitorder="little")
     # the exceptions q: a side's unique argmax j, where the other side's value
-    # stands unless P2 reaches it, and d_j is then read from the pair's row
+    # stands unless P2 reaches it, and d_j is then read from the pair's row;
+    # j is the side's one listed member (twins, padding and wide sides have P2 = P1)
     q, side = np.divmod(np.flatnonzero(second < first), 2)
-    j = np.stack([gp, gn], axis=1)[q, side]
+    j = k[start[2 * q + side]]
     d = value[q, 1 - side, j]
     e = np.flatnonzero(second[q, side] >= d)
     qe, je, r = q[e], j[e], np.arange(e.size)
@@ -413,9 +413,9 @@ def _wide_sets(rows_a: np.ndarray, sets: np.ndarray, rise: np.ndarray) -> np.nda
     sets hold a large share of the nodes: sparse graphs, complete bipartite
     graphs or two cliques with a few flipped edges. There the member lists
     dominate time and memory. On a sparse n = 512 graph of mean degree 3 one
-    pass takes 1.6 s and peaks at 3.7 times P_hat this way, against 3.4 s
-    and 6.2 times when every member row is ORed; on K_{256,256} with four
-    flipped edges, about 0.7 s either way and 2.7 times against 4.1 times.
+    pass takes 1.5 s and peaks at 3.4 times P_hat this way, against 3.1 s
+    and 5.0 times when every member row is ORed; on K_{256,256} with four
+    flipped edges, 0.55 s against 0.73 s and 2.5 times against 3.4 times.
     Graphs of untied counts, such as those of the three-group graphon, never
     come here.
     """
@@ -448,7 +448,7 @@ def _candidate_blocks(top, rank: int):
     itself to the width of its block's first row. A block holds at most
     _BLOCK_ELEMS (i, j, i') entries unless one row alone is larger.
     """
-    p1, _, p2, n1, _, n2 = top
+    p1, p2, n1, n2 = top
     n = p1.shape[0]
     d = np.maximum(p1, n1)
     np.fill_diagonal(d, np.iinfo(d.dtype).max)

@@ -409,9 +409,10 @@ class TestBlockBoundaries:
             s = _counts(a)
             assert np.array_equal(_pairwise_chebyshev(s), dense_gaps(s).max(axis=2))
             got = _pairwise_sides(s)
-            for x, want in zip(got, dense_sides(s)):
+            p1, _, p2, n1, _, n2 = dense_sides(s)
+            for x, want in zip(got, (p1, p2, n1, n2)):
                 assert x.dtype == s.dtype and np.array_equal(x, want)
-            for pos, neg in zip(got[:3], got[3:]):
+            for pos, neg in zip(got[:2], got[2:]):
                 assert np.array_equal(neg, pos.T)
 
     @pytest.mark.parametrize("n", [23, 37, 50])
@@ -457,6 +458,16 @@ class TestBlockBoundaries:
             assert np.array_equal(sizes, want_sizes)
 
 
+def _traced_peak(fn):
+    """The tracemalloc peak, in bytes, of one call fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestMemoryBound:
     def test_original_estimate_peak_within_1_75_of_phat(self):
         """estimate_original allocates P_hat, n x n float64, and little beside it.
@@ -471,14 +482,8 @@ class TestMemoryBound:
         n = 1000
         a = _three_group(n, 7)
         cfg = SmoothingConfig(C=0.1, variant="original")
-        tracemalloc.start()
-        try:
-            estimate_original(a, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(lambda: estimate_original(a, cfg))
         assert peak <= 1.75 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} x P_hat"
-
 
     def test_modified_estimate_peak_within_2_9_of_phat(self):
         """estimate_modified allocates P_hat as its one n x n float64.
@@ -486,20 +491,14 @@ class TestMemoryBound:
         Contract: the tracemalloc peak of one pass is at most 2.9 times
         P_hat's 8 n^2 bytes. Besides P_hat, whose halves are averaged in
         place, the pass holds n x n arrays in the count dtype only (the
-        counts, the three side levels of B, whose transposes are the levels
+        counts, the two side levels of B, whose transposes are the levels
         of -B, the sizes and the hit counts) and the arrays of one block of
         at most _BLOCK_ELEMS entries, made for the block and freed before the
         next. Measured at 2.53 times at n = 512 on a three-group graph.
         """
         n = 512
         a = _three_group(n, 1)
-        cfg = SmoothingConfig(C=0.1)
-        tracemalloc.start()
-        try:
-            estimate_modified(a, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(lambda: estimate_modified(a, SmoothingConfig(C=0.1)))
         assert peak <= 2.9 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} x P_hat"
 
     def test_modified_estimate_peak_on_tied_counts_within_3_25_of_phat(self):
@@ -508,9 +507,10 @@ class TestMemoryBound:
         Contract: on K_{256,256} with four random edges flipped, the
         tracemalloc peak of one pass is at most 3.25 times P_hat's 8 n^2
         bytes. Most pairs on one side differ in a column or two while their
-        top level sets hold about half the nodes. Measured at 2.66 times;
-        listing every member and ORing its packed row peaks at 4.1 times, and
-        one work space grown to the largest block and reused at 2.90.
+        top level sets hold about half the nodes. Measured at 2.53 times;
+        listing every member and ORing its packed row peaks at 3.36 times,
+        and one work space grown to the largest block and reused peaked at
+        2.90 while the pass still stored the first argmax of every pair.
         """
         n = 512
         rng = np.random.default_rng(1)
@@ -519,32 +519,37 @@ class TestMemoryBound:
         for _ in range(4):
             i, j = rng.choice(n, 2, replace=False)
             a[i, j] = a[j, i] = 1 - a[i, j]
-        cfg = SmoothingConfig(C=0.1)
-        tracemalloc.start()
-        try:
-            estimate_modified(a, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(lambda: estimate_modified(a, SmoothingConfig(C=0.1)))
         assert peak <= 3.25 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} x P_hat"
 
     def test_modified_estimate_peak_on_sparse_counts_within_4_of_phat(self):
         """On a sparse graph most counts are 0 or 1, so level sets are large and tied.
 
         Contract: on G(512, 3/511), mean degree 3, the tracemalloc peak of one
-        pass is at most 4 times P_hat's 8 n^2 bytes. Measured at 3.68 times;
-        one work space grown to the largest block and reused peaks at 4.18.
+        pass is at most 4 times P_hat's 8 n^2 bytes. Measured at 3.41 times;
+        one work space grown to the largest block and reused peaked at 4.18
+        while the pass still stored the first argmax of every pair.
         """
         n = 512
         a = random_adjacency(np.random.default_rng(1), n, p=3 / (n - 1))
-        cfg = SmoothingConfig(C=0.1)
-        tracemalloc.start()
-        try:
-            estimate_modified(a, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(lambda: estimate_modified(a, SmoothingConfig(C=0.1)))
         assert peak <= 4.0 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} x P_hat"
+
+    def test_modified_estimate_peak_on_a_star_within_9_of_phat(self):
+        """A star's hub row lists about 2 n^2 level-set members in one block.
+
+        Contract: on the star of n = 300 nodes, the tracemalloc peak of one
+        pass is at most 9 times P_hat's 8 n^2 bytes. Against the hub every
+        leaf keeps all other leaves in its top level sets and nearly every
+        column moves, so no side goes to _wide_sets; the hub's one-row block
+        gathers a word of each member's packed row at a time, 16 bytes per
+        member. Measured at 8.17 times.
+        """
+        n = 300
+        a = np.zeros((n, n), dtype=np.int8)
+        a[0, 1:] = a[1:, 0] = 1
+        peak = _traced_peak(lambda: estimate_modified(a, SmoothingConfig(C=0.1)))
+        assert peak <= 9.0 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} x P_hat"
 
 
 class TestModifiedEstimator:
@@ -798,7 +803,8 @@ class TestBoundThenVerify:
             n = a.shape[0]
             ab = a.astype(bool)
             s = _counts(a)
-            top = p1, gp, p2, n1, gn, n2 = _pairwise_sides(s)
+            top = _pairwise_sides(s)
+            p1, gp, p2, n1, gn, n2 = dense_sides(s)
             rank = quantile_rank(SmoothingConfig(C=0.1).bandwidth(n), n - 2)
             kept = []
             for rows, cand in _candidate_blocks(top, rank):
@@ -875,7 +881,7 @@ class TestBoundThenVerify:
         monkeypatch.setattr(smoothing, "_BLOCK_ELEMS", budget)
         a = graph(n, 20 + n)
         s = _counts(a)
-        top = p1, _, p2, n1, _, n2 = _pairwise_sides(s)
+        top = p1, p2, n1, n2 = _pairwise_sides(s)
         rank = quantile_rank(SmoothingConfig(C=0.1).bandwidth(n), n - 2)
         d1 = np.maximum(p1, n1).astype(int)
         np.fill_diagonal(d1, n)
@@ -906,39 +912,42 @@ class TestBoundThenVerify:
                               reference.modified_estimate(a, cfg.bandwidth(a.shape[0])))
 
     def test_top2_matches_loops(self, monkeypatch):
-        # the top two levels of B and of -B, with their first argmaxes
+        # the top two levels of B and of -B, the second with the first argmax left out
         rng = np.random.default_rng(16)
         n = 9
         x = rng.integers(0, 4, size=(n, n)).astype(np.int16)
+        want = dense_sides(x)
         # a budget of rows * n * n values gives blocks of rows rows; rows < n
         # splits the ordered pairs into blocks; the -B side of (i, i2) is the
         # B side of (i2, i)
         for rows in (1, 4, 9):
             monkeypatch.setattr(smoothing, "_CHUNK_ELEMS", rows * n * n)
-            p1, gp, p2, n1, gn, n2 = _pairwise_sides(x)
-            for pos, neg in ((p1, n1), (gp, gn), (p2, n2)):
+            p1, p2, n1, n2 = _pairwise_sides(x)
+            for got, oracle in zip((p1, p2, n1, n2), (want[0], want[2], want[3], want[5])):
+                assert np.array_equal(got, oracle)
+            for pos, neg in ((p1, n1), (p2, n2)):
                 assert np.array_equal(neg, pos.T)
             for i in range(n):
                 for i2 in range(n):
                     ks = [k for k in range(n) if k not in (i, i2)]
                     b = [int(x[i, k]) - int(x[i2, k]) for k in ks]
-                    for sign, (first, arg, second) in ((1, (p1, gp, p2)), (-1, (n1, gn, n2))):
+                    for sign, (first, second) in ((1, (p1, p2)), (-1, (n1, n2))):
                         terms = [sign * v for v in b]
                         top = max(terms)
                         g = ks[terms.index(top)]
-                        assert (first[i, i2], arg[i, i2]) == (top, g)
+                        assert first[i, i2] == top
                         assert second[i, i2] == max(t for k, t in zip(ks, terms) if k != g)
 
     @staticmethod
     def _triples(seeds=range(12), n=8):
         """Every (i, i2, j) of small seeded graphs with its side levels and the reference gap.
 
-        Yields (a, s, top, i, i2, j, lp, ln, delta, gap) with arrays over the
-        pairwise distinct triples; lp and ln are the side levels with column j
-        left out. Nodes 0 and 1 share their neighbours apart from 0 ~ 2 and
-        1 ~ 3, and 2 and 3 share theirs apart from those two edges, so the
-        rows 0 and 1 of A @ A are identical off {0, 1} (B is 0) while A[0, 2]
-        and A[1, 2] differ.
+        Yields (a, s, sides, i, i2, j, lp, ln, delta, gap) with arrays over
+        the pairwise distinct triples; sides is dense_sides(s), and lp and ln
+        are the side levels with column j left out. Nodes 0 and 1 share their
+        neighbours apart from 0 ~ 2 and 1 ~ 3, and 2 and 3 share theirs apart
+        from those two edges, so the rows 0 and 1 of A @ A are identical off
+        {0, 1} (B is 0) while A[0, 2] and A[1, 2] differ.
         """
         for seed in seeds:
             rng = np.random.default_rng(seed)
@@ -949,7 +958,7 @@ class TestBoundThenVerify:
                 a[[u, v], shared[:, None]] = a[shared[:, None], [u, v]] = 1
             a[0, 2] = a[2, 0] = a[1, 3] = a[3, 1] = 1
             s = _counts(a)
-            top = p1, gp, p2, n1, gn, n2 = _pairwise_sides(s)
+            sides = p1, gp, p2, n1, gn, n2 = dense_sides(s)
             i, i2, j = (t.ravel() for t in np.meshgrid(*[np.arange(n)] * 3, indexing="ij"))
             ok = (i != i2) & (i != j) & (i2 != j)
             i, i2, j = i[ok], i2[ok], j[ok]
@@ -957,7 +966,7 @@ class TestBoundThenVerify:
             ln = np.where(j == gn[i, i2], n2[i, i2], n1[i, i2]).astype(int)
             delta = a[i, j].astype(int) - a[i2, j]
             gap = np.array([reference.pair_gap(a, *map(int, e)) for e in zip(i, i2, j)])
-            yield a, s, top, i, i2, j, lp, ln, delta, gap
+            yield a, s, sides, i, i2, j, lp, ln, delta, gap
 
     def test_interval_holds_gap(self):
         # d_j lies in [max(P' - [delta > 0], N' - [delta < 0]), max(P' + [delta < 0], N' + [delta > 0])]
@@ -972,8 +981,8 @@ class TestBoundThenVerify:
         # at a side's unique argmax j the other side's value stands, or, where
         # P2 reaches it, d_j is read from the row: both occur
         identical_rows = other_stands = row_read = 0
-        for a, s, top, i, i2, j, lp, ln, delta, gap in self._triples():
-            p1, gp, p2, n1, gn, n2 = top
+        for a, s, sides, i, i2, j, lp, ln, delta, gap in self._triples():
+            p1, gp, p2, n1, gn, n2 = sides
             n = a.shape[0]
             # each side's value with column j left out
             moved = s[i].astype(int) - s[i2] - delta[:, None] * a[j]
@@ -986,8 +995,8 @@ class TestBoundThenVerify:
                 other_stands += np.count_nonzero(unique & (second[i, i2] < other))
                 row_read += np.count_nonzero(unique & (second[i, i2] >= other))
             cand = np.tile(np.arange(n), (n, 1))
-            gaps = _block_gaps(s, top, a.astype(bool), _packed_rows(a.astype(bool)),
-                               np.arange(n), cand)
+            gaps = _block_gaps(s, _pairwise_sides(s), a.astype(bool),
+                               _packed_rows(a.astype(bool)), np.arange(n), cand)
             assert gaps.shape == (n, n, n) and gaps.dtype == s.dtype
             assert np.array_equal(gaps[i, i2, j], gap)
             big = np.iinfo(s.dtype).max
